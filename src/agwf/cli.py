@@ -23,7 +23,12 @@ from .event_log import (
     parse_csv,
     parse_xes,
 )
-from .pm_tools import abstract_dfg, abstract_variants
+from .pm_tools import (
+    DEFAULT_DFG_TOP_K,
+    DEFAULT_VARIANTS_TOP_K,
+    abstract_dfg,
+    abstract_variants,
+)
 from .workflow_config import WorkflowConfigError, load_scripted_rules, load_workflow
 from .workflow_engine import (
     ExecutionAborted,
@@ -197,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_abstract.set_defaults(handler=cmd_abstract)
 
     p_demo = sub.add_parser("demo", help="run a bundled demo workflow")
-    p_demo.add_argument("name", choices=demos.DEMO_NAMES)
+    p_demo.add_argument("name", choices=demos.BUNDLE_NAMES)
     p_demo.add_argument("--scripted", nargs="?", const=_BUILTIN_RULES, metavar="RULES",
                         help="scripted-rules file (default: the bundled rules)")
     p_demo.add_argument("--http", nargs="?", const="", metavar="URL")
@@ -213,7 +218,7 @@ def main(argv=None) -> int:
     if getattr(args, "top_k", None) is not None and args.top_k < 1:
         return _fail_usage("--top-k must be >= 1")
     if args.command == "abstract" and args.top_k is None:
-        args.top_k = 25 if args.kind == "dfg" else 15
+        args.top_k = DEFAULT_DFG_TOP_K if args.kind == "dfg" else DEFAULT_VARIANTS_TOP_K
     try:
         return args.handler(args)
     except AgentError as exc:

@@ -1,11 +1,11 @@
 """Bundled demo workflows over the shipped synthetic event logs.
 
-"fairness" splits the log into protected and non-protected cases and
-compares the groups' behavior; "rca" drafts root causes from the DFG,
-grades them, and walks through the reasoning for the first one.  The
-"anomaly" bundle (prompt optimizer, DFG analysis, variant analysis,
-ensemble) is the four-task shape used by the run-command example and
-the acceptance suite.
+The demo CLI subcommand accepts every name in BUNDLE_NAMES.  "fairness"
+splits the log into protected and non-protected cases and compares the
+groups' behavior; "rca" drafts root causes from the DFG, grades them, and
+walks through the reasoning for the first one.  The "anomaly" bundle
+(prompt optimizer, DFG analysis, variant analysis, ensemble) is the
+four-task shape also used by the acceptance suite.
 """
 
 from __future__ import annotations
@@ -17,10 +17,7 @@ from .agents import ScriptedBackend
 from .workflow_config import load_scripted_rules, load_workflow
 from .workflow_engine import WorkflowSpec
 
-#: names accepted by the demo CLI subcommand
-DEMO_NAMES = ("fairness", "rca")
-
-#: all shipped bundles (the anomaly workflow runs via the run subcommand)
+#: all shipped bundles, each runnable with the demo CLI subcommand
 BUNDLE_NAMES = ("fairness", "rca", "anomaly")
 
 

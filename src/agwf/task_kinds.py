@@ -43,7 +43,7 @@ class ScoreOutOfRange(Exception):
 
 @dataclass(frozen=True)
 class RouterGuard:
-    """Skip the guarded task unless the router's section routed to it."""
+    """Skip the guarded task unless the router's own reply routed to it."""
 
     router_task_id: str
     expected_route_token: str

@@ -95,11 +95,12 @@ class EntityMemory:
     def __contains__(self, key: str) -> bool:
         return key in self._items
 
-    def keys(self) -> list[str]:
-        return list(self._items)
-
     def snapshot(self) -> dict[str, MemoryValue]:
         return dict(self._items)
+
+    def restore(self, contents: Mapping[str, MemoryValue]) -> None:
+        """Reset to earlier snapshot() contents (an evaluator rewind)."""
+        self._items = dict(contents)
 
 
 # ---------------------------------------------------------------------------
@@ -146,9 +147,6 @@ class WorkflowSpec:
             if t.id == task_id:
                 return t
         raise KeyError(task_id)
-
-    def predecessors(self, task_id: str) -> frozenset[str]:
-        return frozenset(self.prec.get(task_id, frozenset()))
 
 
 @dataclass
@@ -237,6 +235,32 @@ def _transitive_predecessors(preds: dict[str, set[str]], task_id: str) -> set[st
     return seen
 
 
+def _toposort(spec: WorkflowSpec) -> tuple[list[str], list[str]]:
+    """Kahn's algorithm taking the smallest ready id first.
+
+    Returns the order and the sorted ids that cannot be ordered (they sit
+    on or behind a cycle).  Assumes unique ids and resolvable prec.
+    """
+    waiting: dict[str, int] = {}
+    successors: dict[str, list[str]] = {task.id: [] for task in spec.tasks}
+    for task in spec.tasks:
+        predecessors = set(spec.prec.get(task.id, ()))
+        waiting[task.id] = len(predecessors)
+        for pred in predecessors:
+            successors[pred].append(task.id)
+    ready = [task_id for task_id, count in waiting.items() if not count]
+    heapq.heapify(ready)
+    order: list[str] = []
+    while ready:
+        current = heapq.heappop(ready)
+        order.append(current)
+        for successor in successors[current]:
+            waiting[successor] -= 1
+            if not waiting[successor]:
+                heapq.heappush(ready, successor)
+    return order, sorted(task_id for task_id, count in waiting.items() if count)
+
+
 def validate(spec: WorkflowSpec) -> list[Violation]:
     """Check the workflow's structural invariants; violations are data."""
     out: list[Violation] = []
@@ -281,20 +305,8 @@ def validate(spec: WorkflowSpec) -> list[Violation]:
 
     preds = {task_id: set(spec.prec.get(task_id, ())) for task_id in ids}
 
-    # Kahn's algorithm; whatever cannot be ordered sits on a cycle
-    remaining = {task_id: set(p) for task_id, p in preds.items()}
-    ready = [task_id for task_id, p in remaining.items() if not p]
-    ordered_count = 0
-    while ready:
-        current = ready.pop()
-        ordered_count += 1
-        for task_id, p in remaining.items():
-            if current in p:
-                p.discard(current)
-                if not p:
-                    ready.append(task_id)
-    if ordered_count != len(ids):
-        on_cycle = sorted(t for t, p in remaining.items() if p)
+    _, on_cycle = _toposort(spec)
+    if on_cycle:
         out.append(Violation(CYCLE_DETECTED, ", ".join(on_cycle), "precedence relation contains a cycle"))
 
     if preds[spec.initial_task]:
@@ -343,21 +355,7 @@ def linearize(spec: WorkflowSpec) -> list[str]:
     violations = validate(spec)
     if violations:
         raise InvalidWorkflow(violations)
-    pending = {task.id: set(spec.prec.get(task.id, ())) for task in spec.tasks}
-    successors: dict[str, list[str]] = {task.id: [] for task in spec.tasks}
-    for task_id, predecessors in pending.items():
-        for pred in predecessors:
-            successors[pred].append(task_id)
-    ready = [task_id for task_id, p in pending.items() if not p]
-    heapq.heapify(ready)
-    order: list[str] = []
-    while ready:
-        current = heapq.heappop(ready)
-        order.append(current)
-        for successor in successors[current]:
-            pending[successor].discard(current)
-            if not pending[successor]:
-                heapq.heappush(ready, successor)
+    order, _ = _toposort(spec)
     return order
 
 
@@ -444,14 +442,10 @@ def _route_options(spec: WorkflowSpec, router_id: str) -> list[str]:
     return sorted(tokens)
 
 
-def _guard_skips(guard: RouterGuard, state: str) -> bool:
-    section = extract_section(state, guard.router_task_id)
-    if section is None:
-        raise task_kinds.RouteMissing(
-            f"router {guard.router_task_id!r} has no recorded section in the state"
-        )
-    token = task_kinds.parse_route(section)
-    return token != guard.expected_route_token
+def _guard_skips(guard: RouterGuard, details: Mapping[str, TaskDetail]) -> bool:
+    # the router's own recorded reply; a skipped router recorded ""
+    reply = details[guard.router_task_id].raw_response
+    return task_kinds.parse_route(reply) != guard.expected_route_token
 
 
 def execute(spec: WorkflowSpec, inquiry: str, backends: Backends,
@@ -463,14 +457,11 @@ def execute(spec: WorkflowSpec, inquiry: str, backends: Backends,
     tools is prompted on the current state; a task with tools first
     selects one, runs it on the current state, and is prompted on state
     plus tool output — only the agent response is appended.  Evaluator
-    tasks may wrap execution back to the snapshot before their target
-    task, at most max_retries times.  Any backend, tool-selection, score
-    or callback failure raises ExecutionAborted carrying the partial
-    record.
+    tasks may wrap execution back to the state and entity memory before
+    their target task, at most max_retries times.  Any backend,
+    tool-selection, score or callback failure raises ExecutionAborted
+    carrying the partial record.
     """
-    violations = validate(spec)
-    if violations:
-        raise InvalidWorkflow(violations)
     order = linearize(spec)
     position = {task_id: i for i, task_id in enumerate(order)}
     by_id = {task.id: task for task in spec.tasks}
@@ -479,6 +470,8 @@ def execute(spec: WorkflowSpec, inquiry: str, backends: Backends,
 
     states: list[str] = [inquiry]
     sequence: list[str] = []
+    # memories[i] holds the entity memory as it was before sequence[i] ran
+    memories: list[dict[str, MemoryValue]] = []
     details: dict[str, TaskDetail] = {}
     executions: dict[str, int] = {}
     evaluator_retries: dict[str, int] = {}
@@ -495,12 +488,14 @@ def execute(spec: WorkflowSpec, inquiry: str, backends: Backends,
     while index < len(order):
         task = by_id[order[index]]
         sigma = states[-1]
+        memory_before = memory.snapshot()
         executions[task.id] = executions.get(task.id, 0) + 1
         detail = TaskDetail(retries_used=executions[task.id] - 1)
         try:
-            if task.guard is not None and _guard_skips(task.guard, sigma):
+            if task.guard is not None and _guard_skips(task.guard, details):
                 detail.skipped = True
                 sequence.append(task.id)
+                memories.append(memory_before)
                 states.append(append_state(sigma, task.id, SKIPPED_TEXT))
                 details[task.id] = detail
                 index += 1
@@ -540,12 +535,15 @@ def execute(spec: WorkflowSpec, inquiry: str, backends: Backends,
                     target_position = position[config.target_task_id]
                     del states[target_position + 1:]
                     del sequence[target_position:]
+                    memory.restore(memories[target_position])
+                    del memories[target_position:]
                     index = target_position
                     continue
                 if result.score < config.threshold:
                     detail.low_quality = True
 
             sequence.append(task.id)
+            memories.append(memory_before)
             states.append(append_state(sigma, task.id, response))
             details[task.id] = detail
             run_callbacks(task, response, memory)
@@ -555,12 +553,7 @@ def execute(spec: WorkflowSpec, inquiry: str, backends: Backends,
                 f"task {task.id!r} aborted the execution: {exc}", partial()
             ) from exc
 
-    return ExecutionRecord(
-        task_sequence=tuple(sequence),
-        states=tuple(states),
-        details=details,
-        memory_final=memory.snapshot(),
-    )
+    return partial()
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,10 @@ def test_demo_rca(capsys):
     assert "step" in out.lower()
 
 
+def test_demo_anomaly():
+    assert run_cli("demo", "anomaly") == 0
+
+
 def test_demo_unknown_name_exits_2():
     with pytest.raises(SystemExit) as err:
         run_cli("demo", "nonsense")
