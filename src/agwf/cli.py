@@ -15,19 +15,13 @@ from pathlib import Path
 
 from . import demos
 from .agents import AgentError, HttpDefaults, http_chat_backend
-from .event_log import (
-    DEFAULT_CSV_MAPPING,
-    EventLogError,
-    discover_dfg,
-    discover_variants,
-    parse_csv,
-    parse_xes,
-)
+from .event_log import EventLogError, discover_dfg, discover_variants
 from .pm_tools import (
     DEFAULT_DFG_TOP_K,
     DEFAULT_VARIANTS_TOP_K,
     abstract_dfg,
     abstract_variants,
+    read_log,
 )
 from .workflow_config import WorkflowConfigError, load_scripted_rules, load_workflow
 from .workflow_engine import (
@@ -151,11 +145,7 @@ def cmd_run(args) -> int:
 
 def cmd_abstract(args) -> int:
     try:
-        text = Path(args.log).read_text()
-        if args.log.endswith(".csv"):
-            log = parse_csv(text, DEFAULT_CSV_MAPPING, source_name=args.log)
-        else:
-            log = parse_xes(text, source_name=args.log)
+        log = read_log(args.log)
     except (OSError, EventLogError) as exc:
         return _fail_usage(str(exc))
     if args.kind == "dfg":

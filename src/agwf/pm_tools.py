@@ -54,7 +54,8 @@ class NoLogReference(Exception):
     """The state names no event log (no @key and no .xes/.csv path)."""
 
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+#: the identifier grammar of tool names and entity-memory keys (ASCII only)
+_KEY = r"[A-Za-z_][A-Za-z0-9_]*"
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,7 @@ class Tool:
     function: Callable[[str, "EntityMemory"], str]
 
     def __post_init__(self):
-        if not _NAME_RE.match(self.name):
+        if not re.fullmatch(_KEY, self.name):
             raise ValueError(f"tool name must be identifier-shaped: {self.name!r}")
         if not self.documentation.strip():
             raise ValueError(f"tool {self.name!r} has no documentation")
@@ -104,7 +105,8 @@ class ToolRegistry:
 # Locating logs and directives inside the state string
 # ---------------------------------------------------------------------------
 
-_ENTITY_RE = re.compile(r"@([A-Za-z_][A-Za-z0-9_]*)")
+_ENTITY_RE = re.compile(rf"@({_KEY})")
+_GROUPS_RE = re.compile(rf"@({_KEY})\s*,\s*@({_KEY})")
 _PATH_RE = re.compile(r"[^\s\"'()\[\]{}<>]+\.(?:xes|csv)")
 
 
@@ -135,11 +137,16 @@ def resolve_log_reference(state: str, memory: "EntityMemory") -> EventLog:
             raise NoLogReference(f"@{key} holds text, not an event log")
         return value
 
-    token = path_match.group(0)
-    text = Path(token).read_text()
-    if token.endswith(".xes"):
-        return parse_xes(text, source_name=token)
-    return parse_csv(text, DEFAULT_CSV_MAPPING, source_name=token)
+    return read_log(path_match.group(0))
+
+
+def read_log(path: str) -> EventLog:
+    """Read and parse a log file: CSV with the default column mapping when
+    the path ends in ``.csv``, XES otherwise."""
+    text = Path(path).read_text()
+    if path.endswith(".csv"):
+        return parse_csv(text, DEFAULT_CSV_MAPPING, source_name=path)
+    return parse_xes(text, source_name=path)
 
 
 def parse_directive(state: str, name: str) -> str | None:
@@ -259,8 +266,8 @@ def _split_log_by_predicate(state: str, memory: "EntityMemory") -> str:
     log = resolve_log_reference(state, memory)
     predicate = parse_predicate(_require_directive(state, "predicate"))
     keys = [k.strip() for k in _require_directive(state, "store_as").split(",")]
-    if len(keys) != 2 or not all(keys):
-        raise ValueError("'store_as:' directive must name exactly two keys")
+    if len(keys) != 2 or keys[0] == keys[1] or not all(re.fullmatch(_KEY, k) for k in keys):
+        raise ValueError("'store_as:' directive must name two distinct identifier keys")
     matching, rest = split_log(log, predicate)
     memory.store(keys[0], matching)
     memory.store(keys[1], rest)
@@ -269,7 +276,7 @@ def _split_log_by_predicate(state: str, memory: "EntityMemory") -> str:
 
 def _compare_group_dfgs(state: str, memory: "EntityMemory") -> str:
     groups = _require_directive(state, "groups")
-    match = re.fullmatch(r"@([A-Za-z_]\w*)\s*,\s*@([A-Za-z_]\w*)", groups.strip())
+    match = _GROUPS_RE.fullmatch(groups.strip())
     if not match:
         raise ValueError("'groups:' directive must look like '@key1,@key2'")
     logs = []

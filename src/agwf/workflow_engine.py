@@ -12,9 +12,9 @@ per-task execution detail.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Mapping, Union
+from typing import Iterable, Mapping, Union
 
 from . import task_kinds
 from .agents import (
@@ -223,31 +223,36 @@ class Violation:
         return f"{self.code}: {self.subject}: {self.message}"
 
 
-def _transitive_predecessors(preds: dict[str, set[str]], task_id: str) -> set[str]:
+def _reachable(edges: Mapping[str, Iterable[str]], start: str) -> set[str]:
+    """Ids reachable from start along one or more edges."""
     seen: set[str] = set()
-    frontier = list(preds.get(task_id, ()))
+    frontier = list(edges[start])
     while frontier:
         current = frontier.pop()
-        if current in seen:
-            continue
-        seen.add(current)
-        frontier.extend(preds.get(current, ()))
+        if current not in seen:
+            seen.add(current)
+            frontier.extend(edges[current])
     return seen
 
 
-def _toposort(spec: WorkflowSpec) -> tuple[list[str], list[str]]:
+def _graph(spec: WorkflowSpec) -> tuple[dict[str, set[str]], dict[str, list[str]]]:
+    """Predecessors and successors by id; assumes unique ids and resolvable prec."""
+    preds = {task.id: set(spec.prec.get(task.id, ())) for task in spec.tasks}
+    successors: dict[str, list[str]] = {task_id: [] for task_id in preds}
+    for task_id, predecessors in preds.items():
+        for pred in predecessors:
+            successors[pred].append(task_id)
+    return preds, successors
+
+
+def _toposort(preds: Mapping[str, set[str]],
+              successors: Mapping[str, list[str]]) -> tuple[list[str], list[str]]:
     """Kahn's algorithm taking the smallest ready id first.
 
     Returns the order and the sorted ids that cannot be ordered (they sit
-    on or behind a cycle).  Assumes unique ids and resolvable prec.
+    on or behind a cycle).
     """
-    waiting: dict[str, int] = {}
-    successors: dict[str, list[str]] = {task.id: [] for task in spec.tasks}
-    for task in spec.tasks:
-        predecessors = set(spec.prec.get(task.id, ()))
-        waiting[task.id] = len(predecessors)
-        for pred in predecessors:
-            successors[pred].append(task.id)
+    waiting = {task_id: len(predecessors) for task_id, predecessors in preds.items()}
     ready = [task_id for task_id, count in waiting.items() if not count]
     heapq.heapify(ready)
     order: list[str] = []
@@ -303,9 +308,8 @@ def validate(spec: WorkflowSpec) -> list[Violation]:
         # structural checks below assume resolvable, unique references
         return out
 
-    preds = {task_id: set(spec.prec.get(task_id, ())) for task_id in ids}
-
-    _, on_cycle = _toposort(spec)
+    preds, successors = _graph(spec)
+    _, on_cycle = _toposort(preds, successors)
     if on_cycle:
         out.append(Violation(CYCLE_DETECTED, ", ".join(on_cycle), "precedence relation contains a cycle"))
 
@@ -321,12 +325,15 @@ def validate(spec: WorkflowSpec) -> list[Violation]:
                 "only the initial task may have an empty predecessor set",
             ))
 
-    reaches_final = _transitive_predecessors(preds, spec.final_task)
-    reaches_final.add(spec.final_task)
+    reaches_final = _reachable(preds, spec.final_task) | {spec.final_task}
     for task_id in ids:
         if task_id not in reaches_final:
             out.append(Violation(FINAL_TASK_UNREACHABLE, task_id, "task has no path to the final task"))
 
+    kinds = {task.id: task.kind for task in spec.tasks}
+    # one walk per distinct guard router: the tasks it precedes
+    routers = {task.guard.router_task_id for task in spec.tasks if task.guard is not None}
+    downstream = {router: _reachable(successors, router) for router in routers & known}
     for task in spec.tasks:
         if task.evaluator_config is not None:
             target = task.evaluator_config.target_task_id
@@ -337,12 +344,12 @@ def validate(spec: WorkflowSpec) -> list[Violation]:
                 ))
         if task.guard is not None:
             router = task.guard.router_task_id
-            if router not in known or router not in _transitive_predecessors(preds, task.id):
+            if router not in known or task.id not in downstream[router]:
                 out.append(Violation(
                     GUARD_INVALID, task.id,
                     f"guard router {router!r} must precede the guarded task",
                 ))
-            elif spec.task(router).kind != ROUTER:
+            elif kinds[router] != ROUTER:
                 out.append(Violation(
                     GUARD_INVALID, task.id,
                     f"guard router {router!r} is not a router task",
@@ -355,7 +362,7 @@ def linearize(spec: WorkflowSpec) -> list[str]:
     violations = validate(spec)
     if violations:
         raise InvalidWorkflow(violations)
-    order, _ = _toposort(spec)
+    order, _ = _toposort(*_graph(spec))
     return order
 
 
@@ -442,12 +449,6 @@ def _route_options(spec: WorkflowSpec, router_id: str) -> list[str]:
     return sorted(tokens)
 
 
-def _guard_skips(guard: RouterGuard, details: Mapping[str, TaskDetail]) -> bool:
-    # the router's own recorded reply; a skipped router recorded ""
-    reply = details[guard.router_task_id].raw_response
-    return task_kinds.parse_route(reply) != guard.expected_route_token
-
-
 def execute(spec: WorkflowSpec, inquiry: str, backends: Backends,
             memory: EntityMemory | None = None) -> ExecutionRecord:
     """Run the workflow sequentially over the inquiry.
@@ -468,86 +469,79 @@ def execute(spec: WorkflowSpec, inquiry: str, backends: Backends,
     profiles = {agent.id: agent for agent in spec.agents}
     memory = EntityMemory() if memory is None else memory
 
+    # the run history: tasks commit in order, so order[:len(done)] ran;
+    # done[i] is order[i]'s detail and the entity memory before it ran
     states: list[str] = [inquiry]
-    sequence: list[str] = []
-    # memories[i] holds the entity memory as it was before sequence[i] ran
-    memories: list[dict[str, MemoryValue]] = []
-    details: dict[str, TaskDetail] = {}
+    done: list[tuple[TaskDetail, dict[str, MemoryValue]]] = []
     executions: dict[str, int] = {}
     evaluator_retries: dict[str, int] = {}
 
     def partial() -> ExecutionRecord:
         return ExecutionRecord(
-            task_sequence=tuple(sequence),
+            task_sequence=tuple(order[:len(done)]),
             states=tuple(states),
-            details=details,
+            details={task_id: detail for task_id, (detail, _) in zip(order, done)},
             memory_final=memory.snapshot(),
         )
 
-    index = 0
-    while index < len(order):
-        task = by_id[order[index]]
+    while len(done) < len(order):
+        task = by_id[order[len(done)]]
         sigma = states[-1]
         memory_before = memory.snapshot()
         executions[task.id] = executions.get(task.id, 0) + 1
         detail = TaskDetail(retries_used=executions[task.id] - 1)
         try:
-            if task.guard is not None and _guard_skips(task.guard, details):
-                detail.skipped = True
-                sequence.append(task.id)
-                memories.append(memory_before)
-                states.append(append_state(sigma, task.id, SKIPPED_TEXT))
-                details[task.id] = detail
-                index += 1
-                continue
+            guard = task.guard
+            if guard is not None:
+                # the router's own recorded reply; a skipped router recorded ""
+                router_detail, _ = done[position[guard.router_task_id]]
+                route = task_kinds.parse_route(router_detail.raw_response)
+                detail.skipped = route != guard.expected_route_token
+            if detail.skipped:
+                response = SKIPPED_TEXT
+            else:
+                profile = profiles[task.agent_id]
+                backend = _backend_for(backends, task.agent_id)
 
-            profile = profiles[task.agent_id]
-            backend = _backend_for(backends, task.agent_id)
+                tool_output: str | None = None
+                if task.tool_names:
+                    candidates = [
+                        spec.registry.get(name) for name in dict.fromkeys(task.tool_names)
+                    ]
+                    if len(candidates) > 1:
+                        detail.selection_prompt = selection_prompt(
+                            sigma, sorted(candidates, key=lambda t: t.name)
+                        )
+                    tool = select_tool(profile, backend, sigma, candidates)
+                    detail.selected_tool = tool.name
+                    tool_output = tool.function(sigma, memory)
+                    detail.tool_output = tool_output
 
-            tool_output: str | None = None
-            if task.tool_names:
-                candidates = [
-                    spec.registry.get(name) for name in dict.fromkeys(task.tool_names)
-                ]
-                if len(candidates) > 1:
-                    detail.selection_prompt = selection_prompt(
-                        sigma, sorted(candidates, key=lambda t: t.name)
-                    )
-                tool = select_tool(profile, backend, sigma, candidates)
-                detail.selected_tool = tool.name
-                tool_output = tool.function(sigma, memory)
-                detail.tool_output = tool_output
+                options = _route_options(spec, task.id) if task.kind == ROUTER else ()
+                prompt = task_kinds.build_prompt(task, sigma, tool_output, route_options=options)
+                detail.prompt_sent = prompt
+                response = complete(profile, backend, prompt)
+                detail.raw_response = response
 
-            options = _route_options(spec, task.id) if task.kind == ROUTER else ()
-            prompt = task_kinds.build_prompt(task, sigma, tool_output, route_options=options)
-            detail.prompt_sent = prompt
-            response = complete(profile, backend, prompt)
-            detail.raw_response = response
+                if task.kind == EVALUATOR:
+                    result: EvaluatorResult = task_kinds.parse_score(response)
+                    detail.score = result.score
+                    config = task.evaluator_config
+                    assert config is not None
+                    used = evaluator_retries.get(task.id, 0)
+                    if task_kinds.apply_wrap_back(task, result, used) == "retry":
+                        evaluator_retries[task.id] = used + 1
+                        target = position[config.target_task_id]
+                        memory.restore(done[target][1])
+                        del states[target + 1:], done[target:]
+                        continue
+                    if result.score < config.threshold:
+                        detail.low_quality = True
 
-            if task.kind == EVALUATOR:
-                result: EvaluatorResult = task_kinds.parse_score(response)
-                detail.score = result.score
-                config = task.evaluator_config
-                assert config is not None
-                used = evaluator_retries.get(task.id, 0)
-                if task_kinds.apply_wrap_back(task, result, used) == "retry":
-                    evaluator_retries[task.id] = used + 1
-                    target_position = position[config.target_task_id]
-                    del states[target_position + 1:]
-                    del sequence[target_position:]
-                    memory.restore(memories[target_position])
-                    del memories[target_position:]
-                    index = target_position
-                    continue
-                if result.score < config.threshold:
-                    detail.low_quality = True
-
-            sequence.append(task.id)
-            memories.append(memory_before)
+            done.append((detail, memory_before))
             states.append(append_state(sigma, task.id, response))
-            details[task.id] = detail
-            run_callbacks(task, response, memory)
-            index += 1
+            if not detail.skipped:
+                run_callbacks(task, response, memory)
         except Exception as exc:
             raise ExecutionAborted(
                 f"task {task.id!r} aborted the execution: {exc}", partial()
@@ -565,20 +559,7 @@ def record_to_dict(record: ExecutionRecord) -> dict:
     return {
         "task_sequence": list(record.task_sequence),
         "states": list(record.states),
-        "details": {
-            task_id: {
-                "selected_tool": d.selected_tool,
-                "tool_output": d.tool_output,
-                "prompt_sent": d.prompt_sent,
-                "raw_response": d.raw_response,
-                "retries_used": d.retries_used,
-                "skipped": d.skipped,
-                "score": d.score,
-                "low_quality": d.low_quality,
-                "selection_prompt": d.selection_prompt,
-            }
-            for task_id, d in record.details.items()
-        },
+        "details": {task_id: asdict(d) for task_id, d in record.details.items()},
         "memory_final": {
             key: _memory_value_to_dict(value)
             for key, value in record.memory_final.items()

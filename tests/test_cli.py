@@ -1,13 +1,18 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from agwf import cli
-from agwf.demos import data_path, demo_inquiry
-from agwf.event_log import discover_dfg, parse_xes
+from agwf.demos import BUNDLE_NAMES, data_path, demo_inquiry, demo_workflow
+from agwf.event_log import DEFAULT_CSV_MAPPING, discover_dfg, parse_csv, parse_xes
 from agwf.pm_tools import abstract_dfg
+from agwf.workflow_engine import linearize
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(*argv):
@@ -112,12 +117,25 @@ def test_run_missing_workflow_file_exits_2(tmp_path):
 # abstract
 # ---------------------------------------------------------------------------
 
-def test_abstract_dfg_matches_library(capsys, data_dir):
+def test_abstract_dfg_matches_library(capsys, data_dir, tmp_path):
     path = data_dir / "two_traces.xes"
     assert run_cli("abstract", str(path), "--kind", "dfg") == 0
     printed = capsys.readouterr().out
     expected = abstract_dfg(discover_dfg(parse_xes(path.read_text(), str(path))), 25)
     assert printed == expected + "\n"
+
+    csv_path = tmp_path / "log.csv"
+    csv_path.write_text(
+        "case_id,activity,timestamp\n"
+        "c1,Request,2024-03-01T09:00:00+00:00\n"
+        "c1,Approve,2024-03-01T10:00:00+00:00\n"
+        "c2,Request,2024-03-01T09:30:00+00:00\n"
+    )
+    assert run_cli("abstract", str(csv_path), "--kind", "dfg") == 0
+    printed = capsys.readouterr().out
+    log = parse_csv(csv_path.read_text(), DEFAULT_CSV_MAPPING, str(csv_path))
+    assert printed == abstract_dfg(discover_dfg(log), 25) + "\n"
+    assert "Request -> Approve (freq=1, avg_dur=3600.0s)" in printed
 
 
 def test_abstract_variants_top_k(capsys, data_dir):
@@ -151,15 +169,25 @@ def test_demo_fairness_default_rules(tmp_path, capsys):
     assert "protected=20 cases, non-protected=20 cases" in split["tool_output"]
 
 
-def test_demo_rca(capsys):
-    assert run_cli("demo", "rca") == 0
-    out = capsys.readouterr().out
-    assert "SCORE: 7.5" in out
-    assert "step" in out.lower()
+def documented_detail_keys():
+    """The per-task detail keys README's transcript section lists, in order."""
+    listed = re.search(r"`details` per task \(([^)]*)\)", README.read_text()).group(1)
+    return re.findall(r"`(\w+)`", listed)
 
 
-def test_demo_anomaly():
-    assert run_cli("demo", "anomaly") == 0
+@pytest.mark.parametrize("name", BUNDLE_NAMES)
+def test_demo_bundle(name, tmp_path, capsys):
+    output = tmp_path / f"{name}.json"
+    assert run_cli("demo", name, "--output", str(output)) == 0
+    transcript = json.loads(output.read_text())
+    assert transcript["task_sequence"] == linearize(demo_workflow(name))
+    keys = documented_detail_keys()
+    for detail in transcript["details"].values():
+        assert list(detail) == keys
+    if name == "rca":
+        out = capsys.readouterr().out
+        assert "SCORE: 7.5" in out
+        assert "step" in out.lower()
 
 
 def test_demo_unknown_name_exits_2():

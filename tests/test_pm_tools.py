@@ -301,6 +301,50 @@ def test_split_tool_requires_directives(data_dir):
     assert "predicate" in out
 
 
+@pytest.mark.parametrize("store_as", ["a b,rest", "grp_é,rest", "protected,2nd", "same,same"])
+def test_split_tool_rejects_keys_no_reference_can_name(data_dir, store_as):
+    memory = EntityMemory()
+    state = (
+        'predicate: gender = "F"\n'
+        f"store_as: {store_as}\n"
+        f"split the log at {data_dir / 'fairness_small.xes'}"
+    )
+    out = builtin_registry().get("split_log_by_predicate").function(state, memory)
+    assert out.startswith("TOOL-ERROR:")
+    assert "store_as" in out
+    assert memory.snapshot() == {}
+
+
+def test_groups_directive_uses_the_entity_key_grammar():
+    memory = EntityMemory()
+    memory.store("grp_é", make_log([["a", "b"]]))
+    memory.store("rest", make_log([["a", "c"]]))
+    out = builtin_registry().get("compare_group_dfgs").function("groups: @grp_é,@rest", memory)
+    assert out.startswith("TOOL-ERROR:")
+    assert "groups" in out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.text(alphabet="ab_1é -", min_size=1, max_size=4), min_size=2, max_size=2))
+def test_stored_keys_are_reachable_by_reference(keys):
+    """A key split_log_by_predicate stores is one that @key and groups: name."""
+    tools = builtin_registry()
+    memory = EntityMemory()
+    memory.store("whole", make_log([["a", "b"], ["a", "c"]], [{"g": "x"}, {"g": "y"}]))
+    state = f'predicate: g = "x"\nstore_as: {keys[0]},{keys[1]}\nsplit @whole'
+    out = tools.get("split_log_by_predicate").function(state, memory)
+    stored = [key for key in memory.snapshot() if key != "whole"]
+    if out.startswith("TOOL-ERROR:"):
+        assert stored == []
+        return
+    keys = [key.strip() for key in keys]
+    assert stored == keys
+    for key in keys:
+        assert resolve_log_reference(f"see @{key}", memory) is memory.load(key)
+    compared = tools.get("compare_group_dfgs").function(f"groups: @{keys[0]},@{keys[1]}", memory)
+    assert not compared.startswith("TOOL-ERROR:")
+
+
 def test_tool_determinism(data_dir):
     registry = builtin_registry()
     state = f"inspect {data_dir / 'two_traces.xes'}"

@@ -519,6 +519,31 @@ def test_wrap_back_score_parse_failure_aborts():
         execute(wrap_back_spec(), "Q", backend)
 
 
+def test_abort_after_rewind_drops_the_discarded_attempt():
+    tasks = [
+        plain_task("T0"),
+        plain_task("T1"),
+        plain_task("T2"),
+        plain_task(
+            "E", kind=EVALUATOR, instruction="grade the step",
+            evaluator_config=EvaluatorConfig(threshold=5.0, target_task_id="T2", max_retries=1),
+        ),
+    ]
+    spec = spec_of(tasks, {"T0": set(), "T1": {"T0"}, "T2": {"T1"}, "E": {"T2"}}, "T0", "E")
+    backend = ScriptedBackend(
+        [rule("carry out step T2", "p1", ""), rule("grade the step", "SCORE: 2")],
+        fallback="ok",
+    )
+    with pytest.raises(ExecutionAborted) as err:
+        execute(spec, "Q", backend)
+    assert isinstance(err.value.__cause__, BackendEmptyResponse)
+    record = err.value.record
+    assert record.task_sequence == ("T0", "T1")
+    assert list(record.details) == ["T0", "T1"]
+    assert len(record.states) == 3
+    assert "p1" not in record.final_state
+
+
 # ---------------------------------------------------------------------------
 # Record invariants over random workflows
 # ---------------------------------------------------------------------------
@@ -740,3 +765,50 @@ def test_cycle_subject_is_the_unorderable_set(data):
         ]
     else:
         assert cycles == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(routed_workflows(), st.data())
+def test_aborted_record_covers_exactly_its_task_sequence(workflow, data):
+    spec, replies, _ = workflow
+    tid = data.draw(st.sampled_from(sorted(replies)))
+    kept = data.draw(st.integers(1, len(replies[tid])))
+    replies = {**replies, tid: replies[tid][:kept] + [""]}
+    try:
+        record = execute(spec, "Q", scripted(replies))
+    except ExecutionAborted as err:
+        record = err.record
+    assert list(record.details) == list(record.task_sequence)
+    assert len(record.states) == len(record.task_sequence) + 1
+    for before, after in zip(record.states, record.states[1:]):
+        assert after.startswith(before)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dag_precedence(max_tasks=9), st.data())
+def test_guard_subjects_match_an_ancestor_reference(graph, data):
+    ids, prec = graph
+    kinds = {t: data.draw(st.sampled_from(("plain", ROUTER))) for t in ids}
+    guards = {
+        t: RouterGuard(data.draw(st.sampled_from(ids)), "a")
+        for t in ids if data.draw(st.booleans())
+    }
+    tasks = [plain_task(t, kind=kinds[t], guard=guards.get(t)) for t in ids]
+    spec = spec_of(tasks, prec, ids[0], ids[-1])
+    # reference: ancestors in topological order, one task at a time
+    ancestors: dict[str, set[str]] = {}
+    for t in ids:
+        ancestors[t] = set(prec[t]).union(*(ancestors[p] for p in prec[t]))
+    expected = []
+    for t in ids:
+        if t in guards:
+            router = guards[t].router_task_id
+            if router not in ancestors[t]:
+                expected.append((t, "must precede"))
+            elif kinds[router] != ROUTER:
+                expected.append((t, "is not a router task"))
+    found = [
+        (v.subject, "must precede" if "must precede" in v.message else "is not a router task")
+        for v in validate(spec) if v.code == GUARD_INVALID
+    ]
+    assert found == expected
