@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .agents import (
     AgentProfile,
     CompletionBackend,
-    HttpDefaults,
     ScriptedBackend,
     ScriptedRule,
     complete,
@@ -78,7 +77,7 @@ __all__ = [
     "Tool", "ToolRegistry", "abstract_dfg", "abstract_variants",
     "builtin_registry", "render_comparison", "resolve_log_reference",
     # agents
-    "AgentProfile", "CompletionBackend", "HttpDefaults", "ScriptedBackend",
+    "AgentProfile", "CompletionBackend", "ScriptedBackend",
     "ScriptedRule", "complete", "http_chat_backend", "select_tool",
     # task kinds
     "EvaluatorResult", "RouterGuard", "build_prompt", "parse_route", "parse_score",

@@ -9,7 +9,7 @@ completions endpoint.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import requests
@@ -30,7 +30,11 @@ class BackendEmptyResponse(AgentError):
 
 
 class TransportError(AgentError):
-    pass
+    """A connection failure, HTTP 429 or 5xx: complete() tries again."""
+
+
+class RequestRejected(AgentError):
+    """Any other non-2xx status: the endpoint refused this request."""
 
 
 class MalformedResponse(AgentError):
@@ -66,15 +70,14 @@ class AgentProfile:
 class CompletionBackend:
     """Completion contract.
 
-    complete() must return within the timeout budget or raise
-    BackendTimeout, and must never return empty text silently (empty
-    output surfaces as BackendEmptyResponse through complete() below).
-    ``retries`` is the number of re-attempts complete() makes on
-    transient transport failures.
+    complete() returns the reply text or raises an AgentError whose type
+    says what went wrong: TransportError for a failure worth another
+    attempt (complete() below makes TRANSPORT_RETRIES more), and, never
+    retried, BackendTimeout when no reply came within the backend's time
+    budget, RequestRejected when the endpoint refused the request, and
+    MalformedResponse when the reply carries no text.  Empty text
+    surfaces as BackendEmptyResponse through complete() below.
     """
-
-    timeout: float = 60.0
-    retries: int = 2
 
     def complete(self, role_prompt: str, user_prompt: str, *,
                  model: str = "", temperature: float = 0.0) -> str:
@@ -110,8 +113,6 @@ class ScriptedBackend(CompletionBackend):
     def __init__(self, rules: Iterable[ScriptedRule], fallback: str = ""):
         self.rules = list(rules)
         self.fallback = fallback
-        self.timeout = 60.0
-        self.retries = 0
         self._uses = [0] * len(self.rules)
 
     def reset(self) -> None:
@@ -128,36 +129,23 @@ class ScriptedBackend(CompletionBackend):
         return self.fallback
 
 
-@dataclass(frozen=True)
-class HttpDefaults:
-    model: str = ""
-    temperature: float = 0.0
-    timeout: float = 60.0
-    retries: int = 2
-
-
 class HttpChatBackend(CompletionBackend):
     """OpenAI-compatible chat completions over HTTP with bearer auth."""
 
-    def __init__(self, endpoint_url: str, api_key: str = "",
-                 defaults: HttpDefaults | None = None):
-        defaults = defaults or HttpDefaults()
+    def __init__(self, endpoint_url: str, api_key: str = "", timeout: float = 60.0):
         self.endpoint_url = endpoint_url
         self.api_key = api_key
-        self.default_model = defaults.model
-        self.default_temperature = defaults.temperature
-        self.timeout = defaults.timeout
-        self.retries = defaults.retries
+        self.timeout = timeout
 
     def complete(self, role_prompt: str, user_prompt: str, *,
-                 model: str = "", temperature: float | None = None) -> str:
+                 model: str = "", temperature: float = 0.0) -> str:
         body = {
-            "model": model or self.default_model,
+            "model": model,
             "messages": [
                 {"role": "system", "content": role_prompt},
                 {"role": "user", "content": user_prompt},
             ],
-            "temperature": self.default_temperature if temperature is None else temperature,
+            "temperature": temperature,
         }
         headers = {"Content-Type": "application/json"}
         if self.api_key:
@@ -172,10 +160,11 @@ class HttpChatBackend(CompletionBackend):
             ) from exc
         except requests.RequestException as exc:
             raise TransportError(f"request to {self.endpoint_url} failed: {exc}") from exc
-        if not 200 <= response.status_code < 300:
-            raise TransportError(
-                f"HTTP {response.status_code} from {self.endpoint_url}"
-            )
+        status = response.status_code
+        if status == 429 or status >= 500:
+            raise TransportError(f"HTTP {status} from {self.endpoint_url}")
+        if not 200 <= status < 300:
+            raise RequestRejected(f"HTTP {status} from {self.endpoint_url}")
         try:
             payload = response.json()
         except ValueError as exc:
@@ -192,25 +181,28 @@ class HttpChatBackend(CompletionBackend):
 
 
 def http_chat_backend(endpoint_url: str, api_key: str = "",
-                      defaults: HttpDefaults | None = None) -> CompletionBackend:
-    return HttpChatBackend(endpoint_url, api_key, defaults)
+                      timeout: float = 60.0) -> CompletionBackend:
+    return HttpChatBackend(endpoint_url, api_key, timeout)
 
 
 # ---------------------------------------------------------------------------
 # Completion and selection
 # ---------------------------------------------------------------------------
 
+#: re-attempts complete() makes after a TransportError
+TRANSPORT_RETRIES = 2
+
+
 def complete(profile: AgentProfile, backend: CompletionBackend, user_prompt: str) -> str:
     """Run one completion for the profile's role.
 
-    Retries transient transport failures up to backend.retries times;
-    timeouts and empty responses surface immediately.
+    A TransportError is retried up to TRANSPORT_RETRIES times; every other
+    error, and an empty reply, surfaces at once.
     """
     if not user_prompt:
         raise ValueError("user_prompt must be non-empty")
-    attempts = 1 + max(0, getattr(backend, "retries", 0))
-    last_error: TransportError | None = None
-    for _ in range(attempts):
+    retries_left = TRANSPORT_RETRIES
+    while True:
         try:
             text = backend.complete(
                 profile.role_prompt,
@@ -218,14 +210,14 @@ def complete(profile: AgentProfile, backend: CompletionBackend, user_prompt: str
                 model=profile.model_ref,
                 temperature=profile.temperature,
             )
-        except TransportError as exc:
-            last_error = exc
+        except TransportError:
+            if not retries_left:
+                raise
+            retries_left -= 1
             continue
         if not text.strip():
             raise BackendEmptyResponse(f"agent {profile.id!r} returned empty text")
         return text
-    assert last_error is not None
-    raise last_error
 
 
 def _last_nonempty_line(text: str) -> str:

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import demos
-from .agents import AgentError, HttpDefaults, http_chat_backend
+from .agents import AgentError, http_chat_backend
 from .event_log import EventLogError, discover_dfg, discover_variants
 from .pm_tools import (
     DEFAULT_DFG_TOP_K,
@@ -69,7 +69,7 @@ def _make_backend(args, demo_name: str | None = None):
     if not endpoint:
         return None, _fail_usage("--http needs a URL or the AGWF_ENDPOINT variable")
     api_key = os.environ.get("AGWF_API_KEY", "")
-    return http_chat_backend(endpoint, api_key, HttpDefaults()), None
+    return http_chat_backend(endpoint, api_key), None
 
 
 def _write_transcript(path: str, record: ExecutionRecord, error: str | None) -> None:

@@ -129,10 +129,6 @@ class VariantTable:
     variants: tuple[Variant, ...] = ()
 
 
-#: supported comparison operators, in canonical form
-PREDICATE_OPERATORS = ("=", "!=", "<", "<=", ">", ">=")
-
-
 @dataclass(frozen=True)
 class Comparison:
     attribute: str

@@ -105,7 +105,8 @@ class ToolRegistry:
 # Locating logs and directives inside the state string
 # ---------------------------------------------------------------------------
 
-_ENTITY_RE = re.compile(rf"@({_KEY})")
+#: an ``@`` right after a word character (``ops@example.com``) is no reference
+_ENTITY_RE = re.compile(rf"@(?<!\w@)({_KEY})")
 _GROUPS_RE = re.compile(rf"@({_KEY})\s*,\s*@({_KEY})")
 _PATH_RE = re.compile(r"[^\s\"'()\[\]{}<>]+\.(?:xes|csv)")
 
@@ -268,6 +269,9 @@ def _split_log_by_predicate(state: str, memory: "EntityMemory") -> str:
     keys = [k.strip() for k in _require_directive(state, "store_as").split(",")]
     if len(keys) != 2 or keys[0] == keys[1] or not all(re.fullmatch(_KEY, k) for k in keys):
         raise ValueError("'store_as:' directive must name two distinct identifier keys")
+    for key in keys:
+        if key in memory:
+            raise ValueError(f"entity key {key!r} already stored")
     matching, rest = split_log(log, predicate)
     memory.store(keys[0], matching)
     memory.store(keys[1], rest)

@@ -7,6 +7,7 @@ loudly instead of silently changing behavior.
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 from typing import Any
 
@@ -207,6 +208,11 @@ def parse_scripted_rules(data: Any) -> ScriptedBackend:
         regex = raw.get("regex", False)
         if not isinstance(regex, bool):
             raise WorkflowConfigError(f"{where}: 'regex' must be a boolean")
+        if regex:
+            try:
+                re.compile(match)
+            except re.error as exc:
+                raise WorkflowConfigError(f"{where}.match: invalid regex: {exc}") from exc
         rules.append(ScriptedRule(match=match, responses=responses, regex=regex))
     return ScriptedBackend(rules, fallback=fallback)
 

@@ -23,8 +23,6 @@ class CountingBackend(CompletionBackend):
     def __init__(self, inner):
         self.inner = inner
         self.calls = 0
-        self.timeout = getattr(inner, "timeout", 60.0)
-        self.retries = getattr(inner, "retries", 0)
 
     def complete(self, role_prompt, user_prompt, *, model="", temperature=0.0):
         self.calls += 1

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -12,8 +13,8 @@ from agwf.agents import (
     BackendEmptyResponse,
     BackendTimeout,
     CompletionBackend,
-    HttpDefaults,
     MalformedResponse,
+    RequestRejected,
     ScriptedBackend,
     ToolSelectionFailed,
     TransportError,
@@ -220,19 +221,19 @@ def ok_payload(content):
 
 def test_http_backend_reads_first_choice(stub_server):
     StubHandler.script = [(200, ok_payload("ok"))]
-    backend = http_chat_backend(stub_server, "secret", HttpDefaults(model="m1"))
+    backend = http_chat_backend(stub_server, "secret")
     profile = AgentProfile(id="a", role_prompt="role", model_ref="m2")
     assert complete(profile, backend, "hello") == "ok"
     sent = StubHandler.requests_seen[0]
     assert sent["auth"] == "Bearer secret"
-    assert sent["body"]["model"] == "m2"  # profile model wins over default
+    assert sent["body"]["model"] == "m2"  # the model comes from the profile
     assert sent["body"]["messages"][0] == {"role": "system", "content": "role"}
     assert sent["body"]["messages"][1] == {"role": "user", "content": "hello"}
 
 
 def test_http_backend_retry_exhaustion(stub_server):
     StubHandler.script = [(500, {}), (500, {}), (500, {})]
-    backend = http_chat_backend(stub_server, "", HttpDefaults(retries=2))
+    backend = http_chat_backend(stub_server)
     with pytest.raises(TransportError):
         complete(AGENT, backend, "hello")
     assert len(StubHandler.requests_seen) == 3
@@ -240,14 +241,14 @@ def test_http_backend_retry_exhaustion(stub_server):
 
 def test_http_backend_malformed_response(stub_server):
     StubHandler.script = [(200, {"unexpected": True})]
-    backend = http_chat_backend(stub_server, "", HttpDefaults(retries=0))
+    backend = http_chat_backend(stub_server)
     with pytest.raises(MalformedResponse):
         complete(AGENT, backend, "hello")
 
 
 def test_http_backend_non_json_response(stub_server):
     StubHandler.script = [(200, "this is not json")]
-    backend = http_chat_backend(stub_server, "", HttpDefaults(retries=0))
+    backend = http_chat_backend(stub_server)
     with pytest.raises(MalformedResponse):
         complete(AGENT, backend, "hello")
 
@@ -255,6 +256,31 @@ def test_http_backend_non_json_response(stub_server):
 def test_http_backend_timeout(stub_server):
     StubHandler.delay = 0.6
     StubHandler.script = [(200, ok_payload("late"))]
-    backend = http_chat_backend(stub_server, "", HttpDefaults(timeout=0.15, retries=0))
+    backend = http_chat_backend(stub_server, "", timeout=0.15)
     with pytest.raises(BackendTimeout):
         complete(AGENT, backend, "hello")
+
+
+@pytest.mark.parametrize("status", [400, 401, 403, 404, 422])
+def test_http_backend_rejected_request_is_not_retried(stub_server, status):
+    StubHandler.script = [(status, {}), (200, ok_payload("unreached"))]
+    with pytest.raises(RequestRejected, match=f"HTTP {status}"):
+        complete(AGENT, http_chat_backend(stub_server), "hello")
+    assert len(StubHandler.requests_seen) == 1
+
+
+@pytest.mark.parametrize("status", [429, 500, 502, 503])
+def test_http_backend_transient_status_is_retried(stub_server, status):
+    StubHandler.script = [(status, {}), (200, ok_payload("second"))]
+    assert complete(AGENT, http_chat_backend(stub_server), "hello") == "second"
+    assert len(StubHandler.requests_seen) == 2
+
+
+def test_http_backend_refused_connection_is_retried_then_raised():
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    backend = CountingBackend(http_chat_backend(f"http://127.0.0.1:{port}/v1/chat/completions"))
+    with pytest.raises(TransportError):
+        complete(AGENT, backend, "hello")
+    assert backend.calls == 3

@@ -109,6 +109,19 @@ def test_run_rejects_two_backends(anomaly_args):
     assert code == 2
 
 
+def test_run_bad_rules_regex_exits_2_before_any_task(anomaly_args, tmp_path, capsys):
+    workflow, _, inquiry, output = anomaly_args
+    rules = tmp_path / "bad.json"
+    rules.write_text(json.dumps([{"match": "([", "response": "x", "regex": True}]))
+    code = run_cli(
+        "run", workflow, "--inquiry", inquiry, "--scripted", str(rules),
+        "--output", str(output),
+    )
+    assert code == 2
+    assert "rules[0]" in capsys.readouterr().err
+    assert not output.exists()
+
+
 def test_run_missing_workflow_file_exits_2(tmp_path):
     assert run_cli("run", str(tmp_path / "none.json"), "--inquiry", "q") == 2
 

@@ -91,6 +91,11 @@ def test_resolve_last_occurrence_wins(data_dir):
     assert resolve_log_reference(state, memory) is stored
 
 
+def test_resolve_at_inside_a_word_is_not_a_reference(data_dir):
+    state = f"log at {data_dir / 'two_traces.xes'}; questions to ops@example.com"
+    assert len(resolve_log_reference(state, EntityMemory()).traces) == 2
+
+
 def test_resolve_no_reference():
     with pytest.raises(NoLogReference):
         resolve_log_reference("nothing to see here", EntityMemory())
@@ -313,6 +318,20 @@ def test_split_tool_rejects_keys_no_reference_can_name(data_dir, store_as):
     assert out.startswith("TOOL-ERROR:")
     assert "store_as" in out
     assert memory.snapshot() == {}
+
+
+def test_split_tool_stores_nothing_when_a_key_is_taken(data_dir):
+    memory = EntityMemory()
+    taken = make_log([["a"]])
+    memory.store("b", taken)
+    state = (
+        'predicate: gender = "F"\n'
+        "store_as: a,b\n"
+        f"split the log at {data_dir / 'fairness_small.xes'}"
+    )
+    out = builtin_registry().get("split_log_by_predicate").function(state, memory)
+    assert out == "TOOL-ERROR: entity key 'b' already stored"
+    assert memory.snapshot() == {"b": taken}
 
 
 def test_groups_directive_uses_the_entity_key_grammar():

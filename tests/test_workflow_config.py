@@ -154,3 +154,9 @@ def test_rules_unknown_key_rejected():
 def test_rules_regex_flag_type_checked():
     with pytest.raises(WorkflowConfigError):
         parse_scripted_rules([{"match": "x", "response": "y", "regex": "yes"}])
+
+
+def test_rules_regex_compiled_at_load():
+    rules = [{"match": "([", "response": "y"}, {"match": "([", "response": "y", "regex": True}]
+    with pytest.raises(WorkflowConfigError, match=r"rules\[1\]\.match: invalid regex"):
+        parse_scripted_rules(rules)
