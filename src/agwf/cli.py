@@ -2,7 +2,8 @@
 
 Exit codes are a stable contract: 0 success, 1 execution or validation
 failure (including a TOOL-ERROR recorded in an otherwise completed run),
-2 usage or parse failure.
+2 usage or parse failure.  Handlers raise; main alone maps a usage,
+file, config or log failure to exit 2.
 """
 
 from __future__ import annotations
@@ -12,9 +13,10 @@ import json
 import os
 import sys
 from pathlib import Path
+from urllib.parse import urlsplit
 
 from . import demos
-from .agents import AgentError, http_chat_backend
+from .agents import CompletionBackend, http_chat_backend
 from .event_log import EventLogError, discover_dfg, discover_variants
 from .pm_tools import (
     DEFAULT_DFG_TOP_K,
@@ -37,39 +39,33 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
-#: sentinel for "--scripted given without a path" (demo uses bundled rules)
-_BUILTIN_RULES = "@builtin"
+
+class UsageError(Exception):
+    """The command line asks for something that cannot be done (exit 2)."""
 
 
-def _fail_usage(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
+def _http_endpoint(url: str) -> str:
+    """url itself if it is an http(s) URL with a host."""
+    try:
+        parts = urlsplit(url)
+        if parts.scheme in ("http", "https") and parts.hostname:
+            return url
+    except ValueError:  # e.g. an unclosed [ around an IPv6 host
+        pass
+    raise UsageError(
+        f"--http needs an http(s) URL with a host, or AGWF_ENDPOINT set to one; got {url!r}"
+    )
 
 
-def _make_backend(args, demo_name: str | None = None):
-    """Resolve the backend flags; returns (backend, error_exit_code_or_None)."""
-    scripted = getattr(args, "scripted", None)
-    http = getattr(args, "http", None)
-    if scripted is not None and http is not None:
-        return None, _fail_usage("choose exactly one of --scripted / --http")
-    if scripted is None and http is None:
-        if demo_name is None:
-            return None, _fail_usage("one of --scripted / --http is required")
-        scripted = _BUILTIN_RULES
-    if scripted is not None:
-        if scripted == _BUILTIN_RULES:
-            if demo_name is None:
-                return None, _fail_usage("--scripted needs a rules file here")
-            return demos.demo_rules_backend(demo_name), None
-        try:
-            return load_scripted_rules(scripted), None
-        except (OSError, WorkflowConfigError) as exc:
-            return None, _fail_usage(str(exc))
-    endpoint = http or os.environ.get("AGWF_ENDPOINT", "")
-    if not endpoint:
-        return None, _fail_usage("--http needs a URL or the AGWF_ENDPOINT variable")
-    api_key = os.environ.get("AGWF_API_KEY", "")
-    return http_chat_backend(endpoint, api_key), None
+def _make_backend(args) -> CompletionBackend:
+    if args.scripted is not None and args.http is not None:
+        raise UsageError("choose exactly one of --scripted / --http")
+    if args.scripted is not None:
+        return load_scripted_rules(args.scripted)
+    if args.http is None:
+        raise UsageError("one of --scripted / --http is required")
+    endpoint = _http_endpoint(args.http or os.environ.get("AGWF_ENDPOINT", ""))
+    return http_chat_backend(endpoint, os.environ.get("AGWF_API_KEY", ""))
 
 
 def _write_transcript(path: str, record: ExecutionRecord, error: str | None) -> None:
@@ -101,29 +97,8 @@ def _report_record(record: ExecutionRecord, verbose: bool) -> int:
     return EXIT_OK
 
 
-def _run_and_report(spec, inquiry, backend, output: str | None, verbose: bool) -> int:
-    try:
-        record = execute(spec, inquiry, backend)
-    except InvalidWorkflow as exc:
-        for violation in exc.violations:
-            print(str(violation), file=sys.stderr)
-        return EXIT_FAILURE
-    except ExecutionAborted as exc:
-        print(f"execution aborted: {exc}", file=sys.stderr)
-        if output:
-            _write_transcript(output, exc.record, str(exc))
-        return EXIT_FAILURE
-    if output:
-        _write_transcript(output, record, None)
-    return _report_record(record, verbose)
-
-
 def cmd_validate(args) -> int:
-    try:
-        spec = load_workflow(args.workflow)
-    except (OSError, WorkflowConfigError) as exc:
-        return _fail_usage(str(exc))
-    violations = validate(spec)
+    violations = validate(load_workflow(args.workflow))
     for violation in violations:
         print(str(violation))
     if violations:
@@ -133,35 +108,40 @@ def cmd_validate(args) -> int:
 
 
 def cmd_run(args) -> int:
+    spec = load_workflow(args.workflow)
+    backend = _make_backend(args)
     try:
-        spec = load_workflow(args.workflow)
-    except (OSError, WorkflowConfigError) as exc:
-        return _fail_usage(str(exc))
-    backend, error = _make_backend(args)
-    if error is not None:
-        return error
-    return _run_and_report(spec, args.inquiry, backend, args.output, args.verbose)
+        record, error = execute(spec, args.inquiry, backend), None
+    except InvalidWorkflow as exc:
+        for violation in exc.violations:
+            print(str(violation), file=sys.stderr)
+        return EXIT_FAILURE
+    except ExecutionAborted as exc:
+        record, error = exc.record, str(exc)
+        print(f"execution aborted: {error}", file=sys.stderr)
+    if args.output:
+        _write_transcript(args.output, record, error)
+    return EXIT_FAILURE if error is not None else _report_record(record, args.verbose)
 
 
 def cmd_abstract(args) -> int:
-    try:
-        log = read_log(args.log)
-    except (OSError, EventLogError) as exc:
-        return _fail_usage(str(exc))
+    if args.top_k is not None and args.top_k < 1:
+        raise UsageError("--top-k must be >= 1")
+    log = read_log(args.log)
     if args.kind == "dfg":
-        print(abstract_dfg(discover_dfg(log), args.top_k))
+        print(abstract_dfg(discover_dfg(log), args.top_k or DEFAULT_DFG_TOP_K))
     else:
-        print(abstract_variants(discover_variants(log), args.top_k))
+        print(abstract_variants(discover_variants(log), args.top_k or DEFAULT_VARIANTS_TOP_K))
     return EXIT_OK
 
 
 def cmd_demo(args) -> int:
-    backend, error = _make_backend(args, demo_name=args.name)
-    if error is not None:
-        return error
-    spec = demos.demo_workflow(args.name)
-    inquiry = demos.demo_inquiry(args.name)
-    return _run_and_report(spec, inquiry, backend, args.output, args.verbose)
+    """`run` on the bundle's workflow and inquiry, with its rules unless --http."""
+    args.workflow = str(demos.data_path(f"{args.name}_workflow.json"))
+    args.inquiry = demos.demo_inquiry(args.name)
+    if args.http is None:
+        args.scripted = args.scripted or str(demos.data_path(f"{args.name}_rules.json"))
+    return cmd_run(args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -193,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_demo = sub.add_parser("demo", help="run a bundled demo workflow")
     p_demo.add_argument("name", choices=demos.BUNDLE_NAMES)
-    p_demo.add_argument("--scripted", nargs="?", const=_BUILTIN_RULES, metavar="RULES",
+    p_demo.add_argument("--scripted", nargs="?", const="", metavar="RULES",
                         help="scripted-rules file (default: the bundled rules)")
     p_demo.add_argument("--http", nargs="?", const="", metavar="URL")
     p_demo.add_argument("--output", help="write the JSON transcript here")
@@ -205,15 +185,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "top_k", None) is not None and args.top_k < 1:
-        return _fail_usage("--top-k must be >= 1")
-    if args.command == "abstract" and args.top_k is None:
-        args.top_k = DEFAULT_DFG_TOP_K if args.kind == "dfg" else DEFAULT_VARIANTS_TOP_K
     try:
         return args.handler(args)
-    except AgentError as exc:
-        print(f"backend error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    except (UsageError, OSError, WorkflowConfigError, EventLogError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -202,9 +202,6 @@ def _sorted_events(events: list[Event]) -> tuple[Event, ...]:
 # XES parsing
 # ---------------------------------------------------------------------------
 
-_XES_TYPED = frozenset({"string", "date", "int", "float", "boolean"})
-
-
 def _local_tag(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
@@ -345,6 +342,13 @@ def parse_csv(document: str, mapping: CsvMapping, source_name: str = "") -> Even
     re-sorted by timestamp within each trace, preserving row order on ties.
     """
     reader = csv.reader(io.StringIO(document))
+    try:
+        return _csv_log(reader, mapping, source_name)
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise MalformedDocument(f"row {reader.line_num}: {exc}") from exc
+
+
+def _csv_log(reader, mapping: CsvMapping, source_name: str) -> EventLog:
     try:
         header = next(reader)
     except StopIteration:

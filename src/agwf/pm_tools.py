@@ -31,6 +31,7 @@ from .event_log import (
     Dfg,
     DfgComparison,
     EventLog,
+    MalformedDocument,
     VariantTable,
     compare_dfgs,
     discover_dfg,
@@ -144,7 +145,10 @@ def resolve_log_reference(state: str, memory: "EntityMemory") -> EventLog:
 def read_log(path: str) -> EventLog:
     """Read and parse a log file: CSV with the default column mapping when
     the path ends in ``.csv``, XES otherwise."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedDocument(f"{path}: not UTF-8 text: {exc}") from exc
     if path.endswith(".csv"):
         return parse_csv(text, DEFAULT_CSV_MAPPING, source_name=path)
     return parse_xes(text, source_name=path)

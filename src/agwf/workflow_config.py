@@ -29,8 +29,11 @@ def _require(mapping: dict, key: str, where: str) -> Any:
     return mapping[key]
 
 
-def _reject_unknown(mapping: dict, allowed: set[str], where: str) -> None:
-    for key in mapping:
+def _object(data: Any, allowed: set[str], where: str) -> None:
+    """Require a JSON object whose keys are all among allowed."""
+    if not isinstance(data, dict):
+        raise WorkflowConfigError(f"{where}: expected an object")
+    for key in data:
         if key not in allowed:
             raise WorkflowConfigError(f"{where}: unknown key {key!r}")
 
@@ -48,9 +51,7 @@ def _text_list(value: Any, where: str) -> tuple[str, ...]:
 
 
 def _parse_agent(data: Any, where: str) -> AgentProfile:
-    if not isinstance(data, dict):
-        raise WorkflowConfigError(f"{where}: expected an object")
-    _reject_unknown(data, {"id", "role_prompt", "model_ref", "temperature"}, where)
+    _object(data, {"id", "role_prompt", "model_ref", "temperature"}, where)
     temperature = data.get("temperature", 0.0)
     if not isinstance(temperature, (int, float)) or isinstance(temperature, bool):
         raise WorkflowConfigError(f"{where}: temperature must be a number")
@@ -66,9 +67,7 @@ def _parse_agent(data: Any, where: str) -> AgentProfile:
 
 
 def _parse_guard(data: Any, where: str) -> RouterGuard:
-    if not isinstance(data, dict):
-        raise WorkflowConfigError(f"{where}: expected an object")
-    _reject_unknown(data, {"router_task_id", "expected_route_token"}, where)
+    _object(data, {"router_task_id", "expected_route_token"}, where)
     return RouterGuard(
         router_task_id=_text(_require(data, "router_task_id", where), f"{where}.router_task_id"),
         expected_route_token=_text(
@@ -78,9 +77,7 @@ def _parse_guard(data: Any, where: str) -> RouterGuard:
 
 
 def _parse_evaluator(data: Any, where: str) -> EvaluatorConfig:
-    if not isinstance(data, dict):
-        raise WorkflowConfigError(f"{where}: expected an object")
-    _reject_unknown(data, {"threshold", "max_retries", "target_task_id"}, where)
+    _object(data, {"threshold", "max_retries", "target_task_id"}, where)
     threshold = _require(data, "threshold", where)
     if not isinstance(threshold, (int, float)) or isinstance(threshold, bool):
         raise WorkflowConfigError(f"{where}: threshold must be a number")
@@ -98,13 +95,10 @@ def _parse_evaluator(data: Any, where: str) -> EvaluatorConfig:
 
 
 def _parse_task(data: Any, where: str) -> tuple[TaskSpec, frozenset[str]]:
-    if not isinstance(data, dict):
-        raise WorkflowConfigError(f"{where}: expected an object")
-    allowed = {
+    _object(data, {
         "id", "kind", "agent", "instruction", "expected_output",
         "tools", "prec", "guard", "callbacks", "evaluator",
-    }
-    _reject_unknown(data, allowed, where)
+    }, where)
     guard = data.get("guard")
     evaluator = data.get("evaluator")
     task = TaskSpec(
@@ -126,11 +120,7 @@ def _parse_task(data: Any, where: str) -> tuple[TaskSpec, frozenset[str]]:
 
 def parse_workflow(data: Any, registry: ToolRegistry | None = None) -> WorkflowSpec:
     """Build a WorkflowSpec from a parsed JSON document."""
-    if not isinstance(data, dict):
-        raise WorkflowConfigError("workflow document must be a JSON object")
-    _reject_unknown(
-        data, {"schema_version", "agents", "tasks", "initial_task", "final_task"}, "workflow"
-    )
+    _object(data, {"schema_version", "agents", "tasks", "initial_task", "final_task"}, "workflow")
     version = _require(data, "schema_version", "workflow")
     if version != SCHEMA_VERSION:
         raise WorkflowConfigError(
@@ -157,14 +147,17 @@ def parse_workflow(data: Any, registry: ToolRegistry | None = None) -> WorkflowS
     )
 
 
+def _read_json(path: str | Path) -> Any:
+    """Parse a UTF-8 JSON file; only an unreadable file raises OSError."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise WorkflowConfigError(f"{path}: not valid JSON: {exc}") from exc
+
+
 def load_workflow(path: str | Path, registry: ToolRegistry | None = None) -> WorkflowSpec:
     """Load a workflow definition file (JSON, schema_version 1)."""
-    text = Path(path).read_text()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise WorkflowConfigError(f"{path}: not valid JSON: {exc}") from exc
-    return parse_workflow(data, registry)
+    return parse_workflow(_read_json(path), registry)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +174,7 @@ def parse_scripted_rules(data: Any) -> ScriptedBackend:
     if isinstance(data, list):
         raw_rules, fallback = data, ""
     elif isinstance(data, dict):
-        _reject_unknown(data, {"rules", "fallback"}, "rules file")
+        _object(data, {"rules", "fallback"}, "rules file")
         raw_rules = data.get("rules", [])
         fallback = data.get("fallback", "")
         if not isinstance(fallback, str):
@@ -193,9 +186,7 @@ def parse_scripted_rules(data: Any) -> ScriptedBackend:
     rules: list[ScriptedRule] = []
     for i, raw in enumerate(raw_rules):
         where = f"rules[{i}]"
-        if not isinstance(raw, dict):
-            raise WorkflowConfigError(f"{where}: expected an object")
-        _reject_unknown(raw, {"match", "response", "responses", "regex"}, where)
+        _object(raw, {"match", "response", "responses", "regex"}, where)
         match = _text(_require(raw, "match", where), f"{where}.match")
         if "responses" in raw:
             responses = _text_list(raw["responses"], f"{where}.responses")
@@ -218,9 +209,4 @@ def parse_scripted_rules(data: Any) -> ScriptedBackend:
 
 
 def load_scripted_rules(path: str | Path) -> ScriptedBackend:
-    text = Path(path).read_text()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise WorkflowConfigError(f"{path}: not valid JSON: {exc}") from exc
-    return parse_scripted_rules(data)
+    return parse_scripted_rules(_read_json(path))

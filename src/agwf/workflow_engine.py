@@ -211,6 +211,7 @@ UNKNOWN_TASK_KIND = "UnknownTaskKind"
 EVALUATOR_CONFIG_MISMATCH = "EvaluatorConfigMismatch"
 EVALUATOR_TARGET_INVALID = "EvaluatorTargetInvalid"
 GUARD_INVALID = "GuardInvalid"
+UNKNOWN_CALLBACK = "UnknownCallback"
 
 
 @dataclass(frozen=True)
@@ -297,6 +298,11 @@ def validate(spec: WorkflowSpec) -> list[Violation]:
         for tool_name in task.tool_names:
             if tool_name not in spec.registry:
                 out.append(Violation(UNKNOWN_TOOL, task.id, f"tool {tool_name!r} is not registered"))
+        for callback_name in task.callback_names:
+            try:
+                _parse_callback(callback_name)
+            except UnknownCallback as exc:
+                out.append(Violation(UNKNOWN_CALLBACK, task.id, str(exc)))
         has_config = task.evaluator_config is not None
         if has_config != (task.kind == EVALUATOR):
             out.append(Violation(
@@ -401,30 +407,40 @@ def extract_section(state: str, task_id: str) -> str | None:
 # Callbacks
 # ---------------------------------------------------------------------------
 
-def run_callbacks(task: TaskSpec, response: str, memory: EntityMemory) -> None:
+#: built-in callbacks and the argument each needs after ':' ("" for none)
+_CALLBACK_ARGUMENTS = {
+    "require_nonempty": "", "require_contains": "needle", "write_to_file": "path",
+}
+
+
+def _parse_callback(name: str) -> tuple[str, str]:
+    """Split a callback name into (built-in, argument); raises UnknownCallback."""
+    base, _, argument = name.partition(":")
+    if base not in _CALLBACK_ARGUMENTS:
+        raise UnknownCallback(f"unknown callback {base!r}")
+    if _CALLBACK_ARGUMENTS[base] and not argument:
+        raise UnknownCallback(f"{base} needs ':<{_CALLBACK_ARGUMENTS[base]}>'")
+    return base, argument
+
+
+def run_callbacks(task: TaskSpec, response: str) -> None:
     """Run the task's callbacks in declared order.
 
     Built-ins: ``require_nonempty``, ``require_contains:<needle>``,
     ``write_to_file:<path>``.  A failed require_* aborts the execution.
     """
     for name in task.callback_names:
-        base, _, argument = name.partition(":")
+        base, argument = _parse_callback(name)
         if base == "require_nonempty":
             if not response.strip():
                 raise CallbackCheckFailed(f"task {task.id!r}: require_nonempty failed")
         elif base == "require_contains":
-            if not argument:
-                raise UnknownCallback("require_contains needs ':<needle>'")
             if argument not in response:
                 raise CallbackCheckFailed(
                     f"task {task.id!r}: require_contains:{argument} failed"
                 )
-        elif base == "write_to_file":
-            if not argument:
-                raise UnknownCallback("write_to_file needs ':<path>'")
+        else:  # write_to_file
             Path(argument).write_text(response)
-        else:
-            raise UnknownCallback(f"unknown callback {base!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +557,7 @@ def execute(spec: WorkflowSpec, inquiry: str, backends: Backends,
             done.append((detail, memory_before))
             states.append(append_state(sigma, task.id, response))
             if not detail.skipped:
-                run_callbacks(task, response, memory)
+                run_callbacks(task, response)
         except Exception as exc:
             raise ExecutionAborted(
                 f"task {task.id!r} aborted the execution: {exc}", partial()

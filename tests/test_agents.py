@@ -80,9 +80,8 @@ def test_complete_rejects_empty_prompt():
 
 
 class FlakyBackend(CompletionBackend):
-    def __init__(self, failures, retries):
+    def __init__(self, failures):
         self.failures = failures
-        self.retries = retries
         self.attempts = 0
 
     def complete(self, role_prompt, user_prompt, *, model="", temperature=0.0):
@@ -93,13 +92,13 @@ class FlakyBackend(CompletionBackend):
 
 
 def test_complete_retries_transport_errors():
-    backend = FlakyBackend(failures=2, retries=2)
+    backend = FlakyBackend(failures=2)
     assert complete(AGENT, backend, "hello") == "recovered"
     assert backend.attempts == 3
 
 
 def test_complete_exhausts_retries():
-    backend = FlakyBackend(failures=5, retries=2)
+    backend = FlakyBackend(failures=5)
     with pytest.raises(TransportError):
         complete(AGENT, backend, "hello")
     assert backend.attempts == 3
@@ -158,8 +157,6 @@ def test_selection_prompt_lists_documentation():
     seen = {}
 
     class Spy(CompletionBackend):
-        retries = 0
-
         def complete(self, role_prompt, user_prompt, *, model="", temperature=0.0):
             seen["prompt"] = user_prompt
             return "alpha"

@@ -209,6 +209,45 @@ def test_demo_unknown_name_exits_2():
     assert err.value.code == 2
 
 
+# ---------------------------------------------------------------------------
+# hostile input: exit 2 with one error line
+# ---------------------------------------------------------------------------
+
+def _file(path, content):
+    path.write_bytes(content)
+    return str(path)
+
+
+NOT_UTF8 = b'{"schema_version": 1, "note": "caf\xe9"}'
+NESTED = b"[" * 100_000
+BIG_FIELD_CSV = (
+    b"case_id,activity,timestamp\nc1,A,2024-03-01T09:00:00+00:00\nc2," + b"x" * 200_000 + b",t\n"
+)
+
+HOSTILE = {
+    "workflow-not-utf8": lambda d: ["validate", _file(d / "w.json", NOT_UTF8)],
+    "workflow-nested": lambda d: ["validate", _file(d / "w.json", NESTED)],
+    "rules-not-utf8": lambda d: ["demo", "rca", "--scripted", _file(d / "r.json", NOT_UTF8)],
+    "rules-nested": lambda d: ["demo", "rca", "--scripted", _file(d / "r.json", NESTED)],
+    "log-not-utf8": lambda d: ["abstract", _file(d / "l.xes", b"<log>\xff</log>"), "--kind", "dfg"],
+    "csv-200kb-field": lambda d: ["abstract", _file(d / "l.csv", BIG_FIELD_CSV), "--kind", "dfg"],
+    "output-missing-dir": lambda d: ["demo", "rca", "--output", str(d / "missing" / "t.json")],
+    "http-no-scheme": lambda d: ["demo", "rca", "--http", "foo"],
+}
+
+
+@pytest.mark.parametrize("case", HOSTILE)
+def test_hostile_input_exits_2_with_one_error_line(case, tmp_path, capsys, monkeypatch):
+    posts = []
+    monkeypatch.setattr("requests.post", lambda *args, **kwargs: posts.append(args))
+    assert run_cli(*HOSTILE[case](tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert posts == []
+
+
 def test_demo_http_backend_via_env(monkeypatch, tmp_path):
     # a stub endpoint that answers every prompt with a score-bearing reply,
     # good enough for all three rca tasks

@@ -17,6 +17,7 @@ from agwf.workflow_engine import (
     INITIAL_TASK_HAS_PREDECESSORS,
     SOURCE_TASK_NOT_INITIAL,
     UNKNOWN_AGENT,
+    UNKNOWN_CALLBACK,
     UNKNOWN_TASK,
     UNKNOWN_TOOL,
     CallbackCheckFailed,
@@ -222,31 +223,42 @@ def test_extract_section():
 # ---------------------------------------------------------------------------
 
 def test_require_nonempty_passes():
-    run_callbacks(plain_task("t", callback_names=("require_nonempty",)), "A", EntityMemory())
+    run_callbacks(plain_task("t", callback_names=("require_nonempty",)), "A")
 
 
 def test_require_nonempty_fails():
     with pytest.raises(CallbackCheckFailed):
-        run_callbacks(plain_task("t", callback_names=("require_nonempty",)), "  ", EntityMemory())
+        run_callbacks(plain_task("t", callback_names=("require_nonempty",)), "  ")
 
 
 def test_require_contains():
     task = plain_task("t", callback_names=("require_contains:needle",))
-    run_callbacks(task, "hay needle stack", EntityMemory())
+    run_callbacks(task, "hay needle stack")
     with pytest.raises(CallbackCheckFailed):
-        run_callbacks(task, "just hay", EntityMemory())
+        run_callbacks(task, "just hay")
 
 
 def test_write_to_file_round_trips(tmp_path):
     target = tmp_path / "out.txt"
     task = plain_task("t", callback_names=(f"write_to_file:{target}",))
-    run_callbacks(task, "payload\nlines", EntityMemory())
+    run_callbacks(task, "payload\nlines")
     assert target.read_text() == "payload\nlines"
 
 
 def test_unknown_callback():
     with pytest.raises(UnknownCallback):
-        run_callbacks(plain_task("t", callback_names=("frobnicate",)), "A", EntityMemory())
+        run_callbacks(plain_task("t", callback_names=("frobnicate",)), "A")
+
+
+@pytest.mark.parametrize("name", ["requir_nonempty", "require_contains", "write_to_file:"])
+def test_unknown_callback_is_a_violation_before_any_backend_call(name):
+    tasks = [plain_task("t1"), plain_task("t2", callback_names=("require_nonempty", name))]
+    spec = spec_of(tasks, {"t1": set(), "t2": {"t1"}}, "t1", "t2")
+    assert [(v.code, v.subject) for v in validate(spec)] == [(UNKNOWN_CALLBACK, "t2")]
+    backend = CountingBackend(ScriptedBackend([], fallback="fine"))
+    with pytest.raises(InvalidWorkflow):
+        execute(spec, "Q", backend)
+    assert backend.calls == 0
 
 
 # ---------------------------------------------------------------------------
