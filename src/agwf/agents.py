@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+from urllib.parse import urlsplit
 
 import requests
 
@@ -130,9 +131,20 @@ class ScriptedBackend(CompletionBackend):
 
 
 class HttpChatBackend(CompletionBackend):
-    """OpenAI-compatible chat completions over HTTP with bearer auth."""
+    """OpenAI-compatible chat completions over HTTP with bearer auth.
+
+    The endpoint must be an http(s) URL with a host; any other raises
+    ValueError before a request is made.
+    """
 
     def __init__(self, endpoint_url: str, api_key: str = "", timeout: float = 60.0):
+        try:
+            parts = urlsplit(endpoint_url)
+            valid = parts.scheme in ("http", "https") and bool(parts.hostname)
+        except ValueError:  # e.g. an unclosed [ around an IPv6 host
+            valid = False
+        if not valid:
+            raise ValueError(f"endpoint must be an http(s) URL with a host; got {endpoint_url!r}")
         self.endpoint_url = endpoint_url
         self.api_key = api_key
         self.timeout = timeout

@@ -13,7 +13,6 @@ import json
 import os
 import sys
 from pathlib import Path
-from urllib.parse import urlsplit
 
 from . import demos
 from .agents import CompletionBackend, http_chat_backend
@@ -44,19 +43,6 @@ class UsageError(Exception):
     """The command line asks for something that cannot be done (exit 2)."""
 
 
-def _http_endpoint(url: str) -> str:
-    """url itself if it is an http(s) URL with a host."""
-    try:
-        parts = urlsplit(url)
-        if parts.scheme in ("http", "https") and parts.hostname:
-            return url
-    except ValueError:  # e.g. an unclosed [ around an IPv6 host
-        pass
-    raise UsageError(
-        f"--http needs an http(s) URL with a host, or AGWF_ENDPOINT set to one; got {url!r}"
-    )
-
-
 def _make_backend(args) -> CompletionBackend:
     if args.scripted is not None and args.http is not None:
         raise UsageError("choose exactly one of --scripted / --http")
@@ -64,15 +50,22 @@ def _make_backend(args) -> CompletionBackend:
         return load_scripted_rules(args.scripted)
     if args.http is None:
         raise UsageError("one of --scripted / --http is required")
-    endpoint = _http_endpoint(args.http or os.environ.get("AGWF_ENDPOINT", ""))
-    return http_chat_backend(endpoint, os.environ.get("AGWF_API_KEY", ""))
+    endpoint = args.http or os.environ.get("AGWF_ENDPOINT", "")
+    try:
+        return http_chat_backend(endpoint, os.environ.get("AGWF_API_KEY", ""))
+    except ValueError as exc:
+        raise UsageError(
+            f"--http needs an http(s) URL with a host, or AGWF_ENDPOINT set to one; got {endpoint!r}"
+        ) from exc
 
 
-def _write_transcript(path: str, record: ExecutionRecord, error: str | None) -> None:
+def _write_transcript(path: Path, record: ExecutionRecord, error: str | None) -> None:
     payload = record_to_dict(record)
     payload["aborted"] = error is not None
     payload["error"] = error
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    with open(path, "w") as out:
+        json.dump(payload, out, indent=2)
+        out.write("\n")
 
 
 def _report_record(record: ExecutionRecord, verbose: bool) -> int:
@@ -110,6 +103,10 @@ def cmd_validate(args) -> int:
 def cmd_run(args) -> int:
     spec = load_workflow(args.workflow)
     backend = _make_backend(args)
+    output = Path(args.output) if args.output else None
+    if output and (output.is_dir() or not output.parent.is_dir()):
+        # checked before any backend call, so a bad path spends no request
+        raise UsageError(f"--output needs a file in an existing directory; got {str(output)!r}")
     try:
         record, error = execute(spec, args.inquiry, backend), None
     except InvalidWorkflow as exc:
@@ -119,8 +116,8 @@ def cmd_run(args) -> int:
     except ExecutionAborted as exc:
         record, error = exc.record, str(exc)
         print(f"execution aborted: {error}", file=sys.stderr)
-    if args.output:
-        _write_transcript(args.output, record, error)
+    if output:
+        _write_transcript(output, record, error)
     return EXIT_FAILURE if error is not None else _report_record(record, args.verbose)
 
 

@@ -109,37 +109,65 @@ class ToolRegistry:
 #: an ``@`` right after a word character (``ops@example.com``) is no reference
 _ENTITY_RE = re.compile(rf"@(?<!\w@)({_KEY})")
 _GROUPS_RE = re.compile(rf"@({_KEY})\s*,\s*@({_KEY})")
-_PATH_RE = re.compile(r"[^\s\"'()\[\]{}<>]+\.(?:xes|csv)")
+#: characters that end a path token, besides whitespace
+_PATH_DELIMITERS = frozenset("\"'()[]{}<>")
+
+
+def _in_path_token(char: str) -> bool:
+    return not char.isspace() and char not in _PATH_DELIMITERS
+
+
+def _last_path_token(state: str, lo: int) -> tuple[int, int] | None:
+    """Span of the last path token that starts at or after ``lo``.
+
+    A path token is a run of characters that are neither whitespace nor
+    in ``_PATH_DELIMITERS``, cut after the last ``.xes``/``.csv`` in the
+    run; at least one character must precede that extension.
+    """
+    xes, csv = state.rfind(".xes", lo), state.rfind(".csv", lo)
+    while (dot := max(xes, csv)) >= 0:
+        start = dot
+        while start and _in_path_token(state[start - 1]):
+            start -= 1
+        if start < dot:
+            return (start, dot + 4) if start >= lo else None
+        # the extension opens its token, which holds no other: look before it
+        if xes == dot:
+            xes = state.rfind(".xes", lo, dot)
+        else:
+            csv = state.rfind(".csv", lo, dot)
+    return None
+
+
+def _last_entity_reference(state: str) -> re.Match | None:
+    """The last ``_ENTITY_RE`` match, tried at each ``@`` from the end."""
+    at = len(state)
+    while (at := state.rfind("@", 0, at)) >= 0:
+        if match := _ENTITY_RE.match(state, at):
+            return match
+    return None
 
 
 def resolve_log_reference(state: str, memory: "EntityMemory") -> EventLog:
     """Locate and load the event log the state refers to.
 
-    Scans for the last occurrence of either an ``@key`` entity-memory
+    Takes the last occurrence of either an ``@key`` entity-memory
     reference or a path token ending in ``.xes`` or ``.csv``.  Entity
     references resolve from memory; paths are read from disk and parsed
     (CSV files use the default case_id/activity/timestamp column mapping).
     """
-    entity_match = None
-    for entity_match in _ENTITY_RE.finditer(state):
-        pass
-    path_match = None
-    for path_match in _PATH_RE.finditer(state):
-        pass
-    if entity_match is None and path_match is None:
+    entity_match = _last_entity_reference(state)
+    # a path wins only if its token starts at or after the entity reference
+    path_span = _last_path_token(state, entity_match.start() if entity_match else 0)
+    if path_span is not None:
+        return read_log(state[path_span[0]:path_span[1]])
+    if entity_match is None:
         raise NoLogReference("state contains no @key reference and no .xes/.csv path")
-
-    use_entity = entity_match is not None and (
-        path_match is None or entity_match.start() > path_match.start()
-    )
-    if use_entity:
-        key = entity_match.group(1)
-        value = memory.load(key)  # UnknownEntityKey propagates
-        if not isinstance(value, EventLog):
-            raise NoLogReference(f"@{key} holds text, not an event log")
-        return value
-
-    return read_log(path_match.group(0))
+    key = entity_match.group(1)
+    value = memory.load(key)  # UnknownEntityKey propagates
+    if not isinstance(value, EventLog):
+        raise NoLogReference(f"@{key} holds text, not an event log")
+    return value
 
 
 def read_log(path: str) -> EventLog:
@@ -155,10 +183,27 @@ def read_log(path: str) -> EventLog:
 
 
 def parse_directive(state: str, name: str) -> str | None:
-    """Return the value of the last ``<name>: <value>`` line, or None."""
-    pattern = re.compile(rf"^[ \t]*{re.escape(name)}[ \t]*:[ \t]*(.*?)[ \t]*$", re.MULTILINE)
-    found = pattern.findall(state)
-    return found[-1] if found else None
+    """Return the value of the last ``<name>: <value>`` line, or None.
+
+    Only spaces and tabs may precede the name and the ``:``; the value is
+    the rest of the line without surrounding spaces and tabs.  Lines end
+    at ``\\n`` only.
+    """
+    end = len(state)
+    while (found := state.rfind(name, 0, end)) >= 0:
+        start = state.rfind("\n", 0, found) + 1
+        stop = state.find("\n", found)
+        line = state[start:stop] if stop >= 0 else state[start:]
+        indent = len(line) - len(line.lstrip(" \t"))
+        for offset in range(indent, -1, -1):  # the longest indent first
+            if line.startswith(name, offset):
+                rest = line[offset + len(name):].lstrip(" \t")
+                if rest.startswith(":"):
+                    return rest[1:].strip(" \t")
+        if not start:
+            return None
+        end = start - 1
+    return None
 
 
 def _require_directive(state: str, name: str) -> str:

@@ -7,12 +7,14 @@ import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+import requests
 
 from agwf.agents import (
     AgentProfile,
     BackendEmptyResponse,
     BackendTimeout,
     CompletionBackend,
+    HttpChatBackend,
     MalformedResponse,
     RequestRejected,
     ScriptedBackend,
@@ -281,3 +283,17 @@ def test_http_backend_refused_connection_is_retried_then_raised():
     with pytest.raises(TransportError):
         complete(AGENT, backend, "hello")
     assert backend.calls == 3
+
+
+@pytest.mark.parametrize("url", ["foo", "ftp://host/v1", "http://", "http://[::1/v1", ""])
+def test_http_backend_rejects_a_url_it_cannot_post_to(url, monkeypatch):
+    posts = []
+
+    def refuse(*args, **kwargs):
+        posts.append(args)
+        raise requests.ConnectionError("refused")
+
+    monkeypatch.setattr("requests.post", refuse)
+    with pytest.raises(ValueError, match="http"):
+        complete(AGENT, HttpChatBackend(url), "hello")
+    assert posts == []

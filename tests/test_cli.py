@@ -233,6 +233,9 @@ HOSTILE = {
     "csv-200kb-field": lambda d: ["abstract", _file(d / "l.csv", BIG_FIELD_CSV), "--kind", "dfg"],
     "output-missing-dir": lambda d: ["demo", "rca", "--output", str(d / "missing" / "t.json")],
     "http-no-scheme": lambda d: ["demo", "rca", "--http", "foo"],
+    "output-missing-dir-http": lambda d: [
+        "demo", "rca", "--http", "http://127.0.0.1:9", "--output", str(d / "missing" / "t.json")],
+    "output-is-a-dir-http": lambda d: ["demo", "rca", "--http", "http://127.0.0.1:9", "--output", str(d)],
 }
 
 

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agwf import pm_tools
 from agwf.event_log import (
     ComparisonFinding,
     Dfg,
@@ -117,6 +119,92 @@ def test_parse_directive_last_wins():
     state = "top_k: 3\nmore text\ntop_k: 7"
     assert parse_directive(state, "top_k") == "7"
     assert parse_directive(state, "missing") is None
+
+
+# The regex readers the backward scans replaced, kept as the reference.
+_REF_ENTITY_RE = re.compile(r"@(?<!\w@)([A-Za-z_][A-Za-z0-9_]*)")
+_REF_PATH_RE = re.compile(r"[^\s\"'()\[\]{}<>]+\.(?:xes|csv)")
+
+
+def reference_pick(state):
+    """("entity", key), ("path", span) or None, as the regex resolver picks."""
+    entity = path = None
+    for entity in _REF_ENTITY_RE.finditer(state):
+        pass
+    for path in _REF_PATH_RE.finditer(state):
+        pass
+    if entity is not None and (path is None or entity.start() > path.start()):
+        return "entity", entity.group(1)
+    return None if path is None else ("path", path.span())
+
+
+def reference_directive(state, name):
+    pattern = rf"^[ \t]*{re.escape(name)}[ \t]*:[ \t]*(.*?)[ \t]*$"
+    found = re.findall(pattern, state, re.MULTILINE)
+    return found[-1] if found else None
+
+
+class RecordingMemory:
+    """Entity memory that hands out a log for any key and notes the key."""
+
+    def __init__(self):
+        self.loaded = []
+
+    def load(self, key):
+        self.loaded.append(key)
+        return make_log([["a"]])
+
+
+def picked(state):
+    """("entity", key), ("path", span) or None, as resolve_log_reference picks,
+    with no file read."""
+    memory, read = RecordingMemory(), []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pm_tools, "read_log", lambda path: read.append(path) or make_log([["a"]]))
+        try:
+            resolve_log_reference(state, memory)
+        except NoLogReference:
+            return None
+    if memory.loaded:
+        return "entity", memory.loaded[0]
+    span = pm_tools._last_path_token(state, 0)
+    assert read == [state[span[0]:span[1]]]
+    return "path", span
+
+
+STATE_PIECES = [
+    "a", "Z9", ".", ".xes", ".csv", "..xes", "x.xes.csv", ".csvb", "xes", "logs/l.xes",
+    '"', "'", "(", ")", "[", "]", "{", "}", "<", ">", "@", "@grp_f", "ops@example.com",
+    "é", "_", " ", "\t", "\r", "\n", "\x1c", "\xa0", "\u2028",
+    "top_k", "top_k: 7", "top_k: top_k", "top_k :", "k: v ", ":", " : ",
+]
+states = st.lists(
+    st.one_of(st.sampled_from(STATE_PIECES), st.characters()), max_size=40
+).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(states)
+def test_resolve_picks_what_the_regex_reference_picks(state):
+    assert picked(state) == reference_pick(state)
+
+
+@settings(max_examples=400, deadline=None)
+@given(states, st.sampled_from(["top_k", "k", "_", "top_k: top_k", ":"]))
+def test_parse_directive_matches_the_regex_reference(state, name):
+    assert parse_directive(state, name) == reference_directive(state, name)
+
+
+def test_state_readers_are_linear_in_a_long_token(data_dir):
+    # a log path, then one unbroken 30,000-character token (say, base64 in a
+    # model reply): a path pattern that backtracks over the token from each
+    # of its characters takes seconds here, on every later tool call
+    state = f"log at {data_dir / 'two_traces.xes'}\n=== output of T1 ===\n" + "QUJD" * 7500
+    started = time.perf_counter()
+    log = resolve_log_reference(state, EntityMemory())
+    assert parse_directive(state, "top_k") is None
+    assert time.perf_counter() - started < 0.5
+    assert len(log.traces) == 2
 
 
 # ---------------------------------------------------------------------------
