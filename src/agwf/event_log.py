@@ -16,7 +16,8 @@ import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Union
+from typing import Callable, Union
+from xml.parsers.expat import ErrorString
 
 Scalar = Union[str, int, float, bool, datetime]
 
@@ -202,8 +203,9 @@ def _sorted_events(events: list[Event]) -> tuple[Event, ...]:
 # XES parsing
 # ---------------------------------------------------------------------------
 
-def _local_tag(tag: str) -> str:
-    return tag.rsplit("}", 1)[-1]
+#: the document goes to expat in slices of this many characters, so no
+#: UTF-8 copy of the whole document is made
+_FEED_CHARS = 1 << 16
 
 
 def _convert_xes_value(type_tag: str, value: str) -> Scalar:
@@ -228,89 +230,148 @@ def _convert_xes_value(type_tag: str, value: str) -> Scalar:
     return value
 
 
-def _collect_attributes(element: ET.Element, where: str) -> dict[str, Scalar]:
+def _attributes(
+    triples: list[tuple[str, str, str]], where: Callable[[], str]
+) -> dict[str, Scalar]:
+    """Convert (type, key, value) triples in document order; a later key
+    wins.  ``where()`` names the element in an error message."""
     attrs: dict[str, Scalar] = {}
-    for child in element:
-        tag = _local_tag(child.tag)
-        if tag == "event":
-            continue
-        key = child.get("key")
-        value = child.get("value")
-        if key is None or value is None:
-            continue
+    for type_tag, key, value in triples:
         try:
-            attrs[key] = _convert_xes_value(tag, value)
+            attrs[key] = _convert_xes_value(type_tag, value)
         except ValueError:
             raise UnparsableTimestamp(
-                f"{where}: cannot parse timestamp {value!r} for key {key!r}"
+                f"{where()}: cannot parse timestamp {value!r} for key {key!r}"
             ) from None
     return attrs
 
 
-def parse_xes(document: str, source_name: str = "") -> EventLog:
-    """Parse an XES document into an EventLog.
+class _XesReader:
+    """Parser target that builds one Trace at each ``</trace>``.
 
-    Interprets log/trace/event elements and string/date/int/float/boolean
-    attribute elements keyed by ``key``/``value``; unknown attribute types
-    are preserved as text.  At event level ``concept:name`` becomes the
-    activity and ``time:timestamp`` the timestamp; at trace level
-    ``concept:name`` becomes the case id (``case_<index>`` when absent).
-
-    Raises MalformedDocument, MissingActivity, MissingTimestamp,
-    UnparsableTimestamp, or DuplicateCaseId.
+    Depth 1 is the root element.  A depth-2 element named ``trace`` is a
+    trace.  In a trace, a depth-3 ``event`` is an event, and any other
+    depth-3 element with both ``key`` and ``value`` is a trace attribute
+    whose type is its local name.  Below an event, any depth-4 element
+    except ``event`` with both is an event attribute.  Nothing else is
+    read.  An open trace keeps only raw (type, key, value) triples, which
+    are converted once it ends, so its attributes and case id are checked
+    before its events.  The first semantic error is recorded, not raised,
+    so that a syntax error later in the document still wins.
     """
-    try:
-        root = ET.fromstring(document)
-    except ET.ParseError as exc:
-        line, column = exc.position
-        raise MalformedDocument(
-            f"not well-formed XML at line {line}, column {column}: {exc.msg if hasattr(exc, 'msg') else exc}"
-        ) from exc
 
-    traces: list[Trace] = []
-    seen_ids: set[str] = set()
-    trace_index = 0
-    for node in root:
-        if _local_tag(node.tag) != "trace":
-            continue
-        case_attrs = _collect_attributes(node, f"trace {trace_index}")
+    def __init__(self):
+        self.traces: list[Trace] = []
+        self.error: EventLogError | None = None
+        self._seen_ids: set[str] = set()
+        self._names: dict[str, str] = {}  # tag -> local name
+        self._depth = 0
+        self._trace: list[tuple[str, str, str]] | None = None
+        self._events: list[list[tuple[str, str, str]]] = []
+        self._event: list[tuple[str, str, str]] | None = None
+
+    def _local(self, tag: str) -> str:
+        name = self._names.get(tag)
+        if name is None:
+            name = self._names[tag] = tag.rsplit("}", 1)[-1]
+        return name
+
+    def start(self, tag: str, attrib: dict[str, str]) -> None:
+        self._depth = depth = self._depth + 1
+        if depth == 4:
+            if self._event is not None:
+                key, value = attrib.get("key"), attrib.get("value")
+                if key is not None and value is not None:
+                    name = self._local(tag)
+                    if name != "event":
+                        self._event.append((name, key, value))
+        elif depth == 3:
+            if self._trace is not None:
+                name = self._local(tag)
+                if name == "event":
+                    self._event = []
+                    self._events.append(self._event)
+                else:
+                    key, value = attrib.get("key"), attrib.get("value")
+                    if key is not None and value is not None:
+                        self._trace.append((name, key, value))
+        elif depth == 2 and self.error is None and self._local(tag) == "trace":
+            self._trace, self._events = [], []
+
+    def end(self, tag: str) -> None:
+        depth = self._depth
+        self._depth = depth - 1
+        if depth == 3:
+            self._event = None
+        elif depth == 2 and self._trace is not None:
+            try:
+                self.traces.append(self._build_trace(self._trace, self._events))
+            except EventLogError as exc:
+                self.error = exc
+            self._trace, self._events = None, []
+
+    def _build_trace(self, case_triples, event_triples) -> Trace:
+        trace_index = len(self.traces)
+        case_attrs = _attributes(case_triples, lambda: f"trace {trace_index}")
         raw_case_id = case_attrs.pop("concept:name", None)
         case_id = str(raw_case_id) if raw_case_id is not None else f"case_{trace_index}"
-        if case_id in seen_ids:
+        if case_id in self._seen_ids:
             raise DuplicateCaseId(f"case id {case_id!r} appears more than once")
-        seen_ids.add(case_id)
+        self._seen_ids.add(case_id)
+
+        def where() -> str:  # formatted only for an error, at the current event_index
+            return f"trace {case_id!r}, event {event_index}"
 
         events: list[Event] = []
-        event_index = 0
-        for child in node:
-            if _local_tag(child.tag) != "event":
-                continue
-            where = f"trace {case_id!r}, event {event_index}"
-            attrs = _collect_attributes(child, where)
+        for event_index, triples in enumerate(event_triples):
+            attrs = _attributes(triples, where)
             raw_activity = attrs.pop("concept:name", None)
             activity = str(raw_activity) if raw_activity is not None else ""
             if not activity:
-                raise MissingActivity(f"{where}: no concept:name")
+                raise MissingActivity(f"{where()}: no concept:name")
             raw_ts = attrs.pop("time:timestamp", None)
             if raw_ts is None:
-                raise MissingTimestamp(f"{where}: no time:timestamp")
+                raise MissingTimestamp(f"{where()}: no time:timestamp")
             if not isinstance(raw_ts, datetime):
                 # tolerated: timestamp encoded with a non-date element type
                 try:
                     raw_ts = parse_timestamp(str(raw_ts))
                 except ValueError:
                     raise UnparsableTimestamp(
-                        f"{where}: cannot parse timestamp {raw_ts!r}"
+                        f"{where()}: cannot parse timestamp {raw_ts!r}"
                     ) from None
             events.append(Event(activity=activity, timestamp=raw_ts, attributes=attrs))
-            event_index += 1
+        return Trace(case_id=case_id, case_attributes=case_attrs, events=_sorted_events(events))
 
-        traces.append(
-            Trace(case_id=case_id, case_attributes=case_attrs, events=_sorted_events(events))
-        )
-        trace_index += 1
 
-    return EventLog(traces=tuple(traces), source_name=source_name)
+def parse_xes(document: str, source_name: str = "") -> EventLog:
+    """Parse an XES document into an EventLog, one trace at a time.
+
+    Interprets log/trace/event elements and string/date/int/float/boolean
+    attribute elements keyed by ``key``/``value``; unknown attribute types
+    are preserved as text.  At event level ``concept:name`` becomes the
+    activity and ``time:timestamp`` the timestamp; at trace level
+    ``concept:name`` becomes the case id (``case_<index>`` when absent).
+    See ``_XesReader`` for which elements are read.
+
+    Raises MalformedDocument (which wins over any other error),
+    MissingActivity, MissingTimestamp, UnparsableTimestamp, or
+    DuplicateCaseId.
+    """
+    reader = _XesReader()
+    parser = ET.XMLParser(target=reader)
+    try:
+        for start in range(0, len(document), _FEED_CHARS):
+            parser.feed(document[start:start + _FEED_CHARS])
+        parser.close()
+    except ET.ParseError as exc:
+        line, column = exc.position
+        raise MalformedDocument(
+            f"not well-formed XML at line {line}, column {column}: {ErrorString(exc.code)}"
+        ) from exc
+    if reader.error is not None:
+        raise reader.error
+    return EventLog(traces=tuple(reader.traces), source_name=source_name)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,9 @@ and scripted agents match on them byte for byte.
 
 from __future__ import annotations
 
+import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
@@ -154,13 +155,15 @@ def resolve_log_reference(state: str, memory: "EntityMemory") -> EventLog:
     Takes the last occurrence of either an ``@key`` entity-memory
     reference or a path token ending in ``.xes`` or ``.csv``.  Entity
     references resolve from memory; paths are read from disk and parsed
-    (CSV files use the default case_id/activity/timestamp column mapping).
+    (CSV files use the default case_id/activity/timestamp column mapping)
+    at most once per memory, that is per run, while the file keeps its
+    size and modification time.
     """
     entity_match = _last_entity_reference(state)
     # a path wins only if its token starts at or after the entity reference
     path_span = _last_path_token(state, entity_match.start() if entity_match else 0)
     if path_span is not None:
-        return read_log(state[path_span[0]:path_span[1]])
+        return _read_log_once(state[path_span[0]:path_span[1]], memory)
     if entity_match is None:
         raise NoLogReference("state contains no @key reference and no .xes/.csv path")
     key = entity_match.group(1)
@@ -168,6 +171,21 @@ def resolve_log_reference(state: str, memory: "EntityMemory") -> EventLog:
     if not isinstance(value, EventLog):
         raise NoLogReference(f"@{key} holds text, not an event log")
     return value
+
+
+def _read_log_once(path: str, memory: "EntityMemory") -> EventLog:
+    """``read_log(path)``, kept in ``memory.parsed_logs`` while the file
+    keeps its size and modification time."""
+    try:
+        info = os.stat(path)
+    except (OSError, ValueError):
+        return read_log(path)  # fails the way reading the file does
+    key = (os.path.realpath(path), info.st_mtime_ns, info.st_size)
+    log = memory.parsed_logs.get(key)
+    if log is None:
+        log = memory.parsed_logs[key] = read_log(path)
+    # the same file under another spelling keeps the name it was given
+    return log if log.source_name == path else replace(log, source_name=path)
 
 
 def read_log(path: str) -> EventLog:

@@ -76,11 +76,15 @@ class EntityMemory:
     """Write-once key-value store carrying artifacts between tasks.
 
     Re-storing an existing key raises DuplicateKey, which keeps the data
-    flow of one execution auditable.
+    flow of one execution auditable.  ``parsed_logs`` holds the log files
+    the tools parsed, keyed on (resolved path, st_mtime_ns, st_size); they
+    are not entries, so snapshot(), restore() and memory_final never see
+    them.
     """
 
     def __init__(self):
         self._items: dict[str, MemoryValue] = {}
+        self.parsed_logs: dict[tuple[str, int, int], EventLog] = {}
 
     def store(self, key: str, value: MemoryValue) -> None:
         if key in self._items:
