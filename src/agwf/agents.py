@@ -8,12 +8,15 @@ completions endpoint.
 
 from __future__ import annotations
 
+import http.client
+import json
 import re
+import select
+import ssl
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-from urllib.parse import urlsplit
-
-import requests
+from urllib.parse import SplitResult, quote, urlsplit
+from urllib.request import getproxies, proxy_bypass
 
 from .pm_tools import Tool
 
@@ -84,6 +87,9 @@ class CompletionBackend:
                  model: str = "", temperature: float = 0.0) -> str:
         raise NotImplementedError
 
+    def close(self) -> None:
+        """Release what the backend holds open; complete() may still follow."""
+
 
 @dataclass(frozen=True)
 class ScriptedRule:
@@ -133,52 +139,83 @@ class ScriptedBackend(CompletionBackend):
 class HttpChatBackend(CompletionBackend):
     """OpenAI-compatible chat completions over HTTP with bearer auth.
 
-    The endpoint must be an http(s) URL with a host; any other raises
-    ValueError before a request is made.
+    The endpoint must be an http(s) URL with a host and, if it names a
+    port, one from 1 to 65535; anything else raises ValueError before a
+    request is made.  The proxy comes from the http_proxy/https_proxy/
+    no_proxy environment variables, read here, once.  The backend keeps
+    one connection and reuses it for every complete(), so it serves one
+    run at a time; close() releases it.
     """
 
     def __init__(self, endpoint_url: str, api_key: str = "", timeout: float = 60.0):
-        try:
-            parts = urlsplit(endpoint_url)
-            valid = parts.scheme in ("http", "https") and bool(parts.hostname)
-        except ValueError:  # e.g. an unclosed [ around an IPv6 host
-            valid = False
-        if not valid:
-            raise ValueError(f"endpoint must be an http(s) URL with a host; got {endpoint_url!r}")
+        parts, port = _http_address(endpoint_url, ("http", "https"), "endpoint")
         self.endpoint_url = endpoint_url
-        self.api_key = api_key
         self.timeout = timeout
+        target = parts.path or "/"
+        if parts.query:
+            target += "?" + parts.query
+        self._target = quote(target, safe=_URL_SAFE)
+        self._headers = {"Content-Type": "application/json"}
+        if api_key:
+            self._headers["Authorization"] = f"Bearer {api_key}"
+        host = parts.hostname
+        proxy = getproxies().get(parts.scheme)
+        if proxy and proxy_bypass(host):
+            proxy = None
+        if proxy:
+            proxy_parts, proxy_port = _http_address(
+                proxy if "://" in proxy else "http://" + proxy, ("http",), f"{parts.scheme} proxy")
+            address = (proxy_parts.hostname, proxy_port)
+        else:
+            address = (host, port)
+        if parts.scheme == "https":
+            self._connection = http.client.HTTPSConnection(
+                *address, timeout=timeout, context=ssl.create_default_context())
+            if proxy:
+                self._connection.set_tunnel(host, port)
+        else:
+            self._connection = http.client.HTTPConnection(*address, timeout=timeout)
+            if proxy:  # a proxy takes the absolute URI
+                self._target = f"http://{parts.netloc.rpartition('@')[2]}{self._target}"
+
+    def close(self) -> None:
+        self._connection.close()
 
     def complete(self, role_prompt: str, user_prompt: str, *,
                  model: str = "", temperature: float = 0.0) -> str:
-        body = {
+        body = json.dumps({
             "model": model,
             "messages": [
                 {"role": "system", "content": role_prompt},
                 {"role": "user", "content": user_prompt},
             ],
             "temperature": temperature,
-        }
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
+        }).encode()
+        connection = self._connection
+        if connection.sock is not None and select.select([connection.sock], [], [], 0)[0]:
+            # an idle connection with something to read was hung up by the server
+            connection.close()
         try:
-            response = requests.post(
-                self.endpoint_url, json=body, headers=headers, timeout=self.timeout
-            )
-        except requests.Timeout as exc:
+            connection.request("POST", self._target, body, self._headers)
+            response = connection.getresponse()
+            # read to the end whatever the status, so the connection stays usable
+            data = response.read()
+        except TimeoutError as exc:
+            # closed so that the late reply is never read as the next one
+            connection.close()
             raise BackendTimeout(
                 f"no response from {self.endpoint_url} within {self.timeout}s"
             ) from exc
-        except requests.RequestException as exc:
+        except (OSError, http.client.HTTPException) as exc:
+            connection.close()
             raise TransportError(f"request to {self.endpoint_url} failed: {exc}") from exc
-        status = response.status_code
+        status = response.status
         if status == 429 or status >= 500:
             raise TransportError(f"HTTP {status} from {self.endpoint_url}")
         if not 200 <= status < 300:
             raise RequestRejected(f"HTTP {status} from {self.endpoint_url}")
         try:
-            payload = response.json()
+            payload = json.loads(data)
         except ValueError as exc:
             raise MalformedResponse("response body is not JSON") from exc
         try:
@@ -190,6 +227,28 @@ class HttpChatBackend(CompletionBackend):
         if not isinstance(content, str):
             raise MalformedResponse("message content is not text")
         return content
+
+
+#: characters a request target keeps as they are; others are percent-encoded
+_URL_SAFE = "!#$%&'()*+,/:;=?@[]~"
+
+
+def _http_address(url: str, schemes: tuple[str, ...], what: str) -> tuple[SplitResult, int]:
+    """The split URL and its port; ValueError unless it can be connected to."""
+    try:
+        parts = urlsplit(url)
+        valid = parts.scheme in schemes and bool(parts.hostname)
+    except ValueError:  # e.g. an unclosed [ around an IPv6 host
+        valid = False
+    if not valid:
+        raise ValueError(f"{what} must be an {' or '.join(schemes)} URL with a host; got {url!r}")
+    try:
+        port = parts.port
+    except ValueError:  # not a number, or above 65535
+        port = 0
+    if port == 0:
+        raise ValueError(f"{what} port must be a number from 1 to 65535; got {url!r}")
+    return parts, port or (443 if parts.scheme == "https" else 80)
 
 
 def http_chat_backend(endpoint_url: str, api_key: str = "",

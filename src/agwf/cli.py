@@ -54,9 +54,7 @@ def _make_backend(args) -> CompletionBackend:
     try:
         return http_chat_backend(endpoint, os.environ.get("AGWF_API_KEY", ""))
     except ValueError as exc:
-        raise UsageError(
-            f"--http needs an http(s) URL with a host, or AGWF_ENDPOINT set to one; got {endpoint!r}"
-        ) from exc
+        raise UsageError(f"--http (or AGWF_ENDPOINT): {exc}") from exc
 
 
 def _write_transcript(path: Path, record: ExecutionRecord, error: str | None) -> None:
@@ -116,6 +114,8 @@ def cmd_run(args) -> int:
     except ExecutionAborted as exc:
         record, error = exc.record, str(exc)
         print(f"execution aborted: {error}", file=sys.stderr)
+    finally:
+        backend.close()
     if output:
         _write_transcript(output, record, error)
     return EXIT_FAILURE if error is not None else _report_record(record, args.verbose)

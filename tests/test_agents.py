@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import pytest
-import requests
 
 from agwf.agents import (
     AgentProfile,
@@ -285,15 +287,185 @@ def test_http_backend_refused_connection_is_retried_then_raised():
     assert backend.calls == 3
 
 
-@pytest.mark.parametrize("url", ["foo", "ftp://host/v1", "http://", "http://[::1/v1", ""])
+@pytest.mark.parametrize("url", ["foo", "ftp://host/v1", "http://", "http://[::1/v1", "",
+                                 "http://127.0.0.1:abc/v1", "http://127.0.0.1:99999/v1",
+                                 "http://127.0.0.1:0/v1"])
 def test_http_backend_rejects_a_url_it_cannot_post_to(url, monkeypatch):
     posts = []
 
     def refuse(*args, **kwargs):
         posts.append(args)
-        raise requests.ConnectionError("refused")
+        raise ConnectionRefusedError("refused")
 
-    monkeypatch.setattr("requests.post", refuse)
+    monkeypatch.setattr("http.client.HTTPConnection.request", refuse)
     with pytest.raises(ValueError, match="http"):
         complete(AGENT, HttpChatBackend(url), "hello")
     assert posts == []
+
+
+# ---------------------------------------------------------------------------
+# The transport: one keep-alive connection per backend
+# ---------------------------------------------------------------------------
+
+class KeepAliveHandler(BaseHTTPRequestHandler):
+    """HTTP/1.1 with keep-alive; the server object carries the script."""
+
+    protocol_version = "HTTP/1.1"
+
+    def setup(self):
+        super().setup()
+        with self.server.lock:
+            self.server.connections += 1
+
+    def do_POST(self):
+        server = self.server
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        with server.lock:
+            server.seen.append({"path": self.path, "host": self.headers.get("Host")})
+            status, payload, delay = server.script.pop(0) if server.script else (200, ok_payload("ok"), 0)
+        time.sleep(delay)
+        data = json.dumps(payload).encode()
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data) + server.missing_bytes))
+        self.end_headers()
+        self.wfile.write(data)
+        # close without a "Connection: close" header: the client learns of it
+        # only from the socket
+        self.close_connection = server.hang_up or server.missing_bytes > 0
+
+    def log_message(self, *args):
+        pass
+
+
+class KeepAliveServer(ThreadingHTTPServer):
+    daemon_threads = True
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), KeepAliveHandler)
+        self.lock = threading.Lock()
+        self.connections = 0
+        self.seen = []
+        self.script = []  # (status, payload, seconds to wait before replying)
+        self.missing_bytes = 0  # announced in Content-Length but never sent
+        self.hang_up = False  # close the connection after each reply
+        self.url = f"http://127.0.0.1:{self.server_port}/v1/chat/completions"
+
+    def handle_error(self, request, client_address):
+        pass  # a late reply to a client that gave up is expected here
+
+
+@pytest.fixture
+def keepalive(monkeypatch):
+    """Starts keep-alive stubs, reached directly whatever the proxy settings."""
+    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    servers = []
+
+    def start():
+        server = KeepAliveServer()
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        servers.append(server)
+        return server
+
+    yield start
+    for server in servers:
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.fixture
+def open_backend():
+    """http_chat_backend, closed when the test ends."""
+    backends = []
+
+    def build(*args, **kwargs):
+        backends.append(http_chat_backend(*args, **kwargs))
+        return backends[-1]
+
+    yield build
+    for backend in backends:
+        backend.close()
+
+
+def test_http_backend_reuses_one_connection(keepalive, open_backend):
+    stub = keepalive()
+    stub.script = [(200, ok_payload(f"r{i}"), 0) for i in range(3)]
+    backend = open_backend(stub.url)
+    assert [complete(AGENT, backend, "hello") for _ in range(3)] == ["r0", "r1", "r2"]
+    assert stub.connections == 1
+
+
+def test_http_backend_uses_the_proxy_from_the_environment(keepalive, open_backend, monkeypatch):
+    proxy = keepalive()
+    monkeypatch.setenv("HTTP_PROXY", f"http://127.0.0.1:{proxy.server_port}")
+    proxy.script = [(200, ok_payload("via proxy"), 0)]
+    assert complete(AGENT, open_backend("http://endpoint.invalid/v1/chat/completions"),
+                    "hello") == "via proxy"
+    assert [(s["path"], s["host"]) for s in proxy.seen] == [
+        ("http://endpoint.invalid/v1/chat/completions", "endpoint.invalid")]
+
+    direct = keepalive()
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    direct.script = [(200, ok_payload("direct"), 0)]
+    assert complete(AGENT, open_backend(direct.url), "hello") == "direct"
+    assert [s["path"] for s in direct.seen] == ["/v1/chat/completions"]
+    assert len(proxy.seen) == 1
+
+
+def test_http_backend_short_body_is_a_transport_error(keepalive, open_backend):
+    stub = keepalive()
+    stub.missing_bytes = 10
+    with pytest.raises(TransportError):
+        open_backend(stub.url).complete("role", "hello")
+
+
+def test_http_backend_late_reply_is_not_read_as_the_next(keepalive, open_backend):
+    stub = keepalive()
+    stub.script = [(200, ok_payload("late"), 0.6), (200, ok_payload("second"), 0)]
+    backend = open_backend(stub.url, "", timeout=0.15)
+    with pytest.raises(BackendTimeout):
+        complete(AGENT, backend, "first")
+    assert complete(AGENT, backend, "second") == "second"
+
+
+def test_http_backend_works_after_a_rejected_request(keepalive, open_backend):
+    stub = keepalive()
+    stub.script = [(404, {"error": "no such model"}, 0), (200, ok_payload("fine"), 0)]
+    backend = open_backend(stub.url)
+    with pytest.raises(RequestRejected):
+        complete(AGENT, backend, "hello")
+    assert complete(AGENT, backend, "hello") == "fine"
+
+
+def test_http_backend_survives_a_server_that_hangs_up_after_each_reply(keepalive, open_backend):
+    stub = keepalive()
+    stub.hang_up = True
+    stub.script = [(200, ok_payload(f"r{i}"), 0) for i in range(10)]
+    backend = CountingBackend(open_backend(stub.url))
+    assert [complete(AGENT, backend, "hello") for _ in range(10)] == [f"r{i}" for i in range(10)]
+    assert len(stub.seen) == 10
+    # a hang-up noticed before the next request costs no attempt; had none
+    # been noticed, each completion after the first would have taken two
+    assert backend.calls < 19
+
+
+def test_http_backend_percent_encodes_the_request_target(keepalive, open_backend):
+    stub = keepalive()
+    url = f"http://127.0.0.1:{stub.server_port}/v1/caf\u00e9 x?model=a b&k=%41"
+    assert complete(AGENT, open_backend(url), "hello") == "ok"
+    assert [s["path"] for s in stub.seen] == ["/v1/caf%C3%A9%20x?model=a%20b&k=%41"]
+
+
+def test_agwf_needs_no_requests():
+    code = ("import sys\n"
+            "sys.modules['requests'] = None  # any import of requests now fails\n"
+            "import agwf.cli\n"
+            "from agwf.agents import HttpChatBackend\n"
+            "HttpChatBackend('https://example.invalid/v1/chat/completions').close()\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

@@ -233,6 +233,7 @@ HOSTILE = {
     "csv-200kb-field": lambda d: ["abstract", _file(d / "l.csv", BIG_FIELD_CSV), "--kind", "dfg"],
     "output-missing-dir": lambda d: ["demo", "rca", "--output", str(d / "missing" / "t.json")],
     "http-no-scheme": lambda d: ["demo", "rca", "--http", "foo"],
+    "http-bad-port": lambda d: ["demo", "rca", "--http", "http://127.0.0.1:abc/v1"],
     "output-missing-dir-http": lambda d: [
         "demo", "rca", "--http", "http://127.0.0.1:9", "--output", str(d / "missing" / "t.json")],
     "output-is-a-dir-http": lambda d: ["demo", "rca", "--http", "http://127.0.0.1:9", "--output", str(d)],
@@ -242,7 +243,8 @@ HOSTILE = {
 @pytest.mark.parametrize("case", HOSTILE)
 def test_hostile_input_exits_2_with_one_error_line(case, tmp_path, capsys, monkeypatch):
     posts = []
-    monkeypatch.setattr("requests.post", lambda *args, **kwargs: posts.append(args))
+    monkeypatch.setattr("http.client.HTTPConnection.request",
+                        lambda *args, **kwargs: posts.append(args))
     assert run_cli(*HOSTILE[case](tmp_path)) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
