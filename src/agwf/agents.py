@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import math
 import re
 import select
 import ssl
@@ -67,8 +68,8 @@ class AgentProfile:
             raise ValueError("agent id must be non-empty")
         if not self.role_prompt:
             raise ValueError(f"agent {self.id!r}: role_prompt must be non-empty")
-        if self.temperature < 0:
-            raise ValueError(f"agent {self.id!r}: temperature must be >= 0")
+        if not 0 <= self.temperature < math.inf:  # false for NaN too
+            raise ValueError(f"agent {self.id!r}: temperature must be a finite number >= 0")
 
 
 class CompletionBackend:
@@ -120,10 +121,6 @@ class ScriptedBackend(CompletionBackend):
     def __init__(self, rules: Iterable[ScriptedRule], fallback: str = ""):
         self.rules = list(rules)
         self.fallback = fallback
-        self._uses = [0] * len(self.rules)
-
-    def reset(self) -> None:
-        """Forget consumed responses; the next run replays from the top."""
         self._uses = [0] * len(self.rules)
 
     def complete(self, role_prompt: str, user_prompt: str, *,

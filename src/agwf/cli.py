@@ -134,10 +134,10 @@ def cmd_abstract(args) -> int:
 
 def cmd_demo(args) -> int:
     """`run` on the bundle's workflow and inquiry, with its rules unless --http."""
-    args.workflow = str(demos.data_path(f"{args.name}_workflow.json"))
-    args.inquiry = demos.demo_inquiry(args.name)
+    workflow, rules, args.inquiry = demos.bundle(args.name)
+    args.workflow = str(workflow)
     if args.http is None:
-        args.scripted = args.scripted or str(demos.data_path(f"{args.name}_rules.json"))
+        args.scripted = args.scripted or str(rules)
     return cmd_run(args)
 
 

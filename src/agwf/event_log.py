@@ -380,15 +380,11 @@ def parse_xes(document: str, source_name: str = "") -> EventLog:
 
 @dataclass(frozen=True)
 class CsvMapping:
-    """Column mapping for CSV ingestion.
-
-    timestamp_format is a strptime pattern; None means ISO-8601.
-    """
+    """Column mapping for CSV ingestion; timestamps are ISO-8601."""
 
     case_column: str
     activity_column: str
     timestamp_column: str
-    timestamp_format: str | None = None
 
 
 #: convention used when a CSV file is referenced without an explicit mapping
@@ -445,12 +441,7 @@ def _csv_log(reader, mapping: CsvMapping, source_name: str) -> EventLog:
             raise MissingActivity(f"row {line}: empty value in activity column")
         ts_text = row[ts_idx]
         try:
-            if mapping.timestamp_format:
-                moment = datetime.strptime(ts_text, mapping.timestamp_format)
-                if moment.tzinfo is None:
-                    moment = moment.replace(tzinfo=timezone.utc)
-            else:
-                moment = parse_timestamp(ts_text)
+            moment = parse_timestamp(ts_text)
         except ValueError:
             raise UnparsableTimestamp(
                 f"row {line}: cannot parse timestamp {ts_text!r}"

@@ -99,9 +99,6 @@ class ToolRegistry:
     def __contains__(self, name: str) -> bool:
         return name in self.tools
 
-    def names(self) -> list[str]:
-        return sorted(self.tools)
-
 
 # ---------------------------------------------------------------------------
 # Locating logs and directives inside the state string

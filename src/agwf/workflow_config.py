@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Any
 
 from .agents import AgentProfile, ScriptedBackend, ScriptedRule
-from .pm_tools import ToolRegistry, builtin_registry
+from .pm_tools import builtin_registry
 from .task_kinds import RouterGuard
 from .workflow_engine import EvaluatorConfig, TaskSpec, WorkflowSpec
 
@@ -118,7 +118,7 @@ def _parse_task(data: Any, where: str) -> tuple[TaskSpec, frozenset[str]]:
     return task, prec
 
 
-def parse_workflow(data: Any, registry: ToolRegistry | None = None) -> WorkflowSpec:
+def parse_workflow(data: Any) -> WorkflowSpec:
     """Build a WorkflowSpec from a parsed JSON document."""
     _object(data, {"schema_version", "agents", "tasks", "initial_task", "final_task"}, "workflow")
     version = _require(data, "schema_version", "workflow")
@@ -143,7 +143,7 @@ def parse_workflow(data: Any, registry: ToolRegistry | None = None) -> WorkflowS
         initial_task=_text(_require(data, "initial_task", "workflow"), "workflow.initial_task"),
         final_task=_text(_require(data, "final_task", "workflow"), "workflow.final_task"),
         agents=agents,
-        registry=registry if registry is not None else builtin_registry(),
+        registry=builtin_registry(),
     )
 
 
@@ -155,9 +155,9 @@ def _read_json(path: str | Path) -> Any:
         raise WorkflowConfigError(f"{path}: not valid JSON: {exc}") from exc
 
 
-def load_workflow(path: str | Path, registry: ToolRegistry | None = None) -> WorkflowSpec:
+def load_workflow(path: str | Path) -> WorkflowSpec:
     """Load a workflow definition file (JSON, schema_version 1)."""
-    return parse_workflow(_read_json(path), registry)
+    return parse_workflow(_read_json(path))
 
 
 # ---------------------------------------------------------------------------

@@ -146,12 +146,6 @@ class WorkflowSpec:
     agents: tuple[AgentProfile, ...]
     registry: ToolRegistry
 
-    def task(self, task_id: str) -> TaskSpec:
-        for t in self.tasks:
-            if t.id == task_id:
-                return t
-        raise KeyError(task_id)
-
 
 @dataclass
 class TaskDetail:
@@ -451,15 +445,6 @@ def run_callbacks(task: TaskSpec, response: str) -> None:
 # Execution
 # ---------------------------------------------------------------------------
 
-Backends = Union[CompletionBackend, Mapping[str, CompletionBackend]]
-
-
-def _backend_for(backends: Backends, agent_id: str) -> CompletionBackend:
-    if isinstance(backends, Mapping):
-        return backends[agent_id]
-    return backends
-
-
 def _route_options(spec: WorkflowSpec, router_id: str) -> list[str]:
     tokens = {
         t.guard.expected_route_token
@@ -469,7 +454,7 @@ def _route_options(spec: WorkflowSpec, router_id: str) -> list[str]:
     return sorted(tokens)
 
 
-def execute(spec: WorkflowSpec, inquiry: str, backends: Backends,
+def execute(spec: WorkflowSpec, inquiry: str, backend: CompletionBackend,
             memory: EntityMemory | None = None) -> ExecutionRecord:
     """Run the workflow sequentially over the inquiry.
 
@@ -521,8 +506,6 @@ def execute(spec: WorkflowSpec, inquiry: str, backends: Backends,
                 response = SKIPPED_TEXT
             else:
                 profile = profiles[task.agent_id]
-                backend = _backend_for(backends, task.agent_id)
-
                 tool_output: str | None = None
                 if task.tool_names:
                     candidates = [

@@ -15,7 +15,7 @@ from datetime import timedelta
 import pytest
 
 from agwf.agents import ScriptedBackend, ToolSelectionFailed, rule, select_tool
-from agwf.demos import demo_inquiry, demo_rules_backend, demo_workflow
+from agwf.demos import bundle
 from agwf.event_log import (
     Dfg,
     DfgEdgeStats,
@@ -35,6 +35,7 @@ from agwf.event_log import (
 )
 from agwf.pm_tools import Tool, ToolRegistry
 from agwf.task_kinds import EVALUATOR, ROUTER, RouterGuard
+from agwf.workflow_config import load_scripted_rules, load_workflow
 from agwf.workflow_engine import (
     CYCLE_DETECTED,
     INITIAL_TASK_HAS_PREDECESSORS,
@@ -68,13 +69,14 @@ def criterion(number, description):
 
 @criterion(1, "four-task demo: labeled sections in order, byte-identical x10")
 def test_criterion_1_golden_demo():
-    spec = demo_workflow("anomaly")
-    inquiry = demo_inquiry("anomaly")
+    anomaly = bundle("anomaly")
+    spec = load_workflow(anomaly.workflow)
+    inquiry = anomaly.inquiry
     order = linearize(spec)
 
     final_states = []
     for _ in range(10):
-        record = execute(spec, inquiry, demo_rules_backend("anomaly"))
+        record = execute(spec, inquiry, load_scripted_rules(anomaly.rules))
         # prefix monotonicity: every state strictly extends its predecessor
         for before, after in zip(record.states, record.states[1:]):
             assert after.startswith(before) and len(after) > len(before)
@@ -205,8 +207,9 @@ def test_criterion_4_dag_properties():
 
 @criterion(5, "fairness demo reports (Request, Extra Check) as protected-only")
 def test_criterion_5_fairness_demo():
+    fairness = bundle("fairness")
     record = execute(
-        demo_workflow("fairness"), demo_inquiry("fairness"), demo_rules_backend("fairness")
+        load_workflow(fairness.workflow), fairness.inquiry, load_scripted_rules(fairness.rules)
     )
     split_summary = record.details["identify_groups"].tool_output
     assert re.fullmatch(r"protected=\d+ cases, non-protected=\d+ cases", split_summary)

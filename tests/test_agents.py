@@ -45,6 +45,12 @@ def test_profile_requires_role_prompt():
         AgentProfile(id="x", role_prompt="")
 
 
+@pytest.mark.parametrize("temperature", [float("nan"), float("inf")])
+def test_profile_rejects_a_non_finite_temperature(temperature):
+    with pytest.raises(ValueError, match="temperature"):
+        AgentProfile(id="x", role_prompt="r", temperature=temperature)
+
+
 def test_scripted_first_match_wins():
     backend = ScriptedBackend(
         [rule("violations", "R1"), rule("viol", "R2")], fallback="F"
@@ -69,8 +75,6 @@ def test_scripted_response_sequence_consumes():
     assert complete(AGENT, backend, "grade this") == "SCORE: 8.0"
     # last response repeats once exhausted
     assert complete(AGENT, backend, "grade this") == "SCORE: 8.0"
-    backend.reset()
-    assert complete(AGENT, backend, "grade this") == "SCORE: 3.0"
 
 
 def test_scripted_regex_rule():
@@ -206,7 +210,8 @@ class StubHandler(BaseHTTPRequestHandler):
 @pytest.fixture
 def stub_server():
     server = HTTPServer(("127.0.0.1", 0), StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
+                              daemon=True)
     thread.start()
     StubHandler.script = []
     StubHandler.requests_seen = []
@@ -365,7 +370,8 @@ def keepalive(monkeypatch):
 
     def start():
         server = KeepAliveServer()
-        threading.Thread(target=server.serve_forever, daemon=True).start()
+        threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
+                         daemon=True).start()
         servers.append(server)
         return server
 

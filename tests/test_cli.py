@@ -7,9 +7,10 @@ from pathlib import Path
 import pytest
 
 from agwf import cli
-from agwf.demos import BUNDLE_NAMES, data_path, demo_inquiry, demo_workflow
+from agwf.demos import BUNDLE_NAMES, bundle
 from agwf.event_log import DEFAULT_CSV_MAPPING, discover_dfg, parse_csv, parse_xes
 from agwf.pm_tools import abstract_dfg
+from agwf.workflow_config import load_workflow
 from agwf.workflow_engine import linearize
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -21,11 +22,8 @@ def run_cli(*argv):
 
 @pytest.fixture
 def anomaly_args(tmp_path):
-    workflow = str(data_path("anomaly_workflow.json"))
-    rules = str(data_path("anomaly_rules.json"))
-    inquiry = demo_inquiry("anomaly")
-    output = tmp_path / "transcript.json"
-    return workflow, rules, inquiry, output
+    workflow, rules, inquiry = bundle("anomaly")
+    return str(workflow), str(rules), inquiry, tmp_path / "transcript.json"
 
 
 # ---------------------------------------------------------------------------
@@ -33,7 +31,7 @@ def anomaly_args(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_validate_bundled_workflow_ok(capsys):
-    assert run_cli("validate", str(data_path("anomaly_workflow.json"))) == 0
+    assert run_cli("validate", str(bundle("anomaly").workflow)) == 0
     assert "valid" in capsys.readouterr().out
 
 
@@ -190,10 +188,11 @@ def documented_detail_keys():
 
 @pytest.mark.parametrize("name", BUNDLE_NAMES)
 def test_demo_bundle(name, tmp_path, capsys):
+    assert bundle(name).workflow.is_file() and bundle(name).rules.is_file()
     output = tmp_path / f"{name}.json"
     assert run_cli("demo", name, "--output", str(output)) == 0
     transcript = json.loads(output.read_text())
-    assert transcript["task_sequence"] == linearize(demo_workflow(name))
+    assert transcript["task_sequence"] == linearize(load_workflow(bundle(name).workflow))
     keys = documented_detail_keys()
     for detail in transcript["details"].values():
         assert list(detail) == keys
@@ -209,6 +208,11 @@ def test_demo_unknown_name_exits_2():
     assert err.value.code == 2
 
 
+def test_bundle_unknown_name_lists_the_known_ones():
+    with pytest.raises(ValueError, match="known: fairness, rca, anomaly$"):
+        bundle("nope")
+
+
 # ---------------------------------------------------------------------------
 # hostile input: exit 2 with one error line
 # ---------------------------------------------------------------------------
@@ -220,6 +224,8 @@ def _file(path, content):
 
 NOT_UTF8 = b'{"schema_version": 1, "note": "caf\xe9"}'
 NESTED = b"[" * 100_000
+NAN_TEMPERATURE = bundle("anomaly").workflow.read_bytes().replace(
+    b'"temperature": 0.0', b'"temperature": NaN', 1)
 BIG_FIELD_CSV = (
     b"case_id,activity,timestamp\nc1,A,2024-03-01T09:00:00+00:00\nc2," + b"x" * 200_000 + b",t\n"
 )
@@ -227,6 +233,7 @@ BIG_FIELD_CSV = (
 HOSTILE = {
     "workflow-not-utf8": lambda d: ["validate", _file(d / "w.json", NOT_UTF8)],
     "workflow-nested": lambda d: ["validate", _file(d / "w.json", NESTED)],
+    "temperature-nan": lambda d: ["validate", _file(d / "w.json", NAN_TEMPERATURE)],
     "rules-not-utf8": lambda d: ["demo", "rca", "--scripted", _file(d / "r.json", NOT_UTF8)],
     "rules-nested": lambda d: ["demo", "rca", "--scripted", _file(d / "r.json", NESTED)],
     "log-not-utf8": lambda d: ["abstract", _file(d / "l.xes", b"<log>\xff</log>"), "--kind", "dfg"],
@@ -275,7 +282,8 @@ def test_demo_http_backend_via_env(monkeypatch, tmp_path):
             pass
 
     server = HTTPServer(("127.0.0.1", 0), Handler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
+    threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
+                     daemon=True).start()
     try:
         monkeypatch.setenv(
             "AGWF_ENDPOINT", f"http://127.0.0.1:{server.server_port}/v1/chat/completions"

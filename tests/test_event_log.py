@@ -268,12 +268,6 @@ def test_parse_csv_unparsable_timestamp_reports_row(data_dir):
     assert "row 3" in str(err.value)
 
 
-def test_parse_csv_with_strptime_format():
-    doc = "case,act,ts\nc1,A,01/03/2024 09:00\n"
-    log = parse_csv(doc, CsvMapping("case", "act", "ts", "%d/%m/%Y %H:%M"))
-    assert log.traces[0].events[0].timestamp.year == 2024
-
-
 def test_parse_csv_rfc4180_quoting():
     doc = 'case,act,ts\nc1,"Pay, twice",2024-03-01T09:00:00+00:00\n'
     log = parse_csv(doc, CSV_MAPPING)

@@ -8,8 +8,9 @@ from collections import Counter
 import pytest
 
 from agwf import cli, pm_tools
-from agwf.demos import data_path, demo_inquiry, demo_rules_backend, demo_workflow
+from agwf.demos import bundle, data_path
 from agwf.pm_tools import builtin_registry, resolve_log_reference
+from agwf.workflow_config import load_scripted_rules, load_workflow
 from agwf.workflow_engine import EntityMemory, execute
 
 CSV_LOG = "case_id,activity,timestamp\nc1,A,2024-03-01T09:00:00\nc1,B,2024-03-01T09:01:00\n"
@@ -28,11 +29,12 @@ def parses(monkeypatch) -> Counter:
 
 
 def run_anomaly(inquiry: str):
-    return execute(demo_workflow("anomaly"), inquiry, demo_rules_backend("anomaly"))
+    anomaly = bundle("anomaly")
+    return execute(load_workflow(anomaly.workflow), inquiry, load_scripted_rules(anomaly.rules))
 
 
 def test_an_anomaly_run_parses_its_log_once(parses):
-    record = run_anomaly(demo_inquiry("anomaly"))
+    record = run_anomaly(bundle("anomaly").inquiry)
     assert [record.details[t].selected_tool for t in ("dfg_insights", "variant_insights")] \
         == ["dfg_discovery", "variants_discovery"]
     assert parses == {"parse_xes": 1}
@@ -48,8 +50,8 @@ def test_an_anomaly_run_over_a_csv_log_parses_it_once(parses, tmp_path):
 
 
 def test_each_execute_parses_again(parses):
-    run_anomaly(demo_inquiry("anomaly"))
-    run_anomaly(demo_inquiry("anomaly"))
+    run_anomaly(bundle("anomaly").inquiry)
+    run_anomaly(bundle("anomaly").inquiry)
     assert parses == {"parse_xes": 2}
 
 

@@ -52,13 +52,13 @@ def test_registry_rejects_duplicates():
 def test_builtin_registry_contents():
     registry = builtin_registry()
     assert "dfg_discovery" in registry
-    assert registry.names() == [
+    assert sorted(registry.tools) == [
         "compare_group_dfgs",
         "dfg_discovery",
         "split_log_by_predicate",
         "variants_discovery",
     ]
-    for name in registry.names():
+    for name in registry.tools:
         assert registry.get(name).documentation.strip()
 
 

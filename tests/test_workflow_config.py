@@ -4,10 +4,11 @@ import json
 
 import pytest
 
-from agwf.demos import BUNDLE_NAMES, demo_rules_backend, demo_workflow
+from agwf.demos import BUNDLE_NAMES, bundle
 from agwf.task_kinds import RouterGuard
 from agwf.workflow_config import (
     WorkflowConfigError,
+    load_scripted_rules,
     load_workflow,
     parse_scripted_rules,
     parse_workflow,
@@ -87,9 +88,9 @@ def test_guard_and_evaluator_parse():
         },
     ]
     doc["final_task"] = "T3"
-    spec = parse_workflow(doc)
-    assert spec.task("T2").guard == RouterGuard("T1", "go")
-    config = spec.task("T3").evaluator_config
+    tasks = {t.id: t for t in parse_workflow(doc).tasks}
+    assert tasks["T2"].guard == RouterGuard("T1", "go")
+    config = tasks["T3"].evaluator_config
     assert config.threshold == 6.0 and config.max_retries == 1
 
 
@@ -117,10 +118,8 @@ def test_temperature_type_checked():
 
 @pytest.mark.parametrize("name", BUNDLE_NAMES)
 def test_bundled_workflows_are_valid(name):
-    spec = demo_workflow(name)
-    assert validate(spec) == []
-    backend = demo_rules_backend(name)
-    assert backend.rules
+    assert validate(load_workflow(bundle(name).workflow)) == []
+    assert load_scripted_rules(bundle(name).rules).rules
 
 
 # ---------------------------------------------------------------------------

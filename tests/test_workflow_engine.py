@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agwf.agents import BackendEmptyResponse, ScriptedBackend, rule
-from agwf.demos import demo_inquiry
+from agwf.demos import bundle
 from agwf.pm_tools import Tool, ToolRegistry
 from agwf.task_kinds import EVALUATOR, ROUTER, RouteMissing, RouterGuard
 from agwf.workflow_engine import (
@@ -36,7 +36,7 @@ from agwf.workflow_engine import (
     validate,
 )
 
-from conftest import AGENT, CountingBackend, chain_spec, make_log, plain_task, spec_of
+from conftest import CountingBackend, chain_spec, make_log, plain_task, spec_of
 
 
 def fig2_like_spec():
@@ -377,20 +377,6 @@ def test_execute_deterministic_across_runs():
     assert first.task_sequence == second.task_sequence
 
 
-def test_execute_per_agent_backend_mapping():
-    other = plain_task("T2", agent_id="writer")
-    tasks = [plain_task("T1"), other]
-    writer = type(AGENT)(id="writer", role_prompt="You write.")
-    spec = spec_of(tasks, {"T1": set(), "T2": {"T1"}}, "T1", "T2", agents=(AGENT, writer))
-    backends = {
-        "analyst": ScriptedBackend([], fallback="from analyst"),
-        "writer": ScriptedBackend([], fallback="from writer"),
-    }
-    record = execute(spec, "Q", backends)
-    assert record.task_output("T1") == "from analyst"
-    assert record.task_output("T2") == "from writer"
-
-
 # ---------------------------------------------------------------------------
 # Router guards
 # ---------------------------------------------------------------------------
@@ -649,7 +635,7 @@ def test_evaluator_rewind_restores_entity_memory():
     )
     memory = EntityMemory()
     memory.store("note", "from the caller")
-    record = execute(split_then_grade_spec(), demo_inquiry("fairness"), backend, memory)
+    record = execute(split_then_grade_spec(), bundle("fairness").inquiry, backend, memory)
     split = record.details["S"]
     assert split.retries_used == 1
     assert split.tool_output.startswith("protected=")
