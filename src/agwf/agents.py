@@ -309,28 +309,25 @@ def selection_prompt(state: str, tools: Sequence[Tool]) -> str:
 
 
 def select_tool(profile: AgentProfile, backend: CompletionBackend,
-                state: str, candidates: Iterable[Tool]) -> Tool:
-    """Pick one tool from the candidates for the current state.
+                prompt: str, tools: Sequence[Tool]) -> Tool:
+    """Send ``prompt``, built by ``selection_prompt(state, tools)``, and
+    return the tool the reply names.
 
-    A single candidate is returned without consulting the backend.
-    Otherwise the model is shown each tool's name and documentation and
-    must answer with a tool name on the last line (case-sensitive exact
-    match); one re-ask is allowed before ToolSelectionFailed.
+    A single tool is returned without consulting the backend.  Otherwise
+    the last line of the reply must be a tool name (case-sensitive exact
+    match); one re-ask, listing the names in the given order, is allowed
+    before ToolSelectionFailed.
     """
-    tools = sorted(candidates, key=lambda t: t.name)
-    if not tools:
-        raise ValueError("candidates must be non-empty")
     if len(tools) == 1:
         return tools[0]
     by_name = {tool.name: tool for tool in tools}
-    prompt = selection_prompt(state, tools)
     answer = _last_nonempty_line(complete(profile, backend, prompt))
     if answer in by_name:
         return by_name[answer]
     retry_prompt = (
         prompt
         + "\nYour previous reply was not a valid tool name. "
-        + f"Answer with exactly one of: {', '.join(sorted(by_name))}."
+        + f"Answer with exactly one of: {', '.join(by_name)}."
     )
     raw = complete(profile, backend, retry_prompt)
     answer = _last_nonempty_line(raw)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
@@ -592,6 +593,13 @@ def parse_predicate(expression: str) -> CasePredicate:
     return CasePredicate(comparisons=tuple(comparisons))
 
 
+#: the canonical operators; booleans admit only the first two
+_COMPARE = {
+    "=": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+
+
 def _evaluate_comparison(attributes: dict[str, Scalar], comparison: Comparison) -> bool:
     if comparison.attribute not in attributes:
         return False
@@ -599,29 +607,14 @@ def _evaluate_comparison(attributes: dict[str, Scalar], comparison: Comparison) 
     literal = comparison.literal
     # bool is an int subclass; keep booleans in their own universe
     if isinstance(value, bool) or isinstance(literal, bool):
-        if not (isinstance(value, bool) and isinstance(literal, bool)):
-            return False
-        if comparison.operator == "=":
-            return value == literal
-        if comparison.operator == "!=":
-            return value != literal
-        return False
-    numeric = isinstance(value, (int, float)) and isinstance(literal, (int, float))
-    textual = isinstance(value, str) and isinstance(literal, str)
-    if not (numeric or textual):
-        return False
-    op = comparison.operator
-    if op == "=":
-        return value == literal
-    if op == "!=":
-        return value != literal
-    if op == "<":
-        return value < literal
-    if op == "<=":
-        return value <= literal
-    if op == ">":
-        return value > literal
-    return value >= literal
+        comparable = (isinstance(value, bool) and isinstance(literal, bool)
+                      and comparison.operator in ("=", "!="))
+    else:
+        comparable = (
+            isinstance(value, (int, float)) and isinstance(literal, (int, float))
+            or isinstance(value, str) and isinstance(literal, str)
+        )
+    return comparable and _COMPARE[comparison.operator](value, literal)
 
 
 def split_log(log: EventLog, predicate: CasePredicate) -> tuple[EventLog, EventLog]:

@@ -163,11 +163,7 @@ def resolve_log_reference(state: str, memory: "EntityMemory") -> EventLog:
         return _read_log_once(state[path_span[0]:path_span[1]], memory)
     if entity_match is None:
         raise NoLogReference("state contains no @key reference and no .xes/.csv path")
-    key = entity_match.group(1)
-    value = memory.load(key)  # UnknownEntityKey propagates
-    if not isinstance(value, EventLog):
-        raise NoLogReference(f"@{key} holds text, not an event log")
-    return value
+    return memory.load(entity_match.group(1))  # UnknownEntityKey propagates
 
 
 def _read_log_once(path: str, memory: "EntityMemory") -> EventLog:
@@ -347,12 +343,7 @@ def _compare_group_dfgs(state: str, memory: "EntityMemory") -> str:
     match = _GROUPS_RE.fullmatch(groups.strip())
     if not match:
         raise ValueError("'groups:' directive must look like '@key1,@key2'")
-    logs = []
-    for key in match.groups():
-        value = memory.load(key)
-        if not isinstance(value, EventLog):
-            raise ValueError(f"@{key} holds text, not an event log")
-        logs.append(value)
+    logs = [memory.load(key) for key in match.groups()]
     threshold = float(parse_directive(state, "shift_threshold") or DEFAULT_SHIFT_THRESHOLD)
     limit = int(parse_directive(state, "limit") or DEFAULT_COMPARISON_LIMIT)
     comparison = compare_dfgs(discover_dfg(logs[0]), discover_dfg(logs[1]), threshold)

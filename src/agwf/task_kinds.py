@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
-    from .workflow_engine import TaskSpec
+    from .workflow_engine import EvaluatorConfig, TaskSpec
 
 PLAIN = "plain"
 PROMPT_OPTIMIZER = "prompt_optimizer"
@@ -47,12 +47,6 @@ class RouterGuard:
 
     router_task_id: str
     expected_route_token: str
-
-
-@dataclass(frozen=True)
-class EvaluatorResult:
-    score: float
-    rationale: str
 
 
 _KIND_FRAMING = {
@@ -109,30 +103,24 @@ def parse_route(response: str) -> str:
     return found[-1]
 
 
-def parse_score(response: str) -> EvaluatorResult:
+def parse_score(response: str) -> float:
     """Score from the last ``SCORE: <number>`` line; out-of-range rejects."""
-    matches = list(_SCORE_RE.finditer(response))
-    if not matches:
+    found = _SCORE_RE.findall(response)
+    if not found:
         raise ScoreMissing("no 'SCORE: <number>' line in response")
-    last = matches[-1]
-    score = float(last.group(1))
+    score = float(found[-1])
     if not SCORE_MIN <= score <= SCORE_MAX:
         raise ScoreOutOfRange(f"score {score} outside [{SCORE_MIN}, {SCORE_MAX}]")
-    rationale = (response[: last.start()] + response[last.end():]).strip()
-    return EvaluatorResult(score=score, rationale=rationale)
+    return score
 
 
-def apply_wrap_back(evaluator: "TaskSpec", result: EvaluatorResult,
-                    retries_used: int) -> str:
+def apply_wrap_back(config: "EvaluatorConfig", score: float, retries_used: int) -> str:
     """Decide whether a low score re-runs the evaluated task.
 
     Returns "retry" while the score is below the threshold and the retry
     budget is not exhausted, "accept" otherwise; exhaustion is not an
     error (the record flags the accepted-but-low result).
     """
-    config = evaluator.evaluator_config
-    if config is None:
-        raise ValueError(f"task {evaluator.id!r} has no evaluator configuration")
-    if result.score < config.threshold and retries_used < config.max_retries:
+    if score < config.threshold and retries_used < config.max_retries:
         return "retry"
     return "accept"

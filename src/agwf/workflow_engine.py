@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 from . import task_kinds
 from .agents import (
@@ -26,9 +26,7 @@ from .agents import (
 )
 from .event_log import EventLog
 from .pm_tools import ToolRegistry
-from .task_kinds import EVALUATOR, ROUTER, TASK_KINDS, EvaluatorResult, RouterGuard
-
-MemoryValue = Union[EventLog, str]
+from .task_kinds import EVALUATOR, ROUTER, TASK_KINDS, RouterGuard
 
 #: text appended for tasks a router guard turned off
 SKIPPED_TEXT = "SKIPPED"
@@ -73,25 +71,28 @@ class ExecutionAborted(Exception):
 # ---------------------------------------------------------------------------
 
 class EntityMemory:
-    """Write-once key-value store carrying artifacts between tasks.
+    """Write-once key-value store carrying event logs between tasks.
 
-    Re-storing an existing key raises DuplicateKey, which keeps the data
-    flow of one execution auditable.  ``parsed_logs`` holds the log files
-    the tools parsed, keyed on (resolved path, st_mtime_ns, st_size); they
-    are not entries, so snapshot(), restore() and memory_final never see
-    them.
+    Each execution makes its own.  Storing anything but an EventLog raises
+    TypeError; re-storing an existing key raises DuplicateKey, which keeps
+    the data flow of one execution auditable.  ``parsed_logs`` holds the
+    log files the tools parsed, keyed on (resolved path, st_mtime_ns,
+    st_size); they are not entries, so snapshot(), restore() and
+    memory_final never see them.
     """
 
     def __init__(self):
-        self._items: dict[str, MemoryValue] = {}
+        self._items: dict[str, EventLog] = {}
         self.parsed_logs: dict[tuple[str, int, int], EventLog] = {}
 
-    def store(self, key: str, value: MemoryValue) -> None:
+    def store(self, key: str, value: EventLog) -> None:
+        if not isinstance(value, EventLog):
+            raise TypeError(f"entity {key!r} must be an event log, got {type(value).__name__}")
         if key in self._items:
             raise DuplicateKey(f"entity key {key!r} already stored")
         self._items[key] = value
 
-    def load(self, key: str) -> MemoryValue:
+    def load(self, key: str) -> EventLog:
         if key not in self._items:
             raise UnknownEntityKey(f"unknown entity key {key!r}")
         return self._items[key]
@@ -99,10 +100,10 @@ class EntityMemory:
     def __contains__(self, key: str) -> bool:
         return key in self._items
 
-    def snapshot(self) -> dict[str, MemoryValue]:
+    def snapshot(self) -> dict[str, EventLog]:
         return dict(self._items)
 
-    def restore(self, contents: Mapping[str, MemoryValue]) -> None:
+    def restore(self, contents: Mapping[str, EventLog]) -> None:
         """Reset to earlier snapshot() contents (an evaluator rewind)."""
         self._items = dict(contents)
 
@@ -177,7 +178,7 @@ class ExecutionRecord:
     task_sequence: tuple[str, ...]
     states: tuple[str, ...]
     details: dict[str, TaskDetail]
-    memory_final: dict[str, MemoryValue] = field(default_factory=dict)
+    memory_final: dict[str, EventLog] = field(default_factory=dict)
 
     @property
     def final_state(self) -> str:
@@ -242,6 +243,15 @@ def _graph(spec: WorkflowSpec) -> tuple[dict[str, set[str]], dict[str, list[str]
         for pred in predecessors:
             successors[pred].append(task_id)
     return preds, successors
+
+
+def _route_tokens(spec: WorkflowSpec) -> dict[str, list[str]]:
+    """Router id -> the sorted tokens that guards expect from it."""
+    tokens: dict[str, set[str]] = {}
+    for task in spec.tasks:
+        if task.guard is not None:
+            tokens.setdefault(task.guard.router_task_id, set()).add(task.guard.expected_route_token)
+    return {router: sorted(found) for router, found in tokens.items()}
 
 
 def _toposort(preds: Mapping[str, set[str]],
@@ -336,8 +346,8 @@ def validate(spec: WorkflowSpec) -> list[Violation]:
 
     kinds = {task.id: task.kind for task in spec.tasks}
     # one walk per distinct guard router: the tasks it precedes
-    routers = {task.guard.router_task_id for task in spec.tasks if task.guard is not None}
-    downstream = {router: _reachable(successors, router) for router in routers & known}
+    downstream = {router: _reachable(successors, router)
+                  for router in _route_tokens(spec).keys() & known}
     for task in spec.tasks:
         if task.evaluator_config is not None:
             target = task.evaluator_config.target_task_id
@@ -445,17 +455,7 @@ def run_callbacks(task: TaskSpec, response: str) -> None:
 # Execution
 # ---------------------------------------------------------------------------
 
-def _route_options(spec: WorkflowSpec, router_id: str) -> list[str]:
-    tokens = {
-        t.guard.expected_route_token
-        for t in spec.tasks
-        if t.guard is not None and t.guard.router_task_id == router_id
-    }
-    return sorted(tokens)
-
-
-def execute(spec: WorkflowSpec, inquiry: str, backend: CompletionBackend,
-            memory: EntityMemory | None = None) -> ExecutionRecord:
+def execute(spec: WorkflowSpec, inquiry: str, backend: CompletionBackend) -> ExecutionRecord:
     """Run the workflow sequentially over the inquiry.
 
     Per task, in linearized order: a guarded task whose router chose a
@@ -472,12 +472,13 @@ def execute(spec: WorkflowSpec, inquiry: str, backend: CompletionBackend,
     position = {task_id: i for i, task_id in enumerate(order)}
     by_id = {task.id: task for task in spec.tasks}
     profiles = {agent.id: agent for agent in spec.agents}
-    memory = EntityMemory() if memory is None else memory
+    route_tokens = _route_tokens(spec)
+    memory = EntityMemory()
 
     # the run history: tasks commit in order, so order[:len(done)] ran;
     # done[i] is order[i]'s detail and the entity memory before it ran
     states: list[str] = [inquiry]
-    done: list[tuple[TaskDetail, dict[str, MemoryValue]]] = []
+    done: list[tuple[TaskDetail, dict[str, EventLog]]] = []
     executions: dict[str, int] = {}
     evaluator_retries: dict[str, int] = {}
 
@@ -508,38 +509,31 @@ def execute(spec: WorkflowSpec, inquiry: str, backend: CompletionBackend,
                 profile = profiles[task.agent_id]
                 tool_output: str | None = None
                 if task.tool_names:
-                    candidates = [
-                        spec.registry.get(name) for name in dict.fromkeys(task.tool_names)
-                    ]
-                    if len(candidates) > 1:
-                        detail.selection_prompt = selection_prompt(
-                            sigma, sorted(candidates, key=lambda t: t.name)
-                        )
-                    tool = select_tool(profile, backend, sigma, candidates)
+                    tools = [spec.registry.get(name) for name in sorted(set(task.tool_names))]
+                    if len(tools) > 1:
+                        detail.selection_prompt = selection_prompt(sigma, tools)
+                    tool = select_tool(profile, backend, detail.selection_prompt, tools)
                     detail.selected_tool = tool.name
                     tool_output = tool.function(sigma, memory)
                     detail.tool_output = tool_output
 
-                options = _route_options(spec, task.id) if task.kind == ROUTER else ()
-                prompt = task_kinds.build_prompt(task, sigma, tool_output, route_options=options)
+                prompt = task_kinds.build_prompt(
+                    task, sigma, tool_output, route_options=route_tokens.get(task.id, ()))
                 detail.prompt_sent = prompt
                 response = complete(profile, backend, prompt)
                 detail.raw_response = response
 
                 if task.kind == EVALUATOR:
-                    result: EvaluatorResult = task_kinds.parse_score(response)
-                    detail.score = result.score
+                    detail.score = task_kinds.parse_score(response)
                     config = task.evaluator_config
-                    assert config is not None
                     used = evaluator_retries.get(task.id, 0)
-                    if task_kinds.apply_wrap_back(task, result, used) == "retry":
+                    if task_kinds.apply_wrap_back(config, detail.score, used) == "retry":
                         evaluator_retries[task.id] = used + 1
                         target = position[config.target_task_id]
                         memory.restore(done[target][1])
                         del states[target + 1:], done[target:]
                         continue
-                    if result.score < config.threshold:
-                        detail.low_quality = True
+                    detail.low_quality = detail.score < config.threshold
 
             done.append((detail, memory_before))
             states.append(append_state(sigma, task.id, response))
@@ -564,18 +558,12 @@ def record_to_dict(record: ExecutionRecord) -> dict:
         "states": list(record.states),
         "details": {task_id: asdict(d) for task_id, d in record.details.items()},
         "memory_final": {
-            key: _memory_value_to_dict(value)
-            for key, value in record.memory_final.items()
+            key: {
+                "type": "event_log",
+                "source_name": log.source_name,
+                "trace_count": len(log.traces),
+                "event_count": sum(len(t.events) for t in log.traces),
+            }
+            for key, log in record.memory_final.items()
         },
     }
-
-
-def _memory_value_to_dict(value: MemoryValue) -> dict:
-    if isinstance(value, EventLog):
-        return {
-            "type": "event_log",
-            "source_name": value.source_name,
-            "trace_count": len(value.traces),
-            "event_count": sum(len(t.events) for t in value.traces),
-        }
-    return {"type": "text", "value": value}

@@ -14,7 +14,7 @@ from datetime import timedelta
 
 import pytest
 
-from agwf.agents import ScriptedBackend, ToolSelectionFailed, rule, select_tool
+from agwf.agents import ScriptedBackend, ToolSelectionFailed, rule, select_tool, selection_prompt
 from agwf.demos import bundle
 from agwf.event_log import (
     Dfg,
@@ -319,16 +319,17 @@ def test_criterion_8_selection_protocol():
         Tool("dfg_discovery", "graph view", lambda s, m: s),
         Tool("variants_discovery", "path view", lambda s, m: s),
     ]
+    prompt = selection_prompt("state", tools)
     backend = ScriptedBackend([rule("Choose exactly one tool", "variants_discovery")])
-    assert select_tool(AGENT, backend, "state", tools).name == "variants_discovery"
+    assert select_tool(AGENT, backend, prompt, tools).name == "variants_discovery"
 
     backend = CountingBackend(ScriptedBackend([rule("Choose exactly one tool", "banana")]))
     with pytest.raises(ToolSelectionFailed):
-        select_tool(AGENT, backend, "state", tools)
+        select_tool(AGENT, backend, prompt, tools)
     assert backend.calls == 2
 
     backend = CountingBackend(ScriptedBackend([], fallback="unused"))
-    assert select_tool(AGENT, backend, "state", tools[:1]) is tools[0]
+    assert select_tool(AGENT, backend, "", tools[:1]) is tools[0]
     assert backend.calls == 0
 
 

@@ -26,6 +26,7 @@ from agwf.agents import (
     http_chat_backend,
     rule,
     select_tool,
+    selection_prompt,
 )
 from agwf.pm_tools import Tool
 
@@ -34,6 +35,12 @@ from conftest import AGENT, CountingBackend
 
 def noop_tool(name):
     return Tool(name, f"docs for {name}", lambda s, m: s)
+
+
+def choose(backend, tools, state="state"):
+    """select_tool on the tools, sorted by name as the engine passes them."""
+    tools = sorted(tools, key=lambda t: t.name)
+    return select_tool(AGENT, backend, selection_prompt(state, tools), tools)
 
 
 # ---------------------------------------------------------------------------
@@ -119,14 +126,14 @@ def test_complete_exhausts_retries():
 def test_select_tool_single_candidate_short_circuits():
     backend = CountingBackend(ScriptedBackend([], fallback="ignored"))
     tool = noop_tool("dfg_discovery")
-    assert select_tool(AGENT, backend, "state", [tool]) is tool
+    assert select_tool(AGENT, backend, "", [tool]) is tool
     assert backend.calls == 0
 
 
 def test_select_tool_parses_named_tool():
     tools = [noop_tool("dfg_discovery"), noop_tool("variants_discovery")]
     backend = ScriptedBackend([rule("Choose exactly one tool", "variants_discovery")])
-    chosen = select_tool(AGENT, backend, "state", tools)
+    chosen = choose(backend, tools)
     assert chosen.name == "variants_discovery"
 
 
@@ -135,14 +142,14 @@ def test_select_tool_uses_last_nonempty_line():
     backend = ScriptedBackend(
         [rule("Choose", "I considered both options.\nbeta\n\n")]
     )
-    assert select_tool(AGENT, backend, "state", tools).name == "beta"
+    assert choose(backend, tools).name == "beta"
 
 
 def test_select_tool_reasks_once_then_fails():
     tools = [noop_tool("alpha"), noop_tool("beta")]
     backend = CountingBackend(ScriptedBackend([rule("Choose", "banana")]))
     with pytest.raises(ToolSelectionFailed) as err:
-        select_tool(AGENT, backend, "state", tools)
+        choose(backend, tools)
     assert backend.calls == 2
     assert err.value.raw_output == "banana"
 
@@ -150,14 +157,14 @@ def test_select_tool_reasks_once_then_fails():
 def test_select_tool_recovers_on_reask():
     tools = [noop_tool("alpha"), noop_tool("beta")]
     backend = ScriptedBackend([rule("Choose", "banana", "alpha")])
-    assert select_tool(AGENT, backend, "state", tools).name == "alpha"
+    assert choose(backend, tools).name == "alpha"
 
 
 def test_select_tool_never_returns_outside_candidates():
     tools = [noop_tool("alpha"), noop_tool("beta")]
     backend = ScriptedBackend([rule("Choose", "gamma")])
     with pytest.raises(ToolSelectionFailed):
-        select_tool(AGENT, backend, "state", tools)
+        choose(backend, tools)
 
 
 def test_selection_prompt_lists_documentation():
@@ -169,7 +176,7 @@ def test_selection_prompt_lists_documentation():
             seen["prompt"] = user_prompt
             return "alpha"
 
-    select_tool(AGENT, Spy(), "current state here", tools)
+    choose(Spy(), tools, "current state here")
     prompt = seen["prompt"]
     assert "docs for alpha" in prompt
     assert "docs for beta" in prompt
@@ -184,6 +191,7 @@ class StubHandler(BaseHTTPRequestHandler):
     script = []  # list of (status, payload-dict-or-text)
     requests_seen = []
     delay = 0.0
+    released = threading.Event()  # set at teardown: ends a delay early
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
@@ -192,7 +200,7 @@ class StubHandler(BaseHTTPRequestHandler):
             {"body": body, "auth": self.headers.get("Authorization")}
         )
         if StubHandler.delay:
-            time.sleep(StubHandler.delay)
+            StubHandler.released.wait(StubHandler.delay)
         status, payload = (
             StubHandler.script.pop(0) if StubHandler.script else (200, {"choices": []})
         )
@@ -216,7 +224,10 @@ def stub_server():
     StubHandler.script = []
     StubHandler.requests_seen = []
     StubHandler.delay = 0.0
+    StubHandler.released = threading.Event()
     yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
+    # a handler still delaying would hold up shutdown() until its delay ends
+    StubHandler.released.set()
     server.shutdown()
     server.server_close()
 
@@ -259,10 +270,10 @@ def test_http_backend_non_json_response(stub_server):
         complete(AGENT, backend, "hello")
 
 
-def test_http_backend_timeout(stub_server):
+def test_http_backend_timeout(stub_server, open_backend):
     StubHandler.delay = 0.6
     StubHandler.script = [(200, ok_payload("late"))]
-    backend = http_chat_backend(stub_server, "", timeout=0.15)
+    backend = open_backend(stub_server, "", timeout=0.15)
     with pytest.raises(BackendTimeout):
         complete(AGENT, backend, "hello")
 

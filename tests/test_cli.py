@@ -124,6 +124,88 @@ def test_run_missing_workflow_file_exits_2(tmp_path):
     assert run_cli("run", str(tmp_path / "none.json"), "--inquiry", "q") == 2
 
 
+def _write_json(path, data):
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _workflow(*tasks, initial="T1", final="T2"):
+    return {
+        "schema_version": 1,
+        "agents": [{"id": "a", "role_prompt": "r"}],
+        "tasks": [{"agent": "a", **task} for task in tasks],
+        "initial_task": initial,
+        "final_task": final,
+    }
+
+
+def test_run_aborted_mid_run_exits_1_with_partial_transcript(tmp_path, capsys):
+    workflow = _write_json(tmp_path / "w.json", _workflow(
+        {"id": "T1", "instruction": "draft it"},
+        {"id": "T2", "instruction": "finish it", "prec": ["T1"]},
+    ))
+    # T2 gets the empty fallback reply, which aborts the run
+    rules = _write_json(tmp_path / "r.json", [{"match": "draft it", "response": "drafted"}])
+    output = tmp_path / "t.json"
+    code = run_cli("run", workflow, "--inquiry", "q", "--scripted", rules, "--output", str(output))
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("execution aborted: task 'T2'"), captured.err
+    transcript = json.loads(output.read_text())
+    assert transcript["aborted"] is True
+    assert transcript["error"] == lines[0].removeprefix("execution aborted: ")
+    assert transcript["task_sequence"] == ["T1"]
+    assert list(transcript["details"]) == transcript["task_sequence"]
+
+
+def test_run_refused_by_validation_exits_1_before_any_request(tmp_path, capsys, monkeypatch):
+    posts = []
+    monkeypatch.setattr("http.client.HTTPConnection.request",
+                        lambda *args, **kwargs: posts.append(args))
+    workflow = _write_json(tmp_path / "w.json", _workflow(
+        {"id": "T1", "instruction": "x"},
+        {"id": "T2", "instruction": "x", "prec": ["T3"]},
+        {"id": "T3", "instruction": "x", "prec": ["T2"]},
+    ))
+    output = tmp_path / "t.json"
+    code = run_cli("run", workflow, "--inquiry", "q", "--http", "http://127.0.0.1:9",
+                   "--output", str(output))
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "CycleDetected: T2, T3: precedence relation contains a cycle",
+        "FinalTaskUnreachable: T1: task has no path to the final task",
+    ]
+    assert posts == []
+    assert not output.exists()
+
+
+def test_run_verbose_notes_each_task(tmp_path, capsys, data_dir):
+    route = {"router_task_id": "R"}
+    workflow = _write_json(tmp_path / "w.json", _workflow(
+        {"id": "R", "kind": "router", "instruction": "pick"},
+        {"id": "A", "instruction": "walk the graph", "prec": ["R"], "tools": ["dfg_discovery"],
+         "guard": {**route, "expected_route_token": "a"}},
+        {"id": "B", "instruction": "other", "prec": ["R"],
+         "guard": {**route, "expected_route_token": "b"}},
+        {"id": "J", "kind": "ensemble", "instruction": "join", "prec": ["A", "B"]},
+        initial="R", final="J",
+    ))
+    rules = _write_json(tmp_path / "r.json", {
+        "rules": [{"match": "Decide which branch", "response": "ROUTE: a"}], "fallback": "ok"})
+    inquiry = f"look at {data_dir / 'two_traces.xes'}"
+    assert run_cli("run", workflow, "--inquiry", inquiry, "--scripted", rules, "-v") == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "[task] R: -",
+        "[task] A: dfg_discovery",
+        "[task] B: skipped",
+        "[task] J: -",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # abstract
 # ---------------------------------------------------------------------------
@@ -230,6 +312,47 @@ BIG_FIELD_CSV = (
     b"case_id,activity,timestamp\nc1,A,2024-03-01T09:00:00+00:00\nc2," + b"x" * 200_000 + b",t\n"
 )
 
+
+def _edited_rca(edit):
+    """The rca workflow document after edit(doc), as JSON bytes."""
+    doc = json.loads(bundle("rca").workflow.read_text())
+    edit(doc)
+    return json.dumps(doc).encode()
+
+
+def _set(path, value):
+    """An edit that sets doc[path[0]][path[1]]... to value."""
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return edit
+
+
+EVALUATOR = ("tasks", 1, "evaluator")
+#: case -> (edit of the rca workflow, the error line it must print)
+WORKFLOW_CONFIG_ERRORS = {
+    "agent-not-object": (_set(("agents", 0), 1), "agents[0]: expected an object"),
+    "agent-id-not-text": (_set(("agents", 0, "id"), 5), "agents[0].id: expected text, got int"),
+    "tools-not-list": (_set(("tasks", 0, "tools"), "x"),
+                       "tasks[0].tools: expected a list of text values"),
+    "threshold-not-number": (_set((*EVALUATOR, "threshold"), "hi"),
+                             "tasks[1].evaluator: threshold must be a number"),
+    "max-retries-not-integer": (_set((*EVALUATOR, "max_retries"), 1.5),
+                                "tasks[1].evaluator: max_retries must be an integer"),
+    "threshold-out-of-range": (_set((*EVALUATOR, "threshold"), 11),
+                               "tasks[1].evaluator: threshold must be in [1, 10], got 11.0"),
+    "tasks-not-list": (_set(("tasks",), {}), "'agents' and 'tasks' must be lists"),
+}
+#: case -> (rules document, the error line it must print)
+RULES_CONFIG_ERRORS = {
+    "rules-fallback-not-text": ({"rules": [], "fallback": 3}, "rules file: fallback must be text"),
+    "rules-not-object-or-list": ("x", "rules file must be a JSON object or list"),
+    "rules-not-list": ({"rules": {}}, "rules file: 'rules' must be a list"),
+    "rules-empty-responses": ([{"match": "x", "responses": []}],
+                              "rules[0]: 'responses' must not be empty"),
+}
+
 HOSTILE = {
     "workflow-not-utf8": lambda d: ["validate", _file(d / "w.json", NOT_UTF8)],
     "workflow-nested": lambda d: ["validate", _file(d / "w.json", NESTED)],
@@ -244,6 +367,16 @@ HOSTILE = {
     "output-missing-dir-http": lambda d: [
         "demo", "rca", "--http", "http://127.0.0.1:9", "--output", str(d / "missing" / "t.json")],
     "output-is-a-dir-http": lambda d: ["demo", "rca", "--http", "http://127.0.0.1:9", "--output", str(d)],
+    **{
+        f"workflow-{case}": lambda d, edit=edit: [
+            "validate", _file(d / "w.json", _edited_rca(edit))]
+        for case, (edit, _) in WORKFLOW_CONFIG_ERRORS.items()
+    },
+    **{
+        case: lambda d, rules=rules: [
+            "demo", "rca", "--scripted", _file(d / "r.json", json.dumps(rules).encode())]
+        for case, (rules, _) in RULES_CONFIG_ERRORS.items()
+    },
 }
 
 
@@ -258,6 +391,10 @@ def test_hostile_input_exits_2_with_one_error_line(case, tmp_path, capsys, monke
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
     assert posts == []
+    expected = {f"workflow-{case}": line for case, (_, line) in WORKFLOW_CONFIG_ERRORS.items()}
+    expected.update((case, line) for case, (_, line) in RULES_CONFIG_ERRORS.items())
+    if case in expected:
+        assert lines[0] == f"error: {expected[case]}"
 
 
 def test_demo_http_backend_via_env(monkeypatch, tmp_path):

@@ -20,6 +20,7 @@ from agwf.event_log import (
     EventLog,
     MalformedDocument,
     MissingActivity,
+    MissingCaseId,
     MissingColumn,
     MissingTimestamp,
     PredicateSyntaxError,
@@ -268,6 +269,28 @@ def test_parse_csv_unparsable_timestamp_reports_row(data_dir):
     assert "row 3" in str(err.value)
 
 
+TS = "2024-03-01T09:00:00+00:00"
+
+
+def test_parse_csv_skips_blank_rows_and_pads_short_ones():
+    doc = f"case,act,ts,team\nc1,A,{TS},ops\n\nc1,B,{TS}\n"
+    events = parse_csv(doc, CSV_MAPPING).traces[0].events
+    assert [(e.activity, e.attributes) for e in events] == [
+        ("A", {"team": "ops"}), ("B", {"team": ""})]
+
+
+@pytest.mark.parametrize("doc, error, message", [
+    (",,\n", EmptyDocument, "document has no header row"),
+    (f"case,act,ts\nc1,A,{TS}\n,B,{TS}\n", MissingCaseId, "row 3: empty value in case column"),
+    (f"case,act,ts\n\nc1,,{TS}\n", MissingActivity, "row 3: empty value in activity column"),
+    ("case,act,ts\nc1,A\n", UnparsableTimestamp, "row 2: cannot parse timestamp ''"),
+])
+def test_parse_csv_row_errors_name_their_row(doc, error, message):
+    with pytest.raises(error) as err:
+        parse_csv(doc, CSV_MAPPING)
+    assert str(err.value) == message
+
+
 def test_parse_csv_rfc4180_quoting():
     doc = 'case,act,ts\nc1,"Pay, twice",2024-03-01T09:00:00+00:00\n'
     log = parse_csv(doc, CSV_MAPPING)
@@ -391,6 +414,78 @@ def test_predicate_numeric_and_bool_semantics():
     assert parse_predicate("active = true").matches(trace)
     # bool never compares against numbers
     assert not parse_predicate("active = 1").matches(trace)
+
+
+#: (case attribute value, predicate on attribute "v", expected match)
+PREDICATE_TABLE = [
+    # int against int
+    (25, "v = 25", True), (25, "v = 30", False),
+    (25, "v != 25", False), (25, "v != 30", True),
+    (25, "v < 30", True), (25, "v < 25", False),
+    (25, "v <= 25", True), (25, "v <= 24", False),
+    (25, "v > 24", True), (25, "v > 25", False),
+    (25, "v >= 25", True), (25, "v >= 26", False),
+    # float against int and float, int against float
+    (2.5, "v = 2.5", True), (2.5, "v = 2", False),
+    (2.5, "v != 2", True), (2.5, "v != 2.5", False),
+    (2.5, "v < 3", True), (2.5, "v < 2.5", False),
+    (2.5, "v <= 2.5", True), (2.5, "v <= 2.4", False),
+    (2.5, "v > 2", True), (2.5, "v > 2.5", False),
+    (2.5, "v >= 2.5", True), (2.5, "v >= 2.6", False),
+    (25, "v = 25.0", True), (25, "v < 25.5", True), (25, "v > 24.5", True),
+    # text against text, ordered by code point
+    ("m", "v = 'm'", True), ("m", 'v = "n"', False),
+    ("m", "v != 'm'", False), ("m", "v != 'n'", True),
+    ("m", "v < 'n'", True), ("m", "v < 'm'", False),
+    ("m", "v <= 'm'", True), ("m", "v <= 'l'", False),
+    ("m", "v > 'l'", True), ("m", "v > 'm'", False),
+    ("m", "v >= 'm'", True), ("m", "v >= 'n'", False),
+    ("B", "v < 'a'", True),
+    # bool against bool: equality only, ordering never matches
+    (True, "v = true", True), (True, "v = false", False),
+    (True, "v != false", True), (True, "v != true", False),
+    (False, "v = false", True), (False, "v != true", True),
+    (True, "v < true", False), (False, "v < true", False),
+    (True, "v <= true", False), (True, "v > false", False),
+    (True, "v >= true", False), (False, "v >= false", False),
+    # mixed kinds never match, not even under !=
+    (True, "v = 1", False), (True, "v != 1", False), (False, "v != 0", False),
+    (1, "v = true", False), (0, "v != true", False), (1.0, "v >= false", False),
+    ("25", "v = 25", False), ("25", "v != 25", False), ("25", "v < 30", False),
+    (25, "v = '25'", False), (25, "v != '25'", False), (2.5, "v > 'a'", False),
+    ("true", "v = true", False), (True, "v = 'true'", False),
+]
+
+
+@pytest.mark.parametrize("value, expression, expected", PREDICATE_TABLE)
+def test_predicate_operator_table(value, expression, expected):
+    trace = make_log([["a"]], case_attrs=[{"v": value}]).traces[0]
+    assert parse_predicate(expression).matches(trace) is expected
+
+
+#: (expression, error message, character offset)
+PREDICATE_SYNTAX_ERRORS = [
+    ("= 5", "expected attribute name", 0),
+    ("  9x = 1", "expected attribute name", 2),
+    ("age = 1 and = 2", "expected attribute name", 12),
+    ("gender == 'F'", "unsupported operator '=='", 7),
+    ("age ~ 3", "expected comparison operator", 4),
+    ("age", "expected comparison operator", 3),
+    ("age <", "expected literal", 5),
+    ("age < x", "expected literal", 6),
+    ("name = 'abc", "unterminated quoted text", 7),
+    ('name = "abc', "unterminated quoted text", 7),
+    ("age < 3 or b = 1", "expected 'and'", 8),
+    ("a = 1 andy = 2", "expected 'and'", 6),
+]
+
+
+@pytest.mark.parametrize("expression, message, offset", PREDICATE_SYNTAX_ERRORS)
+def test_predicate_syntax_error_message_and_offset(expression, message, offset):
+    with pytest.raises(PredicateSyntaxError) as err:
+        parse_predicate(expression)
+    assert err.value.offset == offset
+    assert str(err.value) == f"{message} (at offset {offset})"
 
 
 # ---------------------------------------------------------------------------

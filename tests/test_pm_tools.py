@@ -110,8 +110,9 @@ def test_resolve_unknown_entity():
 
 def test_resolve_text_entity_is_not_a_log():
     memory = EntityMemory()
-    memory.store("note", "just text")
-    with pytest.raises(NoLogReference):
+    with pytest.raises(TypeError):
+        memory.store("note", "just text")
+    with pytest.raises(UnknownEntityKey):
         resolve_log_reference("use @note", memory)
 
 
@@ -383,6 +384,20 @@ def test_tool_errors_are_in_band():
     registry = builtin_registry()
     out = registry.get("dfg_discovery").function("look at /nope/missing.xes", EntityMemory())
     assert out.startswith("TOOL-ERROR:")
+
+
+@pytest.mark.parametrize("tool, directive, error", [
+    ("dfg_discovery", "top_k: 0", "top_k must be >= 1"),
+    ("variants_discovery", "top_k: 0", "top_k must be >= 1"),
+    ("compare_group_dfgs", "limit: 0", "limit must be >= 1"),
+    ("compare_group_dfgs", "shift_threshold: 2", "shift_threshold must be in [0, 1], got 2.0"),
+])
+def test_out_of_range_directive_is_one_tool_error(data_dir, tool, directive, error):
+    memory = EntityMemory()
+    memory.store("a", make_log([["x", "y"]]))
+    memory.store("b", make_log([["x", "z"]]))
+    state = f"{directive}\ngroups: @a,@b\nsee {data_dir / 'two_traces.xes'}"
+    assert builtin_registry().get(tool).function(state, memory) == f"TOOL-ERROR: {error}"
 
 
 def test_split_tool_requires_directives(data_dir):

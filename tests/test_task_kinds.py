@@ -5,7 +5,6 @@ import pytest
 from agwf.task_kinds import (
     EVALUATOR,
     ROUTER,
-    EvaluatorResult,
     RouteMissing,
     ScoreMissing,
     ScoreOutOfRange,
@@ -82,9 +81,9 @@ def test_parse_route_last_wins():
 # SCORE protocol
 # ---------------------------------------------------------------------------
 
-def test_parse_score_value_and_rationale():
-    result = parse_score("weak evidence\nSCORE: 3.0")
-    assert result == EvaluatorResult(score=3.0, rationale="weak evidence")
+def test_parse_score_returns_the_value():
+    assert parse_score("weak evidence\nSCORE: 3.0") == 3.0
+    assert parse_score("SCORE: 7") == 7.0
 
 
 def test_parse_score_out_of_range():
@@ -100,40 +99,27 @@ def test_parse_score_missing():
 
 
 def test_parse_score_last_line_wins():
-    assert parse_score("SCORE: 2.0\nrevised\nSCORE: 9.5").score == 9.5
+    assert parse_score("SCORE: 2.0\nrevised\nSCORE: 9.5") == 9.5
 
 
 # ---------------------------------------------------------------------------
 # Wrap-back decision
 # ---------------------------------------------------------------------------
 
-def evaluator_task(threshold=5.0, max_retries=2):
-    return plain_task(
-        "grade", kind=EVALUATOR,
-        evaluator_config=EvaluatorConfig(
-            threshold=threshold, target_task_id="t", max_retries=max_retries
-        ),
-    )
+def evaluator_config(threshold=5.0, max_retries=2):
+    return EvaluatorConfig(threshold=threshold, target_task_id="t", max_retries=max_retries)
 
 
 def test_wrap_back_retries_below_threshold():
-    task = evaluator_task()
-    assert apply_wrap_back(task, EvaluatorResult(3.0, ""), 0) == "retry"
+    assert apply_wrap_back(evaluator_config(), 3.0, 0) == "retry"
 
 
 def test_wrap_back_accepts_good_score():
-    task = evaluator_task()
-    assert apply_wrap_back(task, EvaluatorResult(9.0, ""), 0) == "accept"
+    assert apply_wrap_back(evaluator_config(), 9.0, 0) == "accept"
 
 
 def test_wrap_back_accepts_after_exhaustion():
-    task = evaluator_task(max_retries=2)
-    assert apply_wrap_back(task, EvaluatorResult(3.0, ""), 2) == "accept"
-
-
-def test_wrap_back_requires_config():
-    with pytest.raises(ValueError):
-        apply_wrap_back(plain_task("x"), EvaluatorResult(3.0, ""), 0)
+    assert apply_wrap_back(evaluator_config(max_retries=2), 3.0, 2) == "accept"
 
 
 def test_evaluator_config_rejects_out_of_range_threshold():

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agwf.agents import BackendEmptyResponse, ScriptedBackend, rule
+from agwf.agents import BackendEmptyResponse, CompletionBackend, ScriptedBackend, rule
 from agwf.demos import bundle
 from agwf.pm_tools import Tool, ToolRegistry
 from agwf.task_kinds import EVALUATOR, ROUTER, RouteMissing, RouterGuard
 from agwf.workflow_engine import (
     CYCLE_DETECTED,
+    DUPLICATE_TASK_ID,
     EVALUATOR_CONFIG_MISMATCH,
     EVALUATOR_TARGET_INVALID,
     FINAL_TASK_UNREACHABLE,
@@ -19,6 +20,7 @@ from agwf.workflow_engine import (
     UNKNOWN_AGENT,
     UNKNOWN_CALLBACK,
     UNKNOWN_TASK,
+    UNKNOWN_TASK_KIND,
     UNKNOWN_TOOL,
     CallbackCheckFailed,
     DuplicateKey,
@@ -68,9 +70,17 @@ def test_memory_round_trip():
 
 def test_memory_write_once():
     memory = EntityMemory()
-    memory.store("k", "v")
+    memory.store("k", make_log([["a"]]))
     with pytest.raises(DuplicateKey):
-        memory.store("k", "other")
+        memory.store("k", make_log([["b"]]))
+
+
+@pytest.mark.parametrize("value", ["text", None, {"a": 1}])
+def test_memory_holds_event_logs_only(value):
+    memory = EntityMemory()
+    with pytest.raises(TypeError, match="must be an event log"):
+        memory.store("k", value)
+    assert "k" not in memory
 
 
 def test_memory_unknown_key():
@@ -100,10 +110,31 @@ def test_validate_initial_with_predecessors():
     assert INITIAL_TASK_HAS_PREDECESSORS in found
 
 
-def test_validate_unknown_references():
-    tasks = [plain_task("T1"), plain_task("T2")]
-    spec = spec_of(tasks, {"T1": set(), "T2": {"ghost"}}, "T1", "T2")
-    assert UNKNOWN_TASK in codes(validate(spec))
+TWO_TASKS = {"T1": set(), "T2": {"T1"}}
+
+
+@pytest.mark.parametrize("tasks, prec, initial, final, violation", [
+    pytest.param(["T1", "T2"], {"T1": set(), "T2": {"ghost"}}, "T1", "T2",
+                 (UNKNOWN_TASK, "ghost", "prec of 'T2' names a task that does not exist"),
+                 id="predecessor"),
+    pytest.param(["T1", "T2"], TWO_TASKS, "nope", "T2",
+                 (UNKNOWN_TASK, "nope", "initial_task is not among the tasks"), id="initial"),
+    pytest.param(["T1", "T2"], TWO_TASKS, "T1", "nope",
+                 (UNKNOWN_TASK, "nope", "final_task is not among the tasks"), id="final"),
+    pytest.param(["T1", "T2"], {**TWO_TASKS, "ghost": {"T1"}}, "T1", "T2",
+                 (UNKNOWN_TASK, "ghost", "prec names a task that does not exist"), id="prec-key"),
+    pytest.param(["T1", "T2", "T1"], TWO_TASKS, "T1", "T2",
+                 (DUPLICATE_TASK_ID, "T1", "task id appears more than once"), id="duplicate-id"),
+    pytest.param(["T1", ("T2", "oracle")], TWO_TASKS, "T1", "T2",
+                 (UNKNOWN_TASK_KIND, "T2", "unknown kind 'oracle'"), id="kind"),
+])
+def test_validate_unknown_references(tasks, prec, initial, final, violation):
+    """Each input yields exactly its one violation (the checks after them
+    assume resolvable, unique references and do not run)."""
+    specs = [(t, "plain") if isinstance(t, str) else t for t in tasks]
+    tasks = [plain_task(task_id, kind=kind) for task_id, kind in specs]
+    found = validate(spec_of(tasks, prec, initial, final))
+    assert [(v.code, v.subject, v.message) for v in found] == [violation]
 
 
 def test_validate_unknown_agent_and_tool():
@@ -321,15 +352,45 @@ def test_execute_records_selection_prompt_for_multi_tool_tasks():
     assert "docs for alpha" not in record.final_state
 
 
+def test_selection_prompt_is_built_once_per_two_tool_task(monkeypatch):
+    import agwf.agents
+    import agwf.workflow_engine
+
+    built, sent = [], []
+
+    def counting_prompt(state, tools):
+        built.append(state)
+        return original(state, tools)
+
+    original = agwf.agents.selection_prompt
+    for module in (agwf.agents, agwf.workflow_engine):
+        monkeypatch.setattr(module, "selection_prompt", counting_prompt)
+
+    class Recording(CompletionBackend):
+        def complete(self, role_prompt, user_prompt, *, model="", temperature=0.0):
+            sent.append(user_prompt)
+            return "beta" if user_prompt.startswith("Choose exactly one tool") else "done"
+
+    tools = [Tool(name, f"docs for {name}", lambda s, m: "out") for name in ("beta", "alpha")]
+    task = plain_task("T", tool_names=("beta", "alpha", "beta"))
+    spec = spec_of([task], {"T": set()}, "T", "T", registry=ToolRegistry.of(*tools))
+    record = execute(spec, "Q", Recording())
+    assert len(built) == 1
+    # the recorded prompt is the one sent, with the tools listed by name
+    assert sent[0] == record.details["T"].selection_prompt
+    assert sent[0].index("- alpha:") < sent[0].index("- beta:")
+
+
 def test_execute_passes_memory_to_tools():
-    writes = Tool("writer", "stores a note", lambda s, m: m.store("note", "hi") or "done")
-    registry = ToolRegistry.of(writes)
-    task = plain_task("T", tool_names=("writer",))
-    spec = spec_of([task], {"T": set()}, "T", "T", registry=registry)
-    memory = EntityMemory()
-    record = execute(spec, "Q", ScriptedBackend([], fallback="ok"), memory)
-    assert memory.load("note") == "hi"
-    assert record.memory_final["note"] == "hi"
+    log = make_log([["a"]])
+    writes = Tool("writer", "stores a log", lambda s, m: m.store("kept", log) or "done")
+    reads = Tool("reader", "loads the log", lambda s, m: m.load("kept").source_name)
+    tasks = [plain_task("T1", tool_names=("writer",)), plain_task("T2", tool_names=("reader",))]
+    spec = spec_of(tasks, {"T1": set(), "T2": {"T1"}}, "T1", "T2",
+                   registry=ToolRegistry.of(writes, reads))
+    record = execute(spec, "Q", ScriptedBackend([], fallback="ok"))
+    assert record.details["T2"].tool_output == "test"
+    assert record.memory_final == {"kept": log}
 
 
 def test_execute_aborts_with_partial_record():
@@ -633,16 +694,13 @@ def test_evaluator_rewind_restores_entity_memory():
     backend = ScriptedBackend(
         [rule("grade the split", "thin\nSCORE: 2", "fine\nSCORE: 9")], fallback="noted"
     )
-    memory = EntityMemory()
-    memory.store("note", "from the caller")
-    record = execute(split_then_grade_spec(), bundle("fairness").inquiry, backend, memory)
+    record = execute(split_then_grade_spec(), bundle("fairness").inquiry, backend)
     split = record.details["S"]
     assert split.retries_used == 1
+    # the retried split stored its keys again instead of failing on DuplicateKey
     assert split.tool_output.startswith("protected=")
     assert record.details["E"].score == 9.0
-    assert sorted(record.memory_final) == ["non_protected", "note", "protected"]
-    assert memory.load("note") == "from the caller"
-    assert memory.load("protected") is record.memory_final["protected"]
+    assert sorted(record.memory_final) == ["non_protected", "protected"]
 
 
 # ---------------------------------------------------------------------------
