@@ -1,11 +1,16 @@
 """Event-log model and deterministic process-mining operations.
 
-Parses XES and CSV documents into an immutable in-memory model
-(EventLog / Trace / Event) and computes the behavioral artifacts the
-tool layer exposes: directly-follows graphs, variant tables, predicate
-splits, and DFG comparisons.  Every operation is a pure function of its
-inputs; parsing the same document twice yields structurally identical
-results.
+Parses XES and CSV documents into an in-memory model (EventLog / Trace /
+Event) and computes the behavioral artifacts the tool layer exposes:
+directly-follows graphs, variant tables, predicate splits, and DFG
+comparisons.  Every operation is a pure function of its inputs; parsing
+the same document twice yields structurally identical results.
+
+Event and Trace are slotted classes, so a log of many events stays small.
+An event's attributes are a read-only mapping that events may share: every
+event without extra attributes holds ``NO_ATTRIBUTES``, and within one CSV
+parse, events with equal attribute cells hold one mapping.  Each parse
+keeps one string object per distinct activity name.
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Callable, Union
+from types import MappingProxyType
+from typing import Callable, Mapping, Union
 from xml.parsers.expat import ErrorString
 
 Scalar = Union[str, int, float, bool, datetime]
@@ -79,16 +85,21 @@ class PredicateSyntaxError(EventLogError):
 # Domain types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+#: the one empty attribute mapping: the default, and what every parsed event
+#: without extra attributes holds
+NO_ATTRIBUTES: Mapping[str, Scalar] = MappingProxyType({})
+
+
+@dataclass(slots=True)
 class Event:
     """One activity execution: non-empty label, tz-aware timestamp, extras."""
 
     activity: str
     timestamp: datetime
-    attributes: dict[str, Scalar] = field(default_factory=dict)
+    attributes: Mapping[str, Scalar] = field(default_factory=lambda: NO_ATTRIBUTES)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Trace:
     """One case: events sorted by timestamp (stable on ties)."""
 
@@ -186,18 +197,24 @@ class DfgComparison:
 
 def parse_timestamp(text: str) -> datetime:
     """Parse an ISO-8601 instant; naive values are taken as UTC."""
-    cleaned = text.strip()
-    if cleaned.endswith(("Z", "z")):
-        cleaned = cleaned[:-1] + "+00:00"
-    moment = datetime.fromisoformat(cleaned)  # ValueError on junk
+    try:
+        moment = datetime.fromisoformat(text)
+    except ValueError:  # surrounding whitespace, a "z" suffix, or junk
+        cleaned = text.strip()
+        if cleaned.endswith(("Z", "z")):
+            cleaned = cleaned[:-1] + "+00:00"
+        moment = datetime.fromisoformat(cleaned)  # ValueError on junk
     if moment.tzinfo is None:
         moment = moment.replace(tzinfo=timezone.utc)
     return moment
 
 
+_timestamp_of = operator.attrgetter("timestamp")
+
+
 def _sorted_events(events: list[Event]) -> tuple[Event, ...]:
     # stable: equal timestamps keep source-document order
-    return tuple(sorted(events, key=lambda e: e.timestamp))
+    return tuple(sorted(events, key=_timestamp_of))
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +283,7 @@ class _XesReader:
         self.error: EventLogError | None = None
         self._seen_ids: set[str] = set()
         self._names: dict[str, str] = {}  # tag -> local name
+        self._activities: dict[str, str] = {}  # one object per activity name
         self._depth = 0
         self._trace: list[tuple[str, str, str]] | None = None
         self._events: list[list[tuple[str, str, str]]] = []
@@ -323,6 +341,7 @@ class _XesReader:
         def where() -> str:  # formatted only for an error, at the current event_index
             return f"trace {case_id!r}, event {event_index}"
 
+        intern = self._activities.setdefault
         events: list[Event] = []
         for event_index, triples in enumerate(event_triples):
             attrs = _attributes(triples, where)
@@ -341,8 +360,9 @@ class _XesReader:
                     raise UnparsableTimestamp(
                         f"{where()}: cannot parse timestamp {raw_ts!r}"
                     ) from None
-            events.append(Event(activity=activity, timestamp=raw_ts, attributes=attrs))
-        return Trace(case_id=case_id, case_attributes=case_attrs, events=_sorted_events(events))
+            events.append(Event(intern(activity, activity), raw_ts,
+                                MappingProxyType(attrs) if attrs else NO_ATTRIBUTES))
+        return Trace(case_id, case_attrs, _sorted_events(events))
 
 
 def parse_xes(document: str, source_name: str = "") -> EventLog:
@@ -396,8 +416,14 @@ def parse_csv(document: str, mapping: CsvMapping, source_name: str = "") -> Even
     """Parse CSV text (RFC-4180, header row mandatory) into an EventLog.
 
     Rows are grouped by the case column in first-appearance order; the
-    remaining columns become event attributes (kept as text).  Events are
-    re-sorted by timestamp within each trace, preserving row order on ties.
+    remaining columns become event attributes (kept as text), and events
+    with equal attribute cells share one mapping.  Events are re-sorted by
+    timestamp within each trace, preserving row order on ties.  Blank rows
+    are skipped and short rows padded with empty cells.
+
+    Raises EmptyDocument, MissingColumn, MalformedDocument (a header name
+    that appears twice, a row longer than the header, or a CSV syntax
+    error), MissingCaseId, MissingActivity, or UnparsableTimestamp.
     """
     reader = csv.reader(io.StringIO(document))
     try:
@@ -407,54 +433,66 @@ def parse_csv(document: str, mapping: CsvMapping, source_name: str = "") -> Even
 
 
 def _csv_log(reader, mapping: CsvMapping, source_name: str) -> EventLog:
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise EmptyDocument("document has no header row") from None
+    header = next(reader, [])
     if not any(cell.strip() for cell in header):
         raise EmptyDocument("document has no header row")
-
-    index: dict[str, int] = {name: i for i, name in enumerate(header)}
+    index: dict[str, int] = {}
+    for i, name in enumerate(header):
+        if name in index:
+            raise MalformedDocument(f"column {name!r} appears more than once in the header")
+        index[name] = i
     for needed in (mapping.case_column, mapping.activity_column, mapping.timestamp_column):
         if needed not in index:
             raise MissingColumn(f"column {needed!r} not in header {header!r}")
     case_idx = index[mapping.case_column]
     act_idx = index[mapping.activity_column]
     ts_idx = index[mapping.timestamp_column]
-    attr_columns = [
-        (name, i)
-        for name, i in index.items()
-        if i not in (case_idx, act_idx, ts_idx)
-    ]
+    attr_columns = [i for i in range(len(header)) if i not in (case_idx, act_idx, ts_idx)]
+    attr_names = [header[i] for i in attr_columns]
+    # the key of a row's attribute mapping: its cell, or the tuple of its cells
+    cells = operator.itemgetter(*attr_columns) if attr_columns else None
+    shared: dict[object, Mapping[str, Scalar]] = {}
+    intern: dict[str, str] = {}
+    width = len(header)
 
     grouped: dict[str, list[Event]] = {}
     for row in reader:
-        if not row:
-            continue
-        line = reader.line_num
-        if len(row) < len(header):
-            row = row + [""] * (len(header) - len(row))
+        if len(row) != width:
+            if not row:
+                continue
+            if len(row) > width:
+                raise MalformedDocument(
+                    f"row {reader.line_num}: {len(row)} cells, but the header has {width}"
+                )
+            row += [""] * (width - len(row))
         case_id = row[case_idx]
-        if not case_id:
-            raise MissingCaseId(f"row {line}: empty value in case column")
+        events = grouped.get(case_id)
+        if events is None:
+            if not case_id:
+                raise MissingCaseId(f"row {reader.line_num}: empty value in case column")
+            events = grouped[case_id] = []
         activity = row[act_idx]
         if not activity:
-            raise MissingActivity(f"row {line}: empty value in activity column")
+            raise MissingActivity(f"row {reader.line_num}: empty value in activity column")
         ts_text = row[ts_idx]
         try:
             moment = parse_timestamp(ts_text)
         except ValueError:
             raise UnparsableTimestamp(
-                f"row {line}: cannot parse timestamp {ts_text!r}"
+                f"row {reader.line_num}: cannot parse timestamp {ts_text!r}"
             ) from None
-        attributes: dict[str, Scalar] = {name: row[i] for name, i in attr_columns}
-        grouped.setdefault(case_id, []).append(
-            Event(activity=activity, timestamp=moment, attributes=attributes)
-        )
+        if cells is None:
+            attributes = NO_ATTRIBUTES
+        else:
+            key = cells(row)
+            attributes = shared.get(key)
+            if attributes is None:
+                values = key if len(attr_columns) > 1 else (key,)
+                attributes = shared[key] = MappingProxyType(dict(zip(attr_names, values)))
+        events.append(Event(intern.setdefault(activity, activity), moment, attributes))
 
     traces = tuple(
-        Trace(case_id=cid, case_attributes={}, events=_sorted_events(events))
-        for cid, events in grouped.items()
+        Trace(cid, {}, _sorted_events(events)) for cid, events in grouped.items()
     )
     return EventLog(traces=traces, source_name=source_name)
 

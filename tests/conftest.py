@@ -93,6 +93,21 @@ def make_log(sequences, case_attrs=None, step_seconds=60, source_name="test"):
     return EventLog(traces=tuple(traces), source_name=source_name)
 
 
+def csv_log_text(cases: int) -> str:
+    """A CSV log in the default column layout with a ``resource`` column.
+
+    Cases have 5-15 events over nine activities, written case by case; a
+    case's rows are out of timestamp order now and then, and some tie.
+    """
+    lines = ["case_id,activity,timestamp,resource"]
+    for case in range(cases):
+        for step in range(5 + case % 11):
+            moment = T0 + timedelta(minutes=case + 7 * ((step * 5) % 8))
+            lines.append(f"case_{case:05d},Check Step {step % 9},{moment.isoformat()},"
+                         f"clerk_{step % 7}")
+    return "\n".join(lines) + "\n"
+
+
 @pytest.fixture
 def data_dir():
     return DATA_DIR

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+import tracemalloc
 from datetime import datetime, timezone
 
 import pytest
@@ -7,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agwf.event_log import (
+    DEFAULT_CSV_MAPPING,
     DURATION_SHIFT,
     FREQUENCY_SHIFT,
+    NO_ATTRIBUTES,
     ONLY_IN_A,
     ONLY_IN_B,
     CsvMapping,
@@ -17,6 +21,7 @@ from agwf.event_log import (
     DuplicateCaseId,
     EmptyDocument,
     EmptyExpression,
+    Event,
     EventLog,
     MalformedDocument,
     MissingActivity,
@@ -35,7 +40,7 @@ from agwf.event_log import (
     split_log,
 )
 
-from conftest import make_log
+from conftest import T0, csv_log_text, make_log
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +296,92 @@ def test_parse_csv_row_errors_name_their_row(doc, error, message):
     assert str(err.value) == message
 
 
+def test_parse_csv_rejects_a_row_longer_than_the_header():
+    doc = f"case,act,ts\nc1,A,{TS}\n\nc1,B,{TS},extra,more\n"
+    with pytest.raises(MalformedDocument) as err:
+        parse_csv(doc, CSV_MAPPING)
+    assert str(err.value) == "row 4: 5 cells, but the header has 3"
+
+
+@pytest.mark.parametrize("header, column", [
+    ("case,act,ts,case", "case"),
+    ("case,act,ts,team,team", "team"),
+    ("case,act,ts,,", ""),
+])
+def test_parse_csv_rejects_a_duplicate_header_name(header, column):
+    with pytest.raises(MalformedDocument) as err:
+        parse_csv(f"{header}\nc1,A,{TS},x,y\n", CSV_MAPPING)
+    assert str(err.value) == f"column {column!r} appears more than once in the header"
+
+
 def test_parse_csv_rfc4180_quoting():
     doc = 'case,act,ts\nc1,"Pay, twice",2024-03-01T09:00:00+00:00\n'
     log = parse_csv(doc, CSV_MAPPING)
     assert log.traces[0].events[0].activity == "Pay, twice"
+
+
+# ---------------------------------------------------------------------------
+# The log model: slotted classes, shared read-only attributes
+# ---------------------------------------------------------------------------
+
+def test_event_attributes_are_read_only():
+    csv_event = parse_csv(f"case,act,ts,team\nc1,A,{TS},ops\n", CSV_MAPPING).traces[0].events[0]
+    xes_event = parse_xes(MINIMAL_XES).traces[0].events[0]
+    for event in (csv_event, xes_event, Event("A", T0)):
+        with pytest.raises(TypeError):
+            event.attributes["team"] = "x"
+
+
+@pytest.mark.parametrize("columns, cells", [
+    ("team", ["ops", "ops", "dev", "ops"]),
+    ("team,cost", ["ops,1", "ops,1", "ops,2", "ops,1"]),
+])
+def test_csv_events_with_equal_cells_share_one_mapping(columns, cells):
+    doc = f"case,act,ts,{columns}\n" + "".join(
+        f"c{i % 2},A,{TS},{row}\n" for i, row in enumerate(cells))
+    events = [event for trace in parse_csv(doc, CSV_MAPPING).traces for event in trace.events]
+    first, third, second, fourth = events  # c0's two rows, then c1's
+    assert first.attributes is second.attributes is fourth.attributes
+    assert third.attributes is not first.attributes
+    assert dict(third.attributes) != dict(first.attributes)
+
+
+def test_events_without_extra_attributes_share_the_empty_mapping():
+    xes_events = [event for trace in parse_xes(MINIMAL_XES).traces for event in trace.events]
+    csv_events = parse_csv(f"case,act,ts\nc1,A,{TS}\n", CSV_MAPPING).traces[0].events
+    for event in (*xes_events, *csv_events, Event("A", T0)):
+        assert event.attributes is NO_ATTRIBUTES
+    assert NO_ATTRIBUTES == {}
+
+
+def test_each_parse_keeps_one_string_per_activity():
+    # a one-character name would be one object anyway
+    doc = f"case,act,ts\nc1,Approve,{TS}\nc2,Approve,{TS}\n"
+    first, second = (trace.events[0] for trace in parse_csv(doc, CSV_MAPPING).traces)
+    assert first.activity is second.activity
+    xes = MINIMAL_XES.replace('value="A"', 'value="Approve"').replace('value="B"', 'value="Approve"')
+    first, second = parse_xes(xes).traces[0].events
+    assert first.activity is second.activity
+
+
+def test_events_and_traces_have_no_instance_dict():
+    trace = parse_csv(f"case,act,ts\nc1,A,{TS}\n", CSV_MAPPING).traces[0]
+    assert not hasattr(trace, "__dict__")
+    assert not hasattr(trace.events[0], "__dict__")
+
+
+def test_a_parsed_csv_log_holds_at_most_250_bytes_per_event():
+    document = csv_log_text(300)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        log = parse_csv(document, DEFAULT_CSV_MAPPING)
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    events = sum(len(trace.events) for trace in log.traces)
+    assert events > 2500
+    assert live / events <= 250
 
 
 # ---------------------------------------------------------------------------
