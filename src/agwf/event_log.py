@@ -9,7 +9,8 @@ the same document twice yields structurally identical results.
 Event and Trace are slotted classes, so a log of many events stays small.
 An event's attributes are a read-only mapping that events may share: every
 event without extra attributes holds ``NO_ATTRIBUTES``, and within one CSV
-parse, events with equal attribute cells hold one mapping.  Each parse
+parse, events with equal attribute cells hold one mapping.  Every trace
+without case attributes holds ``NO_ATTRIBUTES`` too.  Each parse
 keeps one string object per distinct activity name.
 """
 
@@ -86,7 +87,7 @@ class PredicateSyntaxError(EventLogError):
 # ---------------------------------------------------------------------------
 
 #: the one empty attribute mapping: the default, and what every parsed event
-#: without extra attributes holds
+#: or trace without extra attributes holds
 NO_ATTRIBUTES: Mapping[str, Scalar] = MappingProxyType({})
 
 
@@ -104,7 +105,7 @@ class Trace:
     """One case: events sorted by timestamp (stable on ties)."""
 
     case_id: str
-    case_attributes: dict[str, Scalar] = field(default_factory=dict)
+    case_attributes: Mapping[str, Scalar] = field(default_factory=lambda: NO_ATTRIBUTES)
     events: tuple[Event, ...] = ()
 
 
@@ -362,7 +363,7 @@ class _XesReader:
                     ) from None
             events.append(Event(intern(activity, activity), raw_ts,
                                 MappingProxyType(attrs) if attrs else NO_ATTRIBUTES))
-        return Trace(case_id, case_attrs, _sorted_events(events))
+        return Trace(case_id, case_attrs or NO_ATTRIBUTES, _sorted_events(events))
 
 
 def parse_xes(document: str, source_name: str = "") -> EventLog:
@@ -492,7 +493,7 @@ def _csv_log(reader, mapping: CsvMapping, source_name: str) -> EventLog:
         events.append(Event(intern.setdefault(activity, activity), moment, attributes))
 
     traces = tuple(
-        Trace(cid, {}, _sorted_events(events)) for cid, events in grouped.items()
+        Trace(cid, NO_ATTRIBUTES, _sorted_events(events)) for cid, events in grouped.items()
     )
     return EventLog(traces=traces, source_name=source_name)
 
@@ -671,7 +672,14 @@ def split_log(log: EventLog, predicate: CasePredicate) -> tuple[EventLog, EventL
 # DFG comparison
 # ---------------------------------------------------------------------------
 
-def compare_dfgs(a: Dfg, b: Dfg, shift_threshold: float = 0.05) -> DfgComparison:
+#: the relative change in an edge's frequency or duration that compare_dfgs
+#: reports as a shift unless told otherwise
+DEFAULT_SHIFT_THRESHOLD = 0.05
+
+
+def compare_dfgs(
+    a: Dfg, b: Dfg, shift_threshold: float = DEFAULT_SHIFT_THRESHOLD
+) -> DfgComparison:
     """Contrast two DFGs.
 
     Edges present in exactly one graph yield only_in_a / only_in_b

@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING, Callable
 
 from .event_log import (
     DEFAULT_CSV_MAPPING,
+    DEFAULT_SHIFT_THRESHOLD,
     DURATION_SHIFT,
     FREQUENCY_SHIFT,
     ONLY_IN_A,
@@ -49,7 +50,6 @@ if TYPE_CHECKING:
 DEFAULT_DFG_TOP_K = 25
 DEFAULT_VARIANTS_TOP_K = 15
 DEFAULT_COMPARISON_LIMIT = 25
-DEFAULT_SHIFT_THRESHOLD = 0.05
 
 
 class NoLogReference(Exception):
@@ -360,8 +360,8 @@ def builtin_registry() -> ToolRegistry:
             "last reference wins) and renders it as text: one line per edge with "
             "its frequency and average duration in seconds, then start/end "
             "activity counts. Reads an optional 'top_k: <n>' directive line "
-            "(default 25 edges). Use it for questions about activity ordering, "
-            "transitions, and where time is spent.",
+            f"(default {DEFAULT_DFG_TOP_K} edges). Use it for questions about "
+            "activity ordering, transitions, and where time is spent.",
             _in_band_errors(_dfg_discovery),
         ),
         Tool(
@@ -370,8 +370,8 @@ def builtin_registry() -> ToolRegistry:
             "state (an @key entity reference or a .xes/.csv file path) and "
             "renders one line per distinct activity sequence with its case "
             "count, most frequent first. Reads an optional 'top_k: <n>' "
-            "directive line (default 15 variants). Use it for questions about "
-            "end-to-end paths, repetitions, and rare behavior.",
+            f"directive line (default {DEFAULT_VARIANTS_TOP_K} variants). Use it "
+            "for questions about end-to-end paths, repetitions, and rare behavior.",
             _in_band_errors(_variants_discovery),
         ),
         Tool(

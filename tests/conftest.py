@@ -76,6 +76,21 @@ def random_valid_spec(rng):
     return spec_of(tasks, prec, ids[0], ids[-1])
 
 
+def reference_parse_timestamp(text: str) -> datetime:
+    """The parser oracles' own ISO-8601 reader; naive values are taken as UTC.
+
+    It stays independent of ``agwf.event_log.parse_timestamp`` so that the
+    oracles notice a change to that function.
+    """
+    cleaned = text.strip()
+    if cleaned.endswith(("Z", "z")):
+        cleaned = cleaned[:-1] + "+00:00"
+    moment = datetime.fromisoformat(cleaned)  # ValueError on junk
+    if moment.tzinfo is None:
+        moment = moment.replace(tzinfo=timezone.utc)
+    return moment
+
+
 def make_log(sequences, case_attrs=None, step_seconds=60, source_name="test"):
     """Build an EventLog from activity sequences with evenly spaced timestamps.
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import json
 import re
 from pathlib import Path
@@ -335,20 +336,23 @@ WORKFLOW_CONFIG_ERRORS = {
     "agent-not-object": (_set(("agents", 0), 1), "agents[0]: expected an object"),
     "agent-id-not-text": (_set(("agents", 0, "id"), 5), "agents[0].id: expected text, got int"),
     "tools-not-list": (_set(("tasks", 0, "tools"), "x"),
-                       "tasks[0].tools: expected a list of text values"),
+                       "tasks[0].tools: expected list of text, got str"),
     "threshold-not-number": (_set((*EVALUATOR, "threshold"), "hi"),
-                             "tasks[1].evaluator: threshold must be a number"),
+                             "tasks[1].evaluator.threshold: expected number, got str"),
     "max-retries-not-integer": (_set((*EVALUATOR, "max_retries"), 1.5),
-                                "tasks[1].evaluator: max_retries must be an integer"),
+                                "tasks[1].evaluator.max_retries: expected integer, got float"),
     "threshold-out-of-range": (_set((*EVALUATOR, "threshold"), 11),
                                "tasks[1].evaluator: threshold must be in [1, 10], got 11.0"),
-    "tasks-not-list": (_set(("tasks",), {}), "'agents' and 'tasks' must be lists"),
+    "tasks-not-list": (_set(("tasks",), {}), "workflow.tasks: expected list, got dict"),
+    "schema-version-bool": (_set(("schema_version",), True),
+                            "workflow.schema_version: expected number, got bool"),
 }
 #: case -> (rules document, the error line it must print)
 RULES_CONFIG_ERRORS = {
-    "rules-fallback-not-text": ({"rules": [], "fallback": 3}, "rules file: fallback must be text"),
+    "rules-fallback-not-text": ({"rules": [], "fallback": 3},
+                                "rules file.fallback: expected text, got int"),
     "rules-not-object-or-list": ("x", "rules file must be a JSON object or list"),
-    "rules-not-list": ({"rules": {}}, "rules file: 'rules' must be a list"),
+    "rules-not-list": ({"rules": {}}, "rules file.rules: expected list, got dict"),
     "rules-empty-responses": ([{"match": "x", "responses": []}],
                               "rules[0]: 'responses' must not be empty"),
 }
@@ -395,6 +399,70 @@ def test_hostile_input_exits_2_with_one_error_line(case, tmp_path, capsys, monke
     expected.update((case, line) for case, (_, line) in RULES_CONFIG_ERRORS.items())
     if case in expected:
         assert lines[0] == f"error: {expected[case]}"
+
+
+#: the JSON kind of every field of both file formats, by object
+FIELD_KINDS = {
+    "workflow": {"schema_version": "number", "agents": "list", "tasks": "list",
+                 "initial_task": "text", "final_task": "text"},
+    "agent": {"id": "text", "role_prompt": "text", "model_ref": "text", "temperature": "number"},
+    "task": {"id": "text", "kind": "text", "agent": "text", "instruction": "text",
+             "expected_output": "text", "tools": "list of text", "prec": "list of text",
+             "guard": "object", "callbacks": "list of text", "evaluator": "object"},
+    "guard": {"router_task_id": "text", "expected_route_token": "text"},
+    "evaluator": {"threshold": "number", "target_task_id": "text", "max_retries": "integer"},
+    "rules file": {"rules": "list", "fallback": "text"},
+    "rule": {"match": "text", "response": "text", "responses": "list of text",
+             "regex": "boolean"},
+}
+#: object -> (where its errors point, its JSON path in the rca workflow or RULES_DOC)
+OBJECT_AT = {
+    "workflow": ("workflow", ()),
+    "agent": ("agents[0]", ("agents", 0)),
+    "task": ("tasks[1]", ("tasks", 1)),
+    "guard": ("tasks[1].guard", ("tasks", 1, "guard")),
+    "evaluator": ("tasks[1].evaluator", EVALUATOR),
+    "rules file": ("rules file", ()),
+    "rule": ("rules[0]", ("rules", 0)),
+}
+RULES_DOC = {"rules": [{"match": "x", "response": "y", "responses": ["y"], "regex": False}],
+             "fallback": ""}
+#: JSON kind -> a value of another kind, and the name of its type
+WRONG_VALUE = {
+    "text": (None, "NoneType"), "list of text": (["a", 7], "list"), "number": (True, "bool"),
+    "integer": (True, "bool"), "boolean": (1, "int"), "list": ({}, "dict"), "object": ([], "list"),
+}
+
+
+def test_field_kinds_cover_every_field():
+    from agwf import workflow_config as wc
+
+    tables = {"workflow": wc.WORKFLOW_FIELDS, "agent": wc.AGENT_FIELDS, "task": wc.TASK_FIELDS,
+              "guard": wc.GUARD_FIELDS, "evaluator": wc.EVALUATOR_FIELDS,
+              "rules file": wc.RULES_FILE_FIELDS, "rule": wc.RULE_FIELDS}
+    assert {name: set(table) for name, table in tables.items()} == {
+        name: set(kinds) for name, kinds in FIELD_KINDS.items()}
+
+
+@pytest.mark.parametrize("obj, key", [
+    (obj, key) for obj, kinds in FIELD_KINDS.items() for key in kinds])
+def test_a_wrong_kind_in_any_field_is_one_error_line(obj, key, tmp_path, capsys):
+    where, path = OBJECT_AT[obj]
+    value, type_name = WRONG_VALUE[FIELD_KINDS[obj][key]]
+    if obj.startswith("rule"):
+        rules = copy.deepcopy(RULES_DOC)
+        _set((*path, key), value)(rules)
+        argv = ["demo", "rca", "--scripted", _file(tmp_path / "r.json", json.dumps(rules).encode())]
+    else:
+        def edit(doc):
+            doc["tasks"][1]["guard"] = {"router_task_id": "find_causes", "expected_route_token": "go"}
+            _set((*path, key), value)(doc)
+        argv = ["validate", _file(tmp_path / "w.json", _edited_rca(edit))]
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    expected = f"{where}.{key}: expected {FIELD_KINDS[obj][key]}, got {type_name}"
+    assert captured.err.splitlines() == [f"error: {expected}"]
 
 
 def test_demo_http_backend_via_env(monkeypatch, tmp_path):

@@ -1,7 +1,7 @@
 """``parse_csv`` against the row loop it replaced.
 
 ``reference_parse_csv`` below is that parser, kept as the oracle, together
-with the ``parse_timestamp`` it called: on the fixtures and on generated
+with conftest's ``reference_parse_timestamp``: on the fixtures and on generated
 documents, ``parse_csv`` must return an equal log or raise the same error
 class with the same message.  The generated documents leave out the two
 inputs the reference accepted and ``parse_csv`` now rejects: a header name
@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-from datetime import datetime, timezone
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,23 +33,12 @@ from agwf.event_log import (
     parse_csv,
 )
 
-from conftest import DATA_DIR, csv_log_text
+from conftest import DATA_DIR, csv_log_text, reference_parse_timestamp
 
 
 # ---------------------------------------------------------------------------
 # The reference: the row loop that parse_csv replaced
 # ---------------------------------------------------------------------------
-
-def reference_parse_timestamp(text: str) -> datetime:
-    """Parse an ISO-8601 instant; naive values are taken as UTC."""
-    cleaned = text.strip()
-    if cleaned.endswith(("Z", "z")):
-        cleaned = cleaned[:-1] + "+00:00"
-    moment = datetime.fromisoformat(cleaned)  # ValueError on junk
-    if moment.tzinfo is None:
-        moment = moment.replace(tzinfo=timezone.utc)
-    return moment
-
 
 def _sorted_events(events: list[Event]) -> tuple[Event, ...]:
     # stable: equal timestamps keep source-document order

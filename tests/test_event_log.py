@@ -29,6 +29,7 @@ from agwf.event_log import (
     MissingColumn,
     MissingTimestamp,
     PredicateSyntaxError,
+    Trace,
     UnparsableTimestamp,
     compare_dfgs,
     discover_dfg,
@@ -352,6 +353,16 @@ def test_events_without_extra_attributes_share_the_empty_mapping():
     for event in (*xes_events, *csv_events, Event("A", T0)):
         assert event.attributes is NO_ATTRIBUTES
     assert NO_ATTRIBUTES == {}
+
+
+def test_traces_without_case_attributes_share_the_empty_mapping(data_dir):
+    csv_traces = parse_csv(f"case,act,ts,team\nc1,A,{TS},ops\nc2,A,{TS},dev\n", CSV_MAPPING).traces
+    for trace in (*csv_traces, *parse_xes(MINIMAL_XES).traces, Trace("c1")):
+        assert trace.case_attributes is NO_ATTRIBUTES
+    # a trace with case attributes besides its concept:name keeps a dict of its own
+    first, second = parse_xes((data_dir / "two_traces.xes").read_text()).traces
+    assert type(first.case_attributes) is dict and type(second.case_attributes) is dict
+    assert first.case_attributes is not second.case_attributes
 
 
 def test_each_parse_keeps_one_string_per_activity():

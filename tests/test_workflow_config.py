@@ -94,6 +94,20 @@ def test_guard_and_evaluator_parse():
     assert config.threshold == 6.0 and config.max_retries == 1
 
 
+def test_null_guard_and_evaluator_mean_absent():
+    doc = minimal_doc()
+    doc["tasks"][1].update(guard=None, evaluator=None)
+    task = parse_workflow(doc).tasks[1]
+    assert task.guard is None and task.evaluator_config is None
+
+
+def test_schema_version_is_the_number_1_not_true():
+    assert parse_workflow(minimal_doc(schema_version=1)).initial_task == "T1"
+    with pytest.raises(WorkflowConfigError,
+                       match=r"^workflow\.schema_version: expected number, got bool$"):
+        parse_workflow(minimal_doc(schema_version=True))
+
+
 def test_guard_unknown_key_rejected():
     doc = minimal_doc()
     doc["tasks"][1]["guard"] = {"router_task_id": "T1", "token": "go"}
@@ -143,6 +157,14 @@ def test_rules_bare_list_form():
 def test_rules_need_response():
     with pytest.raises(WorkflowConfigError):
         parse_scripted_rules([{"match": "x"}])
+
+
+@pytest.mark.parametrize("key", ["response", "responses"])
+def test_rules_null_response_rejected(key):
+    kind = "text" if key == "response" else "list of text"
+    with pytest.raises(WorkflowConfigError,
+                       match=rf"^rules\[0\]\.{key}: expected {kind}, got NoneType$"):
+        parse_scripted_rules([{"match": "x", key: None}])
 
 
 def test_rules_unknown_key_rejected():

@@ -1,7 +1,8 @@
 """``parse_xes`` against the element-tree parser it replaced.
 
-``reference_parse_xes`` below is that parser, kept as the oracle: on the
-fixtures and on generated documents, ``parse_xes`` must return an equal
+``reference_parse_xes`` below is that parser, kept as the oracle, with
+conftest's ``reference_parse_timestamp`` for its dates: on the fixtures
+and on generated documents, ``parse_xes`` must return an equal
 EventLog or raise the same error class with the same message.  The one
 intended difference is the MalformedDocument text, which now states the
 position once; ``reference_outcome`` derives the new text from the
@@ -33,11 +34,10 @@ from agwf.event_log import (
     Scalar,
     Trace,
     UnparsableTimestamp,
-    parse_timestamp,
     parse_xes,
 )
 
-from conftest import DATA_DIR, T0
+from conftest import DATA_DIR, T0, reference_parse_timestamp
 
 SHIPPED_DIR = Path(__file__).resolve().parents[1] / "src" / "agwf" / "data"
 
@@ -71,7 +71,7 @@ def _convert_xes_value(type_tag: str, value: str) -> Scalar:
             return lowered == "true"
         return value
     if type_tag == "date":
-        return parse_timestamp(value)
+        return reference_parse_timestamp(value)
     # "string" and any unknown type are preserved as text
     return value
 
@@ -145,7 +145,7 @@ def reference_parse_xes(document: str, source_name: str = "") -> EventLog:
             if not isinstance(raw_ts, datetime):
                 # tolerated: timestamp encoded with a non-date element type
                 try:
-                    raw_ts = parse_timestamp(str(raw_ts))
+                    raw_ts = reference_parse_timestamp(str(raw_ts))
                 except ValueError:
                     raise UnparsableTimestamp(
                         f"{where}: cannot parse timestamp {raw_ts!r}"
