@@ -3,21 +3,19 @@
 A task runs by sending its role prompt (system message) and a built user
 prompt to a CompletionBackend.  The ScriptedBackend is the deterministic
 test double; HttpChatBackend talks to any OpenAI-compatible chat
-completions endpoint.
+completions endpoint.  The HTTP stack (http.client, ssl, urllib.request)
+is imported when the first HttpChatBackend is built, so a scripted run
+never loads it.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
 import math
 import re
-import select
-import ssl
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 from urllib.parse import SplitResult, quote, urlsplit
-from urllib.request import getproxies, proxy_bypass
 
 from .pm_tools import Tool
 
@@ -141,10 +139,16 @@ class HttpChatBackend(CompletionBackend):
     request is made.  The proxy comes from the http_proxy/https_proxy/
     no_proxy environment variables, read here, once.  The backend keeps
     one connection and reuses it for every complete(), so it serves one
-    run at a time; close() releases it.
+    run at a time; close() releases it.  A reused connection that turns
+    out to be hung up when the request is sent is replaced, and the
+    request sent once more, within the same complete().
     """
 
     def __init__(self, endpoint_url: str, api_key: str = "", timeout: float = 60.0):
+        import http.client
+        import ssl
+        from urllib.request import getproxies, proxy_bypass
+
         parts, port = _http_address(endpoint_url, ("http", "https"), "endpoint")
         self.endpoint_url = endpoint_url
         self.timeout = timeout
@@ -180,6 +184,9 @@ class HttpChatBackend(CompletionBackend):
 
     def complete(self, role_prompt: str, user_prompt: str, *,
                  model: str = "", temperature: float = 0.0) -> str:
+        import http.client
+        import select
+
         body = json.dumps({
             "model": model,
             "messages": [
@@ -192,9 +199,19 @@ class HttpChatBackend(CompletionBackend):
         if connection.sock is not None and select.select([connection.sock], [], [], 0)[0]:
             # an idle connection with something to read was hung up by the server
             connection.close()
+        reused = connection.sock is not None
         try:
-            connection.request("POST", self._target, body, self._headers)
-            response = connection.getresponse()
+            try:
+                connection.request("POST", self._target, body, self._headers)
+                response = connection.getresponse()
+            except (ConnectionResetError, BrokenPipeError):  # RemoteDisconnected too
+                if not reused:
+                    raise
+                # a hang-up the idle check missed: send once more on a
+                # fresh connection
+                connection.close()
+                connection.request("POST", self._target, body, self._headers)
+                response = connection.getresponse()
             # read to the end whatever the status, so the connection stays usable
             data = response.read()
         except TimeoutError as exc:

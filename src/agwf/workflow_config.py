@@ -78,8 +78,12 @@ def _fields(data: Any, where: str, schema: Schema) -> list[Any]:
         elif _KINDS[kind](value := data[key]):
             values.append(value)
         else:
-            raise WorkflowConfigError(f"{where}.{key}: expected {kind}, "
-                                      f"got {type(value).__name__}")
+            at = f"{where}.{key}"
+            if kind == "list of text" and isinstance(value, list):
+                # name the first element that is not text
+                i, value = next((i, x) for i, x in enumerate(value) if not isinstance(x, str))
+                at, kind = f"{at}[{i}]", "text"
+            raise WorkflowConfigError(f"{at}: expected {kind}, got {type(value).__name__}")
     return values
 
 
@@ -152,7 +156,8 @@ def parse_scripted_rules(data: Any) -> ScriptedBackend:
 
     Accepts either ``{"rules": [...], "fallback": "..."}`` or a bare list
     of rules.  Each rule is ``{"match": ..., "response": ...}`` or
-    ``{"match": ..., "responses": [...]}`` with an optional ``regex`` flag.
+    ``{"match": ..., "responses": [...]}``, never both, with an optional
+    ``regex`` flag.
     """
     if isinstance(data, list):
         data = {"rules": data}
@@ -163,13 +168,14 @@ def parse_scripted_rules(data: Any) -> ScriptedBackend:
     for i, raw in enumerate(raw_rules):
         where = f"rules[{i}]"
         match, response, responses, regex = _fields(raw, where, RULE_FIELDS)
-        if responses is not None:
-            if not responses:
-                raise WorkflowConfigError(f"{where}: 'responses' must not be empty")
-        elif response is not None:
+        if response is not None:
+            if responses is not None:
+                raise WorkflowConfigError(f"{where}: give 'response' or 'responses', not both")
             responses = [response]
-        else:
+        elif responses is None:
             raise WorkflowConfigError(f"{where}: needs 'response' or 'responses'")
+        elif not responses:
+            raise WorkflowConfigError(f"{where}: 'responses' must not be empty")
         if regex:
             try:
                 re.compile(match)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import select
 import socket
 import subprocess
 import sys
@@ -463,9 +464,50 @@ def test_http_backend_survives_a_server_that_hangs_up_after_each_reply(keepalive
     backend = CountingBackend(open_backend(stub.url))
     assert [complete(AGENT, backend, "hello") for _ in range(10)] == [f"r{i}" for i in range(10)]
     assert len(stub.seen) == 10
-    # a hang-up noticed before the next request costs no attempt; had none
-    # been noticed, each completion after the first would have taken two
-    assert backend.calls < 19
+    # a hang-up costs no attempt, whether the idle check or the send notices it
+    assert backend.calls == 10
+
+
+def test_http_backend_resends_once_when_the_idle_check_misses_a_hang_up(
+        keepalive, open_backend, monkeypatch):
+    stub = keepalive()
+    stub.hang_up = True
+    stub.script = [(200, ok_payload(f"r{i}"), 0) for i in range(10)]
+    # the idle check never sees the hang-up, as when its FIN is still in flight
+    monkeypatch.setattr(select, "select", lambda *args: ([], [], []))
+    backend = CountingBackend(open_backend(stub.url))
+    assert [complete(AGENT, backend, "hello") for _ in range(10)] == [f"r{i}" for i in range(10)]
+    assert len(stub.seen) == 10
+    assert backend.calls == 10
+
+
+def test_http_backend_does_not_resend_on_a_fresh_connection():
+    # a server that hangs up on every new connection: none was reused, so
+    # each hang-up spends an attempt and opens one connection
+    accepted = []
+    with socket.socket() as listener:
+        listener.bind(("127.0.0.1", 0))
+        listener.listen()
+        listener.settimeout(0.5)
+
+        def hang_up():
+            try:
+                while True:
+                    conn = listener.accept()[0]
+                    accepted.append(conn)
+                    conn.close()
+            except OSError:  # the test is over
+                pass
+
+        thread = threading.Thread(target=hang_up, daemon=True)
+        thread.start()
+        backend = CountingBackend(http_chat_backend(
+            f"http://127.0.0.1:{listener.getsockname()[1]}/v1/chat/completions", timeout=5))
+        with pytest.raises(TransportError):
+            complete(AGENT, backend, "hello")
+        thread.join(5)
+    assert backend.calls == 3
+    assert len(accepted) == 3
 
 
 def test_http_backend_percent_encodes_the_request_target(keepalive, open_backend):

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import copy
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -355,6 +358,8 @@ RULES_CONFIG_ERRORS = {
     "rules-not-list": ({"rules": {}}, "rules file.rules: expected list, got dict"),
     "rules-empty-responses": ([{"match": "x", "responses": []}],
                               "rules[0]: 'responses' must not be empty"),
+    "rules-response-and-responses": ([{"match": "x", "response": "a", "responses": ["b"]}],
+                                     "rules[0]: give 'response' or 'responses', not both"),
 }
 
 HOSTILE = {
@@ -427,10 +432,15 @@ OBJECT_AT = {
 }
 RULES_DOC = {"rules": [{"match": "x", "response": "y", "responses": ["y"], "regex": False}],
              "fallback": ""}
-#: JSON kind -> a value of another kind, and the name of its type
+#: JSON kind -> a value of another kind, and its error line after the key
 WRONG_VALUE = {
-    "text": (None, "NoneType"), "list of text": (["a", 7], "list"), "number": (True, "bool"),
-    "integer": (True, "bool"), "boolean": (1, "int"), "list": ({}, "dict"), "object": ([], "list"),
+    "text": (None, ": expected text, got NoneType"),
+    "list of text": (["a", 7], "[1]: expected text, got int"),
+    "number": (True, ": expected number, got bool"),
+    "integer": (True, ": expected integer, got bool"),
+    "boolean": (1, ": expected boolean, got int"),
+    "list": ({}, ": expected list, got dict"),
+    "object": ([], ": expected object, got list"),
 }
 
 
@@ -448,7 +458,7 @@ def test_field_kinds_cover_every_field():
     (obj, key) for obj, kinds in FIELD_KINDS.items() for key in kinds])
 def test_a_wrong_kind_in_any_field_is_one_error_line(obj, key, tmp_path, capsys):
     where, path = OBJECT_AT[obj]
-    value, type_name = WRONG_VALUE[FIELD_KINDS[obj][key]]
+    value, error = WRONG_VALUE[FIELD_KINDS[obj][key]]
     if obj.startswith("rule"):
         rules = copy.deepcopy(RULES_DOC)
         _set((*path, key), value)(rules)
@@ -461,8 +471,36 @@ def test_a_wrong_kind_in_any_field_is_one_error_line(obj, key, tmp_path, capsys)
     assert run_cli(*argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    expected = f"{where}.{key}: expected {FIELD_KINDS[obj][key]}, got {type_name}"
-    assert captured.err.splitlines() == [f"error: {expected}"]
+    assert captured.err.splitlines() == [f"error: {where}.{key}{error}"]
+
+
+#: a scripted run in a fresh interpreter: the HTTP modules it loaded, then
+#: whether building an HTTP backend loads http.client
+SCRIPTED_RUN_IMPORTS = """
+import sys
+before = set(sys.modules)
+import contextlib, io, json
+from agwf import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["demo", "anomaly", "--output", sys.argv[1]])
+loaded = [m for m in ("http.client", "ssl", "email", "urllib.request")
+          if m in sys.modules and m not in before]
+from agwf.agents import HttpChatBackend
+HttpChatBackend("http://127.0.0.1:9/v1").close()
+print(json.dumps([code, loaded, "http.client" in sys.modules]))
+"""
+
+
+def test_a_scripted_run_does_not_load_the_http_stack(tmp_path):
+    # a subprocess, because this process has imported http.client already
+    env = {**os.environ, "PYTHONPATH": str(README.parent / "src")}
+    done = subprocess.run([sys.executable, "-c", SCRIPTED_RUN_IMPORTS, str(tmp_path / "t.json")],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    code, loaded, http_after_backend = json.loads(done.stdout)
+    assert code == 0 and (tmp_path / "t.json").is_file()
+    assert loaded == []
+    assert http_after_backend
 
 
 def test_demo_http_backend_via_env(monkeypatch, tmp_path):

@@ -123,6 +123,19 @@ def test_bad_json_file_reports_path(tmp_path):
     assert "broken.json" in str(err.value)
 
 
+@pytest.mark.parametrize("key", ["prec", "callbacks"])
+def test_a_list_of_text_names_its_first_bad_element(key):
+    doc = minimal_doc()
+    doc["tasks"][1][key] = ["T1", None, 3]
+    with pytest.raises(WorkflowConfigError,
+                       match=rf"^tasks\[1\]\.{key}\[1\]: expected text, got NoneType$"):
+        parse_workflow(doc)
+    doc["tasks"][1][key] = "T1"
+    with pytest.raises(WorkflowConfigError,
+                       match=rf"^tasks\[1\]\.{key}: expected list of text, got str$"):
+        parse_workflow(doc)
+
+
 def test_temperature_type_checked():
     doc = minimal_doc()
     doc["agents"][0]["temperature"] = "hot"
