@@ -20,6 +20,7 @@ from .event_log import EventLogError, discover_dfg, discover_variants
 from .pm_tools import (
     DEFAULT_DFG_TOP_K,
     DEFAULT_VARIANTS_TOP_K,
+    TOOL_ERROR,
     abstract_dfg,
     abstract_variants,
     read_log,
@@ -80,7 +81,7 @@ def _report_record(record: ExecutionRecord, verbose: bool) -> int:
     tool_failures = [
         task_id
         for task_id in record.task_sequence
-        if record.details[task_id].tool_output.startswith("TOOL-ERROR:")
+        if record.details[task_id].tool_output.startswith(TOOL_ERROR)
     ]
     if tool_failures:
         print(f"tool failures recorded for: {', '.join(tool_failures)}", file=sys.stderr)

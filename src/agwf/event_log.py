@@ -2,8 +2,8 @@
 
 Parses XES and CSV documents into an in-memory model (EventLog / Trace /
 Event) and computes the behavioral artifacts the tool layer exposes:
-directly-follows graphs, variant tables, predicate splits, and DFG
-comparisons.  Every operation is a pure function of its inputs; parsing
+directly-follows graphs, variants, predicate splits, and DFG comparison
+findings.  Every operation is a pure function of its inputs; parsing
 the same document twice yields structurally identical results.
 
 Event and Trace are slotted classes, so a log of many events stays small.
@@ -132,15 +132,10 @@ class Dfg:
 
 @dataclass(frozen=True)
 class Variant:
+    """A distinct activity sequence and the number of traces that follow it."""
+
     activity_sequence: tuple[str, ...]
     count: int
-
-
-@dataclass(frozen=True)
-class VariantTable:
-    """Distinct activity sequences, ordered by count desc then sequence."""
-
-    variants: tuple[Variant, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -174,22 +169,22 @@ DURATION_SHIFT = "duration_shift"
 
 @dataclass(frozen=True)
 class ComparisonFinding:
+    """One behavioral difference of an edge between graphs A and B.
+
+    ``kind`` is one of ONLY_IN_A, ONLY_IN_B, FREQUENCY_SHIFT and
+    DURATION_SHIFT.  ``relative_difference`` ranks findings: its magnitude
+    is the finding's strength.  ``a`` and ``b`` are the two quantities
+    compared, as the finding's text prints them: the edge's frequencies
+    (ints) for ONLY_IN_A and ONLY_IN_B, its relative frequencies (edge
+    frequency over the graph's total) for FREQUENCY_SHIFT, and its mean
+    durations in seconds for DURATION_SHIFT.
+    """
+
     edge: tuple[str, str]
-    freq_a: int
-    freq_b: int
-    relative_difference: float
     kind: str
-    mean_dur_a: float = 0.0
-    mean_dur_b: float = 0.0
-
-
-@dataclass(frozen=True)
-class DfgComparison:
-    """Behavioral differences between two DFGs, strongest first."""
-
-    findings: tuple[ComparisonFinding, ...]
-    total_a: int = 0
-    total_b: int = 0
+    relative_difference: float
+    a: float
+    b: float
 
 
 # ---------------------------------------------------------------------------
@@ -530,16 +525,14 @@ def discover_dfg(log: EventLog) -> Dfg:
     return Dfg(edges=edges, start_activities=starts, end_activities=ends)
 
 
-def discover_variants(log: EventLog) -> VariantTable:
+def discover_variants(log: EventLog) -> tuple[Variant, ...]:
     """Group traces by activity sequence; order by count desc, then sequence."""
     counts: dict[tuple[str, ...], int] = {}
     for trace in log.traces:
         sequence = tuple(event.activity for event in trace.events)
         counts[sequence] = counts.get(sequence, 0) + 1
     ordered = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    return VariantTable(
-        variants=tuple(Variant(activity_sequence=s, count=n) for s, n in ordered)
-    )
+    return tuple(Variant(activity_sequence=s, count=n) for s, n in ordered)
 
 
 # ---------------------------------------------------------------------------
@@ -679,15 +672,17 @@ DEFAULT_SHIFT_THRESHOLD = 0.05
 
 def compare_dfgs(
     a: Dfg, b: Dfg, shift_threshold: float = DEFAULT_SHIFT_THRESHOLD
-) -> DfgComparison:
-    """Contrast two DFGs.
+) -> tuple[ComparisonFinding, ...]:
+    """Contrast two DFGs; return their findings, strongest first.
 
     Edges present in exactly one graph yield only_in_a / only_in_b
     findings.  For shared edges, a frequency_shift is reported when the
     relative frequencies (edge frequency over the graph's total edge
     frequency) differ by more than shift_threshold, and a duration_shift
     when the mean durations differ relatively by more than the same
-    threshold.  Findings are ordered by |relative_difference| descending.
+    threshold.  Findings are ordered by |relative_difference| descending,
+    then by edge and kind.  A graph whose total edge frequency is 0 gives
+    its edges relative frequency 0.
     """
     if not 0.0 <= shift_threshold <= 1.0:
         raise ValueError(f"shift_threshold must be in [0, 1], got {shift_threshold}")
@@ -701,35 +696,19 @@ def compare_dfgs(
         freq_b = stats_b.frequency if stats_b else 0
         rel_a = freq_a / total_a if total_a else 0.0
         rel_b = freq_b / total_b if total_b else 0.0
-        if stats_a and not stats_b:
-            findings.append(
-                ComparisonFinding(edge, freq_a, 0, rel_a, ONLY_IN_A,
-                                  mean_dur_a=stats_a.mean_duration_seconds)
-            )
-            continue
-        if stats_b and not stats_a:
-            findings.append(
-                ComparisonFinding(edge, 0, freq_b, -rel_b, ONLY_IN_B,
-                                  mean_dur_b=stats_b.mean_duration_seconds)
-            )
-            continue
-        assert stats_a is not None and stats_b is not None
-        rel_diff = rel_a - rel_b
-        if abs(rel_diff) > shift_threshold:
-            findings.append(
-                ComparisonFinding(edge, freq_a, freq_b, rel_diff, FREQUENCY_SHIFT,
-                                  mean_dur_a=stats_a.mean_duration_seconds,
-                                  mean_dur_b=stats_b.mean_duration_seconds)
-            )
-        dur_a = stats_a.mean_duration_seconds
-        dur_b = stats_b.mean_duration_seconds
-        scale = max(dur_a, dur_b)
-        if scale > 0.0:
-            dur_diff = (dur_a - dur_b) / scale
-            if abs(dur_diff) > shift_threshold:
+        if stats_b is None:
+            findings.append(ComparisonFinding(edge, ONLY_IN_A, rel_a, freq_a, 0))
+        elif stats_a is None:
+            findings.append(ComparisonFinding(edge, ONLY_IN_B, -rel_b, 0, freq_b))
+        else:
+            if abs(rel_a - rel_b) > shift_threshold:
                 findings.append(
-                    ComparisonFinding(edge, freq_a, freq_b, dur_diff, DURATION_SHIFT,
-                                      mean_dur_a=dur_a, mean_dur_b=dur_b)
-                )
+                    ComparisonFinding(edge, FREQUENCY_SHIFT, rel_a - rel_b, rel_a, rel_b))
+            dur_a = stats_a.mean_duration_seconds
+            dur_b = stats_b.mean_duration_seconds
+            scale = max(dur_a, dur_b)
+            if scale > 0.0 and abs(dur_diff := (dur_a - dur_b) / scale) > shift_threshold:
+                findings.append(
+                    ComparisonFinding(edge, DURATION_SHIFT, dur_diff, dur_a, dur_b))
     findings.sort(key=lambda f: (-abs(f.relative_difference), f.edge, f.kind))
-    return DfgComparison(findings=tuple(findings), total_a=total_a, total_b=total_b)
+    return tuple(findings)

@@ -21,7 +21,7 @@ import os
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .event_log import (
     DEFAULT_CSV_MAPPING,
@@ -30,11 +30,11 @@ from .event_log import (
     FREQUENCY_SHIFT,
     ONLY_IN_A,
     ONLY_IN_B,
+    ComparisonFinding,
     Dfg,
-    DfgComparison,
     EventLog,
     MalformedDocument,
-    VariantTable,
+    Variant,
     compare_dfgs,
     discover_dfg,
     discover_variants,
@@ -50,6 +50,9 @@ if TYPE_CHECKING:
 DEFAULT_DFG_TOP_K = 25
 DEFAULT_VARIANTS_TOP_K = 15
 DEFAULT_COMPARISON_LIMIT = 25
+
+#: the prefix of a tool's in-band failure text
+TOOL_ERROR = "TOOL-ERROR:"
 
 
 class NoLogReference(Exception):
@@ -261,41 +264,36 @@ def abstract_dfg(dfg: Dfg, top_k: int) -> str:
     return "\n".join(lines)
 
 
-def abstract_variants(table: VariantTable, top_k: int) -> str:
-    """Render a variant table: ``<a>,<b>,<c> (count=<m>)`` per line."""
+def abstract_variants(variants: Sequence[Variant], top_k: int) -> str:
+    """Render variants: ``<a>,<b>,<c> (count=<m>)`` per line."""
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
-    shown = table.variants[:top_k]
-    lines = [f"Variants (top {len(shown)} of {len(table.variants)}):"]
+    shown = variants[:top_k]
+    lines = [f"Variants (top {len(shown)} of {len(variants)}):"]
     for variant in shown:
         lines.append(f"{','.join(variant.activity_sequence)} (count={variant.count})")
     return "\n".join(lines)
 
 
-def render_comparison(cmp: DfgComparison, limit: int) -> str:
+#: the text of a finding of each kind, from the two quantities it compares
+_FINDING_TEXT = {
+    ONLY_IN_A: "only in group A (freq {a} vs {b})",
+    ONLY_IN_B: "only in group B (freq {a} vs {b})",
+    FREQUENCY_SHIFT: "frequency shift (rel {a:.3f} vs {b:.3f})",
+    DURATION_SHIFT: "duration shift (avg {a:.1f}s vs {b:.1f}s)",
+}
+
+
+def render_comparison(findings: Sequence[ComparisonFinding], limit: int) -> str:
     """Render comparison findings as one insight line each, up to limit."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    if not cmp.findings:
+    if not findings:
         return "no behavioral differences found"
-    lines = []
-    for finding in cmp.findings[:limit]:
-        source, target = finding.edge
-        head = f"edge {source} -> {target}"
-        if finding.kind == ONLY_IN_A:
-            lines.append(f"{head}: only in group A (freq {finding.freq_a} vs 0)")
-        elif finding.kind == ONLY_IN_B:
-            lines.append(f"{head}: only in group B (freq 0 vs {finding.freq_b})")
-        elif finding.kind == FREQUENCY_SHIFT:
-            rel_a = finding.freq_a / cmp.total_a if cmp.total_a else 0.0
-            rel_b = finding.freq_b / cmp.total_b if cmp.total_b else 0.0
-            lines.append(f"{head}: frequency shift (rel {rel_a:.3f} vs {rel_b:.3f})")
-        elif finding.kind == DURATION_SHIFT:
-            lines.append(
-                f"{head}: duration shift "
-                f"(avg {finding.mean_dur_a:.1f}s vs {finding.mean_dur_b:.1f}s)"
-            )
-    return "\n".join(lines)
+    return "\n".join(
+        f"edge {f.edge[0]} -> {f.edge[1]}: " + _FINDING_TEXT[f.kind].format(a=f.a, b=f.b)
+        for f in findings[:limit]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +305,7 @@ def _in_band_errors(fn: Callable[[str, "EntityMemory"], str]) -> Callable[[str, 
         try:
             return fn(state, memory)
         except Exception as exc:  # surfaced to the agent, not the engine
-            return f"TOOL-ERROR: {exc}"
+            return f"{TOOL_ERROR} {exc}"
     return wrapper
 
 
@@ -346,8 +344,8 @@ def _compare_group_dfgs(state: str, memory: "EntityMemory") -> str:
     logs = [memory.load(key) for key in match.groups()]
     threshold = float(parse_directive(state, "shift_threshold") or DEFAULT_SHIFT_THRESHOLD)
     limit = int(parse_directive(state, "limit") or DEFAULT_COMPARISON_LIMIT)
-    comparison = compare_dfgs(discover_dfg(logs[0]), discover_dfg(logs[1]), threshold)
-    return render_comparison(comparison, limit)
+    findings = compare_dfgs(discover_dfg(logs[0]), discover_dfg(logs[1]), threshold)
+    return render_comparison(findings, limit)
 
 
 def builtin_registry() -> ToolRegistry:

@@ -87,11 +87,11 @@ def _fields(data: Any, where: str, schema: Schema) -> list[Any]:
     return values
 
 
-def _construct(where: str, make: Callable[..., Any], *args: Any) -> Any:
-    """make(*args), with its ValueError reported at where."""
+def _construct(where: str, make: Callable[[], Any]) -> Any:
+    """make(), with its ValueError or OverflowError reported at where."""
     try:
-        return make(*args)
-    except ValueError as exc:
+        return make()
+    except (ValueError, OverflowError) as exc:
         raise WorkflowConfigError(f"{where}: {exc}") from exc
 
 
@@ -103,8 +103,8 @@ def _parse_task(data: Any, where: str) -> tuple[TaskSpec, frozenset[str]]:
     if evaluator is not None:
         threshold, target, max_retries = _fields(
             evaluator, f"{where}.evaluator", EVALUATOR_FIELDS)
-        evaluator = _construct(f"{where}.evaluator", EvaluatorConfig,
-                               float(threshold), target, max_retries)
+        evaluator = _construct(f"{where}.evaluator", lambda: EvaluatorConfig(
+            float(threshold), target, max_retries))
     task = TaskSpec(task_id, agent, instruction, kind, expected_output, tuple(tools),
                     guard, tuple(callbacks), evaluator)
     return task, frozenset(prec)
@@ -121,8 +121,8 @@ def parse_workflow(data: Any) -> WorkflowSpec:
     for i, raw in enumerate(raw_agents):
         where = f"agents[{i}]"
         agent_id, role_prompt, model_ref, temperature = _fields(raw, where, AGENT_FIELDS)
-        agents.append(_construct(where, AgentProfile,
-                                 agent_id, role_prompt, model_ref, float(temperature)))
+        agents.append(_construct(where, lambda: AgentProfile(
+            agent_id, role_prompt, model_ref, float(temperature))))
     tasks = [_parse_task(raw, f"tasks[{i}]") for i, raw in enumerate(raw_tasks)]
     return WorkflowSpec(
         tasks=tuple(task for task, _ in tasks),
@@ -135,10 +135,13 @@ def parse_workflow(data: Any) -> WorkflowSpec:
 
 
 def _read_json(path: str | Path) -> Any:
-    """Parse a UTF-8 JSON file; only an unreadable file raises OSError."""
+    """Parse a UTF-8 JSON file; only an unreadable file raises OSError.
+
+    ValueError covers bad UTF-8, bad JSON and an integer literal over
+    ``sys.get_int_max_str_digits()`` digits."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise WorkflowConfigError(f"{path}: not valid JSON: {exc}") from exc
 
 

@@ -119,8 +119,9 @@ class EvaluatorConfig:
     max_retries: int = 2
 
     def __post_init__(self):
-        if not 1.0 <= self.threshold <= 10.0:
-            raise ValueError(f"threshold must be in [1, 10], got {self.threshold}")
+        low, high = task_kinds.SCORE_MIN, task_kinds.SCORE_MAX
+        if not low <= self.threshold <= high:
+            raise ValueError(f"threshold must be in [{low:g}, {high:g}], got {self.threshold}")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
 
@@ -186,12 +187,8 @@ class ExecutionRecord:
 
     def task_output(self, task_id: str) -> str:
         """The text the task appended (without the section delimiter)."""
-        index = self.task_sequence.index(task_id)
-        before, after = self.states[index], self.states[index + 1]
-        prefix = before + "\n" + output_marker(task_id) + "\n"
-        if not after.startswith(prefix):
-            raise ValueError(f"state {index + 1} does not extend state {index}")
-        return after[len(prefix):]
+        detail = self.details[task_id]
+        return SKIPPED_TEXT if detail.skipped else detail.raw_response
 
 
 # ---------------------------------------------------------------------------

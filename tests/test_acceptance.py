@@ -159,8 +159,8 @@ def test_criterion_3_oracle_equivalence():
     for _ in range(200):
         log = random_log(rng)
         assert discover_dfg(log) == brute_force_dfg(log)
-        table = discover_variants(log)
-        assert [(v.activity_sequence, v.count) for v in table.variants] == (
+        variants = discover_variants(log)
+        assert [(v.activity_sequence, v.count) for v in variants] == (
             brute_force_variants(log)
         )
 

@@ -312,6 +312,8 @@ NOT_UTF8 = b'{"schema_version": 1, "note": "caf\xe9"}'
 NESTED = b"[" * 100_000
 NAN_TEMPERATURE = bundle("anomaly").workflow.read_bytes().replace(
     b'"temperature": 0.0', b'"temperature": NaN', 1)
+#: an integer literal longer than int() reads from text (4,300 digits)
+HUGE_INT = b"1" * 5000
 BIG_FIELD_CSV = (
     b"case_id,activity,timestamp\nc1,A,2024-03-01T09:00:00+00:00\nc2," + b"x" * 200_000 + b",t\n"
 )
@@ -346,6 +348,10 @@ WORKFLOW_CONFIG_ERRORS = {
                                 "tasks[1].evaluator.max_retries: expected integer, got float"),
     "threshold-out-of-range": (_set((*EVALUATOR, "threshold"), 11),
                                "tasks[1].evaluator: threshold must be in [1, 10], got 11.0"),
+    "temperature-huge-int": (_set(("agents", 0, "temperature"), 10**400),
+                             "agents[0]: int too large to convert to float"),
+    "threshold-huge-int": (_set((*EVALUATOR, "threshold"), 10**400),
+                           "tasks[1].evaluator: int too large to convert to float"),
     "tasks-not-list": (_set(("tasks",), {}), "workflow.tasks: expected list, got dict"),
     "schema-version-bool": (_set(("schema_version",), True),
                             "workflow.schema_version: expected number, got bool"),
@@ -366,8 +372,12 @@ HOSTILE = {
     "workflow-not-utf8": lambda d: ["validate", _file(d / "w.json", NOT_UTF8)],
     "workflow-nested": lambda d: ["validate", _file(d / "w.json", NESTED)],
     "temperature-nan": lambda d: ["validate", _file(d / "w.json", NAN_TEMPERATURE)],
+    "workflow-5000-digit-int": lambda d: [
+        "validate", _file(d / "w.json", b'{"schema_version": ' + HUGE_INT + b"}")],
     "rules-not-utf8": lambda d: ["demo", "rca", "--scripted", _file(d / "r.json", NOT_UTF8)],
     "rules-nested": lambda d: ["demo", "rca", "--scripted", _file(d / "r.json", NESTED)],
+    "rules-5000-digit-int": lambda d: [
+        "demo", "rca", "--scripted", _file(d / "r.json", b'{"fallback": ' + HUGE_INT + b"}")],
     "log-not-utf8": lambda d: ["abstract", _file(d / "l.xes", b"<log>\xff</log>"), "--kind", "dfg"],
     "csv-200kb-field": lambda d: ["abstract", _file(d / "l.csv", BIG_FIELD_CSV), "--kind", "dfg"],
     "output-missing-dir": lambda d: ["demo", "rca", "--output", str(d / "missing" / "t.json")],

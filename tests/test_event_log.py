@@ -15,6 +15,7 @@ from agwf.event_log import (
     NO_ATTRIBUTES,
     ONLY_IN_A,
     ONLY_IN_B,
+    ComparisonFinding,
     CsvMapping,
     Dfg,
     DfgEdgeStats,
@@ -434,20 +435,20 @@ def test_discover_dfg_mean_duration():
 # ---------------------------------------------------------------------------
 
 def test_discover_variants_example():
-    table = discover_variants(make_log([["a", "b"], ["a", "b"], ["a", "c"]]))
-    assert [(v.activity_sequence, v.count) for v in table.variants] == [
+    variants = discover_variants(make_log([["a", "b"], ["a", "b"], ["a", "c"]]))
+    assert [(v.activity_sequence, v.count) for v in variants] == [
         (("a", "b"), 2),
         (("a", "c"), 1),
     ]
 
 
 def test_discover_variants_empty():
-    assert discover_variants(EventLog()).variants == ()
+    assert discover_variants(EventLog()) == ()
 
 
 def test_discover_variants_tie_break_is_lexicographic():
-    table = discover_variants(make_log([["b", "a"], ["a", "b"]]))
-    assert [v.activity_sequence for v in table.variants] == [("a", "b"), ("b", "a")]
+    variants = discover_variants(make_log([["b", "a"], ["a", "b"]]))
+    assert [v.activity_sequence for v in variants] == [("a", "b"), ("b", "a")]
 
 
 # ---------------------------------------------------------------------------
@@ -630,48 +631,50 @@ def _dfg(freqs, durs=None):
 def test_compare_dfgs_only_in_a():
     a = _dfg({("Request", "Extra Check"): 5})
     b = _dfg({("Request", "Approve"): 5})
-    cmp = compare_dfgs(a, b, 0.05)
-    kinds = {f.edge: f.kind for f in cmp.findings}
+    kinds = {f.edge: f.kind for f in compare_dfgs(a, b, 0.05)}
     assert kinds[("Request", "Extra Check")] == ONLY_IN_A
     assert kinds[("Request", "Approve")] == ONLY_IN_B
 
 
 def test_compare_dfgs_identical_is_empty():
     a = _dfg({("x", "y"): 3}, {("x", "y"): 10.0})
-    assert compare_dfgs(a, a, 0.05).findings == ()
+    assert compare_dfgs(a, a, 0.05) == ()
 
 
 def test_compare_dfgs_frequency_shift_value():
     # x->y carries 9 of 10 in a but 1 of 10 in b -> relative difference 0.8
     a = _dfg({("x", "y"): 9, ("y", "z"): 1})
     b = _dfg({("x", "y"): 1, ("y", "z"): 9})
-    cmp = compare_dfgs(a, b, 0.05)
-    shift = [f for f in cmp.findings if f.kind == FREQUENCY_SHIFT and f.edge == ("x", "y")]
+    findings = compare_dfgs(a, b, 0.05)
+    shift = [f for f in findings if f.kind == FREQUENCY_SHIFT and f.edge == ("x", "y")]
     assert len(shift) == 1
     assert shift[0].relative_difference == pytest.approx(0.8)
-    assert cmp.total_a == 10 and cmp.total_b == 10
+    assert (shift[0].a, shift[0].b) == (0.9, 0.1)
 
 
 def test_compare_dfgs_duration_shift():
     a = _dfg({("x", "y"): 2}, {("x", "y"): 10.0})
     b = _dfg({("x", "y"): 2}, {("x", "y"): 40.0})
-    cmp = compare_dfgs(a, b, 0.05)
-    assert [f.kind for f in cmp.findings] == [DURATION_SHIFT]
-    assert cmp.findings[0].relative_difference == pytest.approx(-0.75)
+    findings = compare_dfgs(a, b, 0.05)
+    assert [f.kind for f in findings] == [DURATION_SHIFT]
+    assert findings[0].relative_difference == pytest.approx(-0.75)
 
 
 def test_compare_dfgs_sorted_by_magnitude():
     a = _dfg({("x", "y"): 9, ("y", "z"): 1, ("q", "r"): 0 or 1})
     b = _dfg({("x", "y"): 1, ("y", "z"): 9, ("s", "t"): 1})
-    cmp = compare_dfgs(a, b, 0.05)
-    mags = [abs(f.relative_difference) for f in cmp.findings]
+    mags = [abs(f.relative_difference) for f in compare_dfgs(a, b, 0.05)]
     assert mags == sorted(mags, reverse=True)
 
 
 def test_compare_dfgs_empty_inputs():
-    cmp = compare_dfgs(_dfg({}), _dfg({}), 0.05)
-    assert cmp.findings == ()
-    assert cmp.total_a == 0 and cmp.total_b == 0
+    assert compare_dfgs(_dfg({}), _dfg({}), 0.05) == ()
+
+
+def test_compare_dfgs_zero_total_gives_relative_frequency_zero():
+    a = _dfg({("x", "y"): 0})
+    b = _dfg({("x", "y"): 0, ("y", "z"): 0})
+    assert compare_dfgs(a, b, 0.0) == (ComparisonFinding(("y", "z"), ONLY_IN_B, 0.0, 0, 0),)
 
 
 # ---------------------------------------------------------------------------
@@ -695,15 +698,15 @@ def test_dfg_matches_naive_counter(shapes):
 @settings(max_examples=150, deadline=None)
 def test_variants_match_naive_grouping(shapes):
     log = make_log(shapes)
-    table = discover_variants(log)
-    assert [(v.activity_sequence, v.count) for v in table.variants] == naive_variants(log)
+    variants = discover_variants(log)
+    assert [(v.activity_sequence, v.count) for v in variants] == naive_variants(log)
 
 
 @given(log_shapes)
 @settings(max_examples=100, deadline=None)
 def test_variant_counts_sum_to_trace_count(shapes):
     log = make_log(shapes)
-    assert sum(v.count for v in discover_variants(log).variants) == len(log.traces)
+    assert sum(v.count for v in discover_variants(log)) == len(log.traces)
 
 
 @given(
@@ -735,6 +738,6 @@ def test_removing_a_trace_never_increases_counts(shapes, data):
     small_dfg = discover_dfg(smaller)
     for edge, stats in small_dfg.edges.items():
         assert stats.frequency <= full_dfg.edges[edge].frequency
-    full_counts = {v.activity_sequence: v.count for v in discover_variants(log).variants}
-    for variant in discover_variants(smaller).variants:
+    full_counts = {v.activity_sequence: v.count for v in discover_variants(log)}
+    for variant in discover_variants(smaller):
         assert variant.count <= full_counts[variant.activity_sequence]

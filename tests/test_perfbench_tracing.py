@@ -7,6 +7,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 import agwf.workflow_engine as workflow_engine
 from agwf import cli
 
@@ -39,3 +41,28 @@ def test_traced_run_validates_once(monkeypatch, capsys):
     calls = tracer.per_operation()[0]["calls"]
     assert calls["workflow_engine.validate"] == 1
     assert calls["workflow_engine.linearize"] == 1
+
+
+#: per-name call counts of a traced demo run (a subset of the span names)
+DEMO_SPAN_CALLS = {
+    "fairness": {
+        "event_log.parse_xes": 1, "event_log.parse_predicate": 1, "event_log.split_log": 1,
+        "event_log.discover_dfg": 2, "event_log.compare_dfgs": 1,
+        "pm_tools.render": 1, "pm_tools.tool": 2,
+    },
+    "anomaly": {
+        "event_log.discover_dfg": 1, "event_log.discover_variants": 1,
+        "pm_tools.render": 2, "pm_tools.resolve_log": 2,
+    },
+}
+
+
+@pytest.mark.parametrize("name", DEMO_SPAN_CALLS)
+def test_traced_demo_sees_every_tool_layer_call(name, monkeypatch, capsys):
+    # the tools look these names up in pm_tools at call time, so the
+    # tracer's wrappers see each call
+    tracer = load_tracing(monkeypatch).Tracer()
+    assert tracer.run(lambda: cli.main(["demo", name])) == 0
+    calls = tracer.per_operation()[0]["calls"]
+    expected = DEMO_SPAN_CALLS[name]
+    assert {span: calls[span] for span in expected} == expected

@@ -11,11 +11,10 @@ from agwf import pm_tools
 from agwf.event_log import (
     ComparisonFinding,
     Dfg,
-    DfgComparison,
     DfgEdgeStats,
     EventLog,
     Variant,
-    VariantTable,
+    compare_dfgs,
     discover_dfg,
 )
 from agwf.pm_tools import (
@@ -270,65 +269,98 @@ def test_abstract_dfg_rejects_bad_top_k():
 
 
 def test_abstract_variants_formats():
-    table = VariantTable((Variant(("a", "b"), 2), Variant(("a", "c"), 1)))
-    assert abstract_variants(table, 15) == (
+    variants = (Variant(("a", "b"), 2), Variant(("a", "c"), 1))
+    assert abstract_variants(variants, 15) == (
         "Variants (top 2 of 2):\na,b (count=2)\na,c (count=1)"
     )
 
 
 def test_abstract_variants_empty():
-    assert abstract_variants(VariantTable(), 3) == "Variants (top 0 of 0):"
+    assert abstract_variants((), 3) == "Variants (top 0 of 0):"
 
 
 def test_abstract_variants_truncates():
-    table = VariantTable(tuple(Variant((c,), 1) for c in "abcde"))
-    text = abstract_variants(table, 2)
+    variants = tuple(Variant((c,), 1) for c in "abcde")
+    text = abstract_variants(variants, 2)
     assert text.startswith("Variants (top 2 of 5):")
     assert len(text.splitlines()) == 3
 
 
 def test_render_comparison_only_in_a():
-    cmp = DfgComparison(
-        (ComparisonFinding(("Request", "Extra Check"), 5, 0, 1.0, "only_in_a"),),
-        total_a=5,
-        total_b=4,
-    )
-    assert render_comparison(cmp, 10) == (
+    findings = (ComparisonFinding(("Request", "Extra Check"), "only_in_a", 1.0, 5, 0),)
+    assert render_comparison(findings, 10) == (
         "edge Request -> Extra Check: only in group A (freq 5 vs 0)"
     )
 
 
 def test_render_comparison_empty():
-    assert render_comparison(DfgComparison(()), 10) == "no behavioral differences found"
+    assert render_comparison((), 10) == "no behavioral differences found"
 
 
 def test_render_comparison_shift_decimals():
-    cmp = DfgComparison(
-        (ComparisonFinding(("x", "y"), 9, 1, 0.8, "frequency_shift"),),
-        total_a=10,
-        total_b=10,
-    )
-    line = render_comparison(cmp, 10)
+    findings = (ComparisonFinding(("x", "y"), "frequency_shift", 0.8, 0.9, 0.1),)
+    line = render_comparison(findings, 10)
     assert "0.900" in line and "0.100" in line
 
 
 def test_render_comparison_duration_line():
-    cmp = DfgComparison(
-        (ComparisonFinding(("x", "y"), 2, 2, -0.75, "duration_shift", 10.0, 40.0),),
-        total_a=2,
-        total_b=2,
-    )
-    assert render_comparison(cmp, 10) == (
+    findings = (ComparisonFinding(("x", "y"), "duration_shift", -0.75, 10.0, 40.0),)
+    assert render_comparison(findings, 10) == (
         "edge x -> y: duration shift (avg 10.0s vs 40.0s)"
     )
 
 
 def test_render_comparison_respects_limit():
     findings = tuple(
-        ComparisonFinding((c, "x"), 1, 0, 1.0, "only_in_a") for c in "abc"
+        ComparisonFinding((c, "x"), "only_in_a", 1.0, 1, 0) for c in "abc"
     )
-    cmp = DfgComparison(findings, total_a=3, total_b=0)
-    assert len(render_comparison(cmp, 2).splitlines()) == 2
+    assert len(render_comparison(findings, 2).splitlines()) == 2
+
+
+def oracle_comparison(a, b, threshold, limit):
+    """The comparison text, from relative frequency = frequency / total."""
+    total_a = sum(s.frequency for s in a.edges.values())
+    total_b = sum(s.frequency for s in b.edges.values())
+    found = []  # (relative difference, edge, kind, text)
+    for edge in set(a.edges) | set(b.edges):
+        sa, sb = a.edges.get(edge), b.edges.get(edge)
+        rel_a = sa.frequency / total_a if sa and total_a else 0.0
+        rel_b = sb.frequency / total_b if sb and total_b else 0.0
+        if sb is None:
+            found.append((rel_a, edge, "only_in_a",
+                          f"only in group A (freq {sa.frequency} vs 0)"))
+        elif sa is None:
+            found.append((-rel_b, edge, "only_in_b",
+                          f"only in group B (freq 0 vs {sb.frequency})"))
+        else:
+            if abs(rel_a - rel_b) > threshold:
+                found.append((rel_a - rel_b, edge, "frequency_shift",
+                              f"frequency shift (rel {rel_a:.3f} vs {rel_b:.3f})"))
+            da, db = sa.mean_duration_seconds, sb.mean_duration_seconds
+            if max(da, db) > 0.0 and abs((da - db) / max(da, db)) > threshold:
+                found.append(((da - db) / max(da, db), edge, "duration_shift",
+                              f"duration shift (avg {da:.1f}s vs {db:.1f}s)"))
+    if not found:
+        return "no behavioral differences found"
+    found.sort(key=lambda f: (-abs(f[0]), f[1], f[2]))
+    return "\n".join(f"edge {s} -> {t}: {text}" for _, (s, t), _, text in found[:limit])
+
+
+_EDGES = [(s, t) for s in "abc" for t in "abc"]
+_durations = st.sampled_from([0.0, 0.0, 1.0, 2.5, 60.0]) | st.floats(0, 1e5)
+_dfgs = st.dictionaries(
+    st.sampled_from(_EDGES),
+    st.builds(DfgEdgeStats, st.integers(0, 4), _durations),
+    max_size=len(_EDGES),
+).map(lambda edges: Dfg(edges=edges))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_dfgs, _dfgs, st.floats(0, 1) | st.sampled_from([0.0, 0.05, 1.0]),
+       st.integers(1, 12))
+def test_render_comparison_matches_the_frequency_over_total_oracle(a, b, threshold, limit):
+    assert render_comparison(compare_dfgs(a, b, threshold), limit) == (
+        oracle_comparison(a, b, threshold, limit))
 
 
 # ---------------------------------------------------------------------------
