@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import accumulate
 from pathlib import Path
 
 from . import demos
@@ -58,13 +59,45 @@ def _make_backend(args) -> CompletionBackend:
         raise UsageError(f"--http (or AGWF_ENDPOINT): {exc}") from exc
 
 
+def _write_states(out, record: ExecutionRecord) -> None:
+    """The states array as json.dump(indent=2) writes it one level deep.
+
+    JSON escaping maps each code point on its own, so escaping the final
+    state one appended segment at a time gives its escaped text, and at
+    each segment's end the escaped end of a state: each state is written
+    as a slice of that one escaped copy.
+    """
+    ends = record.state_ends
+    pieces = [json.dumps(record.final_state[start:end])[1:-1]
+              for start, end in zip((0, *ends), ends)]
+    text = memoryview("".join(pieces).encode("ascii"))
+    separator = b'[\n    "'
+    for end in accumulate(map(len, pieces)):
+        out.write(separator)
+        out.write(text[:end])
+        separator = b'",\n    "'
+    out.write(b'"\n  ]')
+
+
 def _write_transcript(path: Path, record: ExecutionRecord, error: str | None) -> None:
+    """json.dump(mirror, indent=2) and a newline, byte for byte, where
+    mirror is record_to_dict(record) with the states after task_sequence,
+    plus aborted and error."""
     payload = record_to_dict(record)
     payload["aborted"] = error is not None
     payload["error"] = error
-    with open(path, "w") as out:
-        json.dump(payload, out, indent=2)
-        out.write("\n")
+    encoder = json.JSONEncoder(indent=2)
+    with open(path, "wb") as out:
+        separator = b"{\n  "
+        for key, value in payload.items():
+            out.write(separator + encoder.encode(key).encode() + b": ")
+            for chunk in encoder.iterencode(value):
+                out.write(chunk.replace("\n", "\n  ").encode())
+            if key == "task_sequence":
+                out.write(b',\n  "states": ')
+                _write_states(out, record)
+            separator = b",\n  "
+        out.write(b"\n}\n")
 
 
 def _report_record(record: ExecutionRecord, verbose: bool) -> int:

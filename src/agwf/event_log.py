@@ -279,7 +279,7 @@ class _XesReader:
         self.error: EventLogError | None = None
         self._seen_ids: set[str] = set()
         self._names: dict[str, str] = {}  # tag -> local name
-        self._activities: dict[str, str] = {}  # one object per activity name
+        self._strings: dict[str, str] = {}  # one object per activity name and attribute key
         self._depth = 0
         self._trace: list[tuple[str, str, str]] | None = None
         self._events: list[list[tuple[str, str, str]]] = []
@@ -299,7 +299,7 @@ class _XesReader:
                 if key is not None and value is not None:
                     name = self._local(tag)
                     if name != "event":
-                        self._event.append((name, key, value))
+                        self._event.append((name, self._strings.setdefault(key, key), value))
         elif depth == 3:
             if self._trace is not None:
                 name = self._local(tag)
@@ -309,7 +309,7 @@ class _XesReader:
                 else:
                     key, value = attrib.get("key"), attrib.get("value")
                     if key is not None and value is not None:
-                        self._trace.append((name, key, value))
+                        self._trace.append((name, self._strings.setdefault(key, key), value))
         elif depth == 2 and self.error is None and self._local(tag) == "trace":
             self._trace, self._events = [], []
 
@@ -337,7 +337,7 @@ class _XesReader:
         def where() -> str:  # formatted only for an error, at the current event_index
             return f"trace {case_id!r}, event {event_index}"
 
-        intern = self._activities.setdefault
+        intern = self._strings.setdefault
         events: list[Event] = []
         for event_index, triples in enumerate(event_triples):
             attrs = _attributes(triples, where)

@@ -12,7 +12,7 @@ per-task execution detail.
 from __future__ import annotations
 
 import heapq
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -173,17 +173,21 @@ class ExecutionRecord:
     """The realized task sequence and state sequence of one run.
 
     states[0] is the initial inquiry and states[i+1] the state after
-    task_sequence[i]; every state extends its predecessor as a prefix.
+    task_sequence[i]; every state extends its predecessor as a prefix.  So
+    the record holds only the last state, final_state, and where each
+    state ends in it: states[i] is final_state[:state_ends[i]], sliced on
+    demand by the states property.
     """
 
     task_sequence: tuple[str, ...]
-    states: tuple[str, ...]
+    final_state: str
+    state_ends: tuple[int, ...]
     details: dict[str, TaskDetail]
     memory_final: dict[str, EventLog] = field(default_factory=dict)
 
     @property
-    def final_state(self) -> str:
-        return self.states[-1]
+    def states(self) -> tuple[str, ...]:
+        return tuple(self.final_state[:end] for end in self.state_ends)
 
     def task_output(self, task_id: str) -> str:
         """The text the task appended (without the section delimiter)."""
@@ -432,7 +436,7 @@ def run_callbacks(task: TaskSpec, response: str) -> None:
     """Run the task's callbacks in declared order.
 
     Built-ins: ``require_nonempty``, ``require_contains:<needle>``,
-    ``write_to_file:<path>``.  A failed require_* aborts the execution.
+    ``write_to_file:<path>`` (UTF-8).  A failed require_* aborts the execution.
     """
     for name in task.callback_names:
         base, argument = _parse_callback(name)
@@ -445,7 +449,7 @@ def run_callbacks(task: TaskSpec, response: str) -> None:
                     f"task {task.id!r}: require_contains:{argument} failed"
                 )
         else:  # write_to_file
-            Path(argument).write_text(response)
+            Path(argument).write_text(response, encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +477,10 @@ def execute(spec: WorkflowSpec, inquiry: str, backend: CompletionBackend) -> Exe
     memory = EntityMemory()
 
     # the run history: tasks commit in order, so order[:len(done)] ran;
-    # done[i] is order[i]'s detail and the entity memory before it ran
-    states: list[str] = [inquiry]
+    # done[i] is order[i]'s detail and the entity memory before it ran,
+    # and sigma[:ends[i + 1]] the state after it
+    sigma = inquiry
+    ends = [len(sigma)]
     done: list[tuple[TaskDetail, dict[str, EventLog]]] = []
     executions: dict[str, int] = {}
     evaluator_retries: dict[str, int] = {}
@@ -482,14 +488,14 @@ def execute(spec: WorkflowSpec, inquiry: str, backend: CompletionBackend) -> Exe
     def partial() -> ExecutionRecord:
         return ExecutionRecord(
             task_sequence=tuple(order[:len(done)]),
-            states=tuple(states),
+            final_state=sigma,
+            state_ends=tuple(ends),
             details={task_id: detail for task_id, (detail, _) in zip(order, done)},
             memory_final=memory.snapshot(),
         )
 
     while len(done) < len(order):
         task = by_id[order[len(done)]]
-        sigma = states[-1]
         memory_before = memory.snapshot()
         executions[task.id] = executions.get(task.id, 0) + 1
         detail = TaskDetail(retries_used=executions[task.id] - 1)
@@ -528,12 +534,14 @@ def execute(spec: WorkflowSpec, inquiry: str, backend: CompletionBackend) -> Exe
                         evaluator_retries[task.id] = used + 1
                         target = position[config.target_task_id]
                         memory.restore(done[target][1])
-                        del states[target + 1:], done[target:]
+                        del ends[target + 1:], done[target:]
+                        sigma = sigma[:ends[-1]]
                         continue
                     detail.low_quality = detail.score < config.threshold
 
             done.append((detail, memory_before))
-            states.append(append_state(sigma, task.id, response))
+            sigma = append_state(sigma, task.id, response)
+            ends.append(len(sigma))
             if not detail.skipped:
                 run_callbacks(task, response)
         except Exception as exc:
@@ -549,11 +557,13 @@ def execute(spec: WorkflowSpec, inquiry: str, backend: CompletionBackend) -> Exe
 # ---------------------------------------------------------------------------
 
 def record_to_dict(record: ExecutionRecord) -> dict:
-    """JSON-ready mirror of an ExecutionRecord."""
+    """JSON-ready mirror of an ExecutionRecord but its states, which the
+    transcript writer streams from final_state and state_ends; each detail
+    maps its fields, in declaration order, to their (scalar) values."""
     return {
         "task_sequence": list(record.task_sequence),
-        "states": list(record.states),
-        "details": {task_id: asdict(d) for task_id, d in record.details.items()},
+        "details": {task_id: {f.name: getattr(d, f.name) for f in fields(d)}
+                    for task_id, d in record.details.items()},
         "memory_final": {
             key: {
                 "type": "event_log",

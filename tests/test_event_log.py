@@ -376,6 +376,24 @@ def test_each_parse_keeps_one_string_per_activity():
     assert first.activity is second.activity
 
 
+def test_each_xes_parse_keeps_one_string_per_attribute_key():
+    trace = """
+  <trace>
+    <string key="concept:name" value="c{}"/>
+    <string key="department" value="sales"/>
+    <event>
+      <string key="concept:name" value="A"/>
+      <string key="resource" value="clerk"/>
+      <date key="time:timestamp" value="2024-03-01T09:00:00+00:00"/>
+    </event>
+  </trace>"""
+    document = f"<log>{trace.format(1)}{trace.format(2)}\n</log>\n"
+    first, second = ((*t.case_attributes, *t.events[0].attributes)
+                     for t in parse_xes(document).traces)
+    assert first == second == ("department", "resource")
+    assert all(a is b for a, b in zip(first, second))
+
+
 def test_events_and_traces_have_no_instance_dict():
     trace = parse_csv(f"case,act,ts\nc1,A,{TS}\n", CSV_MAPPING).traces[0]
     assert not hasattr(trace, "__dict__")

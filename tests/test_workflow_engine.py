@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -274,6 +279,19 @@ def test_write_to_file_round_trips(tmp_path):
     task = plain_task("t", callback_names=(f"write_to_file:{target}",))
     run_callbacks(task, "payload\nlines")
     assert target.read_text() == "payload\nlines"
+
+
+def test_write_to_file_writes_utf8_under_an_ascii_locale(tmp_path):
+    target = tmp_path / "out.txt"
+    code = ("import sys; from agwf.workflow_engine import TaskSpec, run_callbacks; "
+            "run_callbacks(TaskSpec('t', 'a', 'i', callback_names=(f'write_to_file:{sys.argv[1]}',)),"
+            " 'caf\\u00e9')")
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-X", "utf8=0", "-c", code, str(target)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert target.read_bytes() == "café".encode("utf-8")
 
 
 def test_unknown_callback():
