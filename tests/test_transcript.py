@@ -81,11 +81,15 @@ def assert_transcript_matches(argv: list[str], output: Path) -> int:
 
 
 def run_spec(spec, inquiry: str, backend: ScriptedBackend, output: Path) -> int:
-    """`agwf run` with the workflow and rules loaders answering spec and backend."""
+    """`agwf run` with the workflow and rules loaders answering spec and backend.
+
+    The inquiry is passed as ``--inquiry=TEXT`` so that text starting with a
+    dash is taken as the value, not as another option.
+    """
     with mock.patch.object(cli, "load_workflow", lambda _: spec), \
             mock.patch.object(cli, "load_scripted_rules", lambda _: backend):
         return assert_transcript_matches(
-            ["run", "workflow.json", "--inquiry", inquiry, "--scripted", "rules.json"], output)
+            ["run", "workflow.json", f"--inquiry={inquiry}", "--scripted", "rules.json"], output)
 
 
 @pytest.mark.parametrize("name", BUNDLE_NAMES)
