@@ -23,9 +23,11 @@ from hypothesis import strategies as st
 from agwf import cli
 from agwf.agents import ScriptedBackend, rule
 from agwf.demos import BUNDLE_NAMES, bundle
-from agwf.workflow_engine import ExecutionAborted, ExecutionRecord, execute
+from agwf.pm_tools import Tool, ToolRegistry
+from agwf.task_kinds import EVALUATOR
+from agwf.workflow_engine import EvaluatorConfig, ExecutionAborted, ExecutionRecord, execute
 
-from conftest import chain_spec
+from conftest import chain_spec, plain_task, spec_of
 from test_workflow_engine import routed_workflows, scripted
 
 #: text that JSON escapes in every way it can: quotes, backslashes, control
@@ -120,6 +122,55 @@ def test_routed_runs_match_the_plain_encoder(workflow, data):
         replies[tid] = replies[tid][:data.draw(st.integers(1, len(replies[tid])))] + [""]
     with tempfile.TemporaryDirectory() as work:
         run_spec(spec, data.draw(text), scripted(replies), Path(work) / "t.json")
+
+
+ESCAPES = "".join(SPECIAL)
+
+#: two tools whose documentation and output hold every escape
+TWO_TOOLS = ToolRegistry.of(
+    Tool("alpha", f"docs for alpha {ESCAPES}", lambda state, memory: f"alpha saw {ESCAPES}"),
+    Tool("beta", "docs for beta", lambda state, memory: f"beta saw {ESCAPES}"),
+)
+
+
+def tool_chain(graded: bool = False):
+    """t0, then t1 choosing between alpha and beta, then, if graded, an
+    evaluator t2 that may rewind to t1 once."""
+    tasks = [plain_task("t0"), plain_task("t1", tool_names=("alpha", "beta"))]
+    prec = {"t0": set(), "t1": {"t0"}}
+    if graded:
+        tasks.append(plain_task("t2", kind=EVALUATOR, evaluator_config=EvaluatorConfig(
+            threshold=5.0, target_task_id="t1", max_retries=1)))
+        prec["t2"] = {"t1"}
+    return spec_of(tasks, prec, "t0", tasks[-1].id, registry=TWO_TOOLS)
+
+
+#: name -> (workflow, rules ahead of an escape-laden fallback reply, exit
+#: code, what the transcript shows happened)
+PROMPT_CASES = {
+    "selection re-asked": (
+        tool_chain(), [rule("Choose exactly one tool", "no tool", "beta")], 0,
+        lambda t: t["details"]["t1"]["selected_tool"] == "beta"),
+    "selection fails": (
+        tool_chain(), [rule("Choose exactly one tool", "banana")], 1,
+        lambda t: "named no valid tool" in t["error"] and "t1" not in t["details"]),
+    "evaluator rewinds": (
+        tool_chain(graded=True), [rule("Choose exactly one tool", "alpha", "beta"),
+                                  rule("carry out step t2", "SCORE: 2.0", "SCORE: 9.0")], 0,
+        lambda t: t["details"]["t1"]["selected_tool"] == "beta"
+        and t["details"]["t1"]["retries_used"] == 1),
+    "first task aborts": (
+        tool_chain(), [rule("carry out step t0", "")], 1,
+        lambda t: t["details"] == {} and t["states"] == [ESCAPES]),
+}
+
+
+@pytest.mark.parametrize("case", PROMPT_CASES)
+def test_recorded_prompts_match_the_plain_encoder(case, tmp_path):
+    spec, rules, expected, happened = PROMPT_CASES[case]
+    backend = ScriptedBackend(rules, fallback=f"noted {ESCAPES}")
+    assert run_spec(spec, ESCAPES, backend, tmp_path / "t.json") == expected
+    assert happened(json.loads((tmp_path / "t.json").read_text()))
 
 
 # ---------------------------------------------------------------------------
