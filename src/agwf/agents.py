@@ -103,6 +103,10 @@ class ScriptedRule:
     responses: tuple[str, ...]
     regex: bool = False
 
+    def __post_init__(self):
+        if not self.responses:
+            raise ValueError("'responses' must not be empty")
+
     def matches(self, user_prompt: str) -> bool:
         if self.regex:
             return re.search(self.match, user_prompt) is not None

@@ -177,14 +177,13 @@ def parse_scripted_rules(data: Any) -> ScriptedBackend:
             responses = [response]
         elif responses is None:
             raise WorkflowConfigError(f"{where}: needs 'response' or 'responses'")
-        elif not responses:
-            raise WorkflowConfigError(f"{where}: 'responses' must not be empty")
+        scripted = _construct(where, lambda: ScriptedRule(match, tuple(responses), regex))
         if regex:
             try:
                 re.compile(match)
             except re.error as exc:
                 raise WorkflowConfigError(f"{where}.match: invalid regex: {exc}") from exc
-        rules.append(ScriptedRule(match, tuple(responses), regex))
+        rules.append(scripted)
     return ScriptedBackend(rules, fallback=fallback)
 
 

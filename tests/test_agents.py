@@ -90,6 +90,11 @@ def test_scripted_regex_rule():
     assert complete(AGENT, backend, "inspect 42 now") == "matched"
 
 
+def test_a_scripted_rule_needs_a_response():
+    with pytest.raises(ValueError, match="^'responses' must not be empty$"):
+        rule("x")
+
+
 def test_complete_rejects_empty_prompt():
     with pytest.raises(ValueError):
         complete(AGENT, ScriptedBackend([], fallback="x"), "")
