@@ -316,23 +316,23 @@ def _last_nonempty_line(text: str) -> str:
     return ""
 
 
-def selection_prompt(state: str, tools: Sequence[Tool]) -> str:
+def selection_prompt(tools: Sequence[Tool]) -> tuple[str, str]:
+    """Head and tail of the tool-selection prompt: the prompt is head,
+    state, tail."""
     lines = ["Choose exactly one tool to apply to the current state.", "Available tools:"]
     for tool in tools:
         lines.append(f"- {tool.name}: {tool.documentation}")
-    lines.append("Current state:")
-    lines.append(state)
-    lines.append(
-        "Reply with your reasoning if you want, but the last line of your reply "
+    lines.append("Current state:\n")
+    return "\n".join(lines), (
+        "\nReply with your reasoning if you want, but the last line of your reply "
         "must be exactly the name of the chosen tool."
     )
-    return "\n".join(lines)
 
 
 def select_tool(profile: AgentProfile, backend: CompletionBackend,
                 prompt: str, tools: Sequence[Tool]) -> Tool:
-    """Send ``prompt``, built by ``selection_prompt(state, tools)``, and
-    return the tool the reply names.
+    """Send ``prompt``, the head and tail of ``selection_prompt(tools)``
+    around the state, and return the tool the reply names.
 
     A single tool is returned without consulting the backend.  Otherwise
     the last line of the reply must be a tool name (case-sensitive exact

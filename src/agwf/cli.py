@@ -59,43 +59,81 @@ def _make_backend(args) -> CompletionBackend:
         raise UsageError(f"--http (or AGWF_ENDPOINT): {exc}") from exc
 
 
-def _write_states(out, record: ExecutionRecord) -> None:
-    """The states array as json.dump(indent=2) writes it one level deep.
+def _escaped_states(record: ExecutionRecord) -> list[memoryview]:
+    """Each state's JSON-escaped text, without quotes, as a slice of one
+    escaped copy of the final state.
 
     JSON escaping maps each code point on its own, so escaping the final
     state one appended segment at a time gives its escaped text, and at
-    each segment's end the escaped end of a state: each state is written
-    as a slice of that one escaped copy.
+    each segment's end the escaped end of a state.
     """
     ends = record.state_ends
     pieces = [json.dumps(record.final_state[start:end])[1:-1]
               for start, end in zip((0, *ends), ends)]
     text = memoryview("".join(pieces).encode("ascii"))
+    return [text[:end] for end in accumulate(map(len, pieces))]
+
+
+def _write_states(out, states: list[memoryview]) -> None:
+    """The states array as json.dump(indent=2) writes it one level deep."""
     separator = b'[\n    "'
-    for end in accumulate(map(len, pieces)):
+    for state in states:
         out.write(separator)
-        out.write(text[:end])
+        out.write(state)
         separator = b'",\n    "'
     out.write(b'"\n  ]')
 
 
+def _write_details(out, details: dict, states: list[memoryview]) -> None:
+    """record_to_dict's details as json.dump(indent=2) writes them with
+    each prompt spelled out, two levels deep.  The i-th detail's task ran
+    on states[i], so a sent prompt is written as its escaped head, that
+    escaped state and its escaped tail."""
+    if not details:
+        out.write(b"{}")
+        return
+    separator = b"{\n    "
+    for state, (task_id, detail) in zip(states, details.items()):
+        out.write(separator + json.dumps(task_id).encode() + b": {")
+        comma = b"\n      "
+        for key, value in detail.items():
+            out.write(comma + json.dumps(key).encode() + b": ")
+            if not isinstance(value, tuple):
+                out.write(json.dumps(value).encode())
+            elif value[1]:
+                head, tail = value
+                out.write(json.dumps(head)[:-1].encode())
+                out.write(state)
+                out.write(json.dumps(tail)[1:].encode())
+            else:
+                out.write(b'""')
+            comma = b",\n      "
+        out.write(b"\n    }")
+        separator = b",\n    "
+    out.write(b"\n  }")
+
+
 def _write_transcript(path: Path, record: ExecutionRecord, error: str | None) -> None:
     """json.dump(mirror, indent=2) and a newline, byte for byte, where
-    mirror is record_to_dict(record) with the states after task_sequence,
-    plus aborted and error."""
+    mirror is record_to_dict(record) with the states after task_sequence
+    and each prompt spelled out, plus aborted and error."""
     payload = record_to_dict(record)
     payload["aborted"] = error is not None
     payload["error"] = error
+    states = _escaped_states(record)
     encoder = json.JSONEncoder(indent=2)
     with open(path, "wb") as out:
         separator = b"{\n  "
         for key, value in payload.items():
             out.write(separator + encoder.encode(key).encode() + b": ")
-            for chunk in encoder.iterencode(value):
-                out.write(chunk.replace("\n", "\n  ").encode())
+            if key == "details":
+                _write_details(out, value, states)
+            else:
+                for chunk in encoder.iterencode(value):
+                    out.write(chunk.replace("\n", "\n  ").encode())
             if key == "task_sequence":
                 out.write(b',\n  "states": ')
-                _write_states(out, record)
+                _write_states(out, states)
             separator = b",\n  "
         out.write(b"\n}\n")
 

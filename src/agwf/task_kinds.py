@@ -61,15 +61,16 @@ _KIND_FRAMING = {
 }
 
 
-def build_prompt(task: "TaskSpec", state: str, tool_output: str | None = None,
+def build_prompt(task: "TaskSpec", tool_output: str | None = None,
                  route_options: Sequence[str] = ()) -> str:
-    """Assemble the user prompt for a task, deterministically.
+    """The task's own text of its user prompt, deterministically: the
+    prompt is the state followed by this text.
 
-    Skeleton: state, tool output (if any), kind framing, instruction,
-    expected-output line, plus the ROUTE/SCORE protocol instruction for
-    routers and evaluators.
+    Skeleton after the state, each part opened by a blank line: tool output
+    (if any), kind framing, instruction, expected-output line, plus the
+    ROUTE/SCORE protocol instruction for routers and evaluators.
     """
-    parts = [state]
+    parts = [""]  # the state's place, so the text opens with the blank line
     if tool_output is not None:
         parts.append(f"Tool output:\n{tool_output}")
     framing = _KIND_FRAMING.get(task.kind)

@@ -12,7 +12,7 @@ per-task execution detail.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -153,19 +153,25 @@ class WorkflowSpec:
 class TaskDetail:
     """What one task actually did during an execution.
 
-    selection_prompt is filled only when a tool was actually chosen among
-    several candidates; it never enters the state sequence.
+    Each prompt the task sent is kept as its own text around the state the
+    task ran on, which the record holds (ExecutionRecord.prompt_sent and
+    selection_prompt give the full texts): prompt_suffix follows that state
+    in the task's prompt, and selection_head and selection_tail enclose it
+    in the tool-selection prompt, sent only when a tool was chosen among
+    several candidates.  Each is "" when its prompt was not sent, and a
+    sent prompt's suffix or tail is never "".
     """
 
     selected_tool: str | None = None
     tool_output: str = ""
-    prompt_sent: str = ""
+    prompt_suffix: str = ""
     raw_response: str = ""
     retries_used: int = 0
     skipped: bool = False
     score: float | None = None
     low_quality: bool = False
-    selection_prompt: str = ""
+    selection_head: str = ""
+    selection_tail: str = ""
 
 
 @dataclass(frozen=True)
@@ -176,7 +182,9 @@ class ExecutionRecord:
     task_sequence[i]; every state extends its predecessor as a prefix.  So
     the record holds only the last state, final_state, and where each
     state ends in it: states[i] is final_state[:state_ends[i]], sliced on
-    demand by the states property.
+    demand by the states property.  Tasks commit in order, so
+    task_sequence[i] ran on states[i], and its prompts are joined from
+    that state and their own text on demand too.
     """
 
     task_sequence: tuple[str, ...]
@@ -188,6 +196,23 @@ class ExecutionRecord:
     @property
     def states(self) -> tuple[str, ...]:
         return tuple(self.final_state[:end] for end in self.state_ends)
+
+    def prompt_sent(self, task_id: str) -> str:
+        """The task's prompt, or "" if it sent none (it was skipped)."""
+        return self._on_state(task_id, "", self.details[task_id].prompt_suffix)
+
+    def selection_prompt(self, task_id: str) -> str:
+        """The task's tool-selection prompt, or "" if it chose no tool
+        among several."""
+        detail = self.details[task_id]
+        return self._on_state(task_id, detail.selection_head, detail.selection_tail)
+
+    def _on_state(self, task_id: str, head: str, tail: str) -> str:
+        """head, the state the task ran on, tail; "" for an unsent prompt."""
+        if not tail:
+            return ""
+        end = self.state_ends[self.task_sequence.index(task_id)]
+        return head + self.final_state[:end] + tail
 
     def task_output(self, task_id: str) -> str:
         """The text the task appended (without the section delimiter)."""
@@ -513,17 +538,20 @@ def execute(spec: WorkflowSpec, inquiry: str, backend: CompletionBackend) -> Exe
                 tool_output: str | None = None
                 if task.tool_names:
                     tools = [spec.registry.get(name) for name in sorted(set(task.tool_names))]
+                    prompt = ""  # select_tool asks nothing to pick a single tool
                     if len(tools) > 1:
-                        detail.selection_prompt = selection_prompt(sigma, tools)
-                    tool = select_tool(profile, backend, detail.selection_prompt, tools)
+                        detail.selection_head, detail.selection_tail = selection_prompt(tools)
+                        prompt = detail.selection_head + sigma + detail.selection_tail
+                    tool = select_tool(profile, backend, prompt, tools)
                     detail.selected_tool = tool.name
                     tool_output = tool.function(sigma, memory)
                     detail.tool_output = tool_output
 
-                prompt = task_kinds.build_prompt(
-                    task, sigma, tool_output, route_options=route_tokens.get(task.id, ()))
-                detail.prompt_sent = prompt
-                response = complete(profile, backend, prompt)
+                # the prompts are held as their own text, joined to the
+                # state only for the call
+                detail.prompt_suffix = task_kinds.build_prompt(
+                    task, tool_output, route_options=route_tokens.get(task.id, ()))
+                response = complete(profile, backend, sigma + detail.prompt_suffix)
                 detail.raw_response = response
 
                 if task.kind == EVALUATOR:
@@ -557,13 +585,30 @@ def execute(spec: WorkflowSpec, inquiry: str, backend: CompletionBackend) -> Exe
 # ---------------------------------------------------------------------------
 
 def record_to_dict(record: ExecutionRecord) -> dict:
-    """JSON-ready mirror of an ExecutionRecord but its states, which the
-    transcript writer streams from final_state and state_ends; each detail
-    maps its fields, in declaration order, to their (scalar) values."""
+    """JSON-ready mirror of an ExecutionRecord but its states and prompts,
+    which the transcript writer streams from final_state and state_ends.
+
+    Each detail maps the transcript's keys, in order, to scalar values,
+    except that each prompt is the (head, tail) of its own text around the
+    state its task ran on, ("", "") if it was not sent; the i-th detail's
+    task ran on states[i].
+    """
     return {
         "task_sequence": list(record.task_sequence),
-        "details": {task_id: {f.name: getattr(d, f.name) for f in fields(d)}
-                    for task_id, d in record.details.items()},
+        "details": {
+            task_id: {
+                "selected_tool": d.selected_tool,
+                "tool_output": d.tool_output,
+                "prompt_sent": ("", d.prompt_suffix),
+                "raw_response": d.raw_response,
+                "retries_used": d.retries_used,
+                "skipped": d.skipped,
+                "score": d.score,
+                "low_quality": d.low_quality,
+                "selection_prompt": (d.selection_head, d.selection_tail),
+            }
+            for task_id, d in record.details.items()
+        },
         "memory_final": {
             key: {
                 "type": "event_log",

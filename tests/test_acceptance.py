@@ -105,7 +105,7 @@ def test_criterion_2_tool_non_persistence():
         registry=ToolRegistry.of(sentinel),
     )
     record = execute(spec, "Q", ScriptedBackend([], fallback="noted"))
-    assert "XTOOLX" in record.details["T"].prompt_sent
+    assert "XTOOLX" in record.prompt_sent("T")
     assert "XTOOLX" not in record.states[1]
 
 
@@ -319,7 +319,8 @@ def test_criterion_8_selection_protocol():
         Tool("dfg_discovery", "graph view", lambda s, m: s),
         Tool("variants_discovery", "path view", lambda s, m: s),
     ]
-    prompt = selection_prompt("state", tools)
+    head, tail = selection_prompt(tools)
+    prompt = head + "state" + tail
     backend = ScriptedBackend([rule("Choose exactly one tool", "variants_discovery")])
     assert select_tool(AGENT, backend, prompt, tools).name == "variants_discovery"
 

@@ -41,7 +41,8 @@ def noop_tool(name):
 def choose(backend, tools, state="state"):
     """select_tool on the tools, sorted by name as the engine passes them."""
     tools = sorted(tools, key=lambda t: t.name)
-    return select_tool(AGENT, backend, selection_prompt(state, tools), tools)
+    head, tail = selection_prompt(tools)
+    return select_tool(AGENT, backend, head + state + tail, tools)
 
 
 # ---------------------------------------------------------------------------

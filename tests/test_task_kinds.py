@@ -24,7 +24,7 @@ from conftest import plain_task
 
 def test_build_prompt_plain():
     task = plain_task("t1", instruction="list the problems", expected_output="a list")
-    prompt = build_prompt(task, "STATE")
+    prompt = "STATE" + build_prompt(task)
     assert prompt.startswith("STATE")
     assert "Task: list the problems" in prompt
     assert prompt.endswith("Expected output: a list")
@@ -33,14 +33,14 @@ def test_build_prompt_plain():
 
 def test_build_prompt_includes_tool_output():
     task = plain_task("t1")
-    prompt = build_prompt(task, "STATE", tool_output="TOOLTEXT")
+    prompt = "STATE" + build_prompt(task, tool_output="TOOLTEXT")
     assert "Tool output:\nTOOLTEXT" in prompt
     assert prompt.index("STATE") < prompt.index("TOOLTEXT")
 
 
 def test_build_prompt_router_lists_options():
     task = plain_task("r", kind=ROUTER, instruction="pick a branch")
-    prompt = build_prompt(task, "STATE", route_options=["code_gen", "llm_insights"])
+    prompt = "STATE" + build_prompt(task, route_options=["code_gen", "llm_insights"])
     assert "code_gen, llm_insights" in prompt
     assert 'ROUTE: <option>' in prompt
 
@@ -50,14 +50,14 @@ def test_build_prompt_evaluator_score_instruction():
         "e", kind=EVALUATOR,
         evaluator_config=EvaluatorConfig(threshold=5.0, target_task_id="t"),
     )
-    prompt = build_prompt(task, "STATE")
+    prompt = "STATE" + build_prompt(task)
     assert 'SCORE: <value>' in prompt
     assert "between 1.0 and 10.0" in prompt
 
 
 def test_build_prompt_is_pure():
     task = plain_task("t1")
-    assert build_prompt(task, "S", "T") == build_prompt(task, "S", "T")
+    assert build_prompt(task, "T") == build_prompt(task, "T")
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """The bytes `agwf run --output` writes.
 
 The oracle is ``json.dumps(mirror, indent=2) + "\\n"``, where ``mirror`` is
-built here from the execution record with every state materialized, so the
-writer's streaming of the states is checked against the plain encoder.
+built here from the execution record with every state and prompt
+materialized, so the writer's streaming of them is checked against the
+plain encoder.
 """
 
 from __future__ import annotations
@@ -39,7 +40,20 @@ def mirror(record: ExecutionRecord, error: str | None) -> dict:
     return {
         "task_sequence": list(record.task_sequence),
         "states": list(record.states),
-        "details": {tid: dataclasses.asdict(d) for tid, d in record.details.items()},
+        "details": {
+            tid: {
+                "selected_tool": d.selected_tool,
+                "tool_output": d.tool_output,
+                "prompt_sent": record.prompt_sent(tid),
+                "raw_response": d.raw_response,
+                "retries_used": d.retries_used,
+                "skipped": d.skipped,
+                "score": d.score,
+                "low_quality": d.low_quality,
+                "selection_prompt": record.selection_prompt(tid),
+            }
+            for tid, d in record.details.items()
+        },
         "memory_final": {
             key: {
                 "type": "event_log",
@@ -208,7 +222,33 @@ def test_a_long_run_holds_no_separate_states(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    prompts = sum(len(detail.prompt_sent) for detail in record.details.values())
+    prompts = sum(len(record.prompt_sent(tid)) for tid in record.details)
     final = len(record.final_state)
     assert prompts > 90 * final
     assert peak < prompts + 20 * final
+
+
+def test_a_long_run_holds_no_separate_prompts(tmp_path):
+    """Execute plus transcript write on a 200-task chain with 1 KB replies,
+    where one task chooses between two tools.
+
+    Every prompt repeats the state it was built on, about 100 final states'
+    worth of text in all.  A record that holds only each prompt's own text,
+    and a writer that takes each prompt's state part from the escaped
+    states, stay within a few final states.
+    """
+    ids = [f"t{j:03d}" for j in range(200)]
+    spec = chain_spec(*ids, registry=TWO_TOOLS)
+    spec = dataclasses.replace(spec, tasks=tuple(
+        dataclasses.replace(task, tool_names=("alpha", "beta")) if task.id == "t100" else task
+        for task in spec.tasks))
+    backend = ScriptedBackend([rule("Choose exactly one tool", "beta")], fallback="r" * 1000)
+    tracemalloc.start()
+    try:
+        record = execute(spec, "Q", backend)
+        cli._write_transcript(tmp_path / "t.json", record, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert record.details["t100"].selected_tool == "beta"
+    assert peak < 10 * len(record.final_state)

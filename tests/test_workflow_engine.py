@@ -346,7 +346,7 @@ def test_execute_tool_output_not_persisted():
     spec = spec_of([task], {"T": set()}, "T", "T", registry=registry)
     record = execute(spec, "Q", ScriptedBackend([], fallback="noted"))
     detail = record.details["T"]
-    assert "XTOOLX" in detail.prompt_sent
+    assert "XTOOLX" in record.prompt_sent("T")
     assert detail.tool_output == "XTOOLX"
     assert "XTOOLX" not in record.states[1]
     assert detail.selected_tool == "emit_marker"
@@ -365,7 +365,7 @@ def test_execute_records_selection_prompt_for_multi_tool_tasks():
     record = execute(spec, "Q", backend)
     detail = record.details["T"]
     assert detail.selected_tool == "beta"
-    assert "docs for alpha" in detail.selection_prompt
+    assert "docs for alpha" in record.selection_prompt("T")
     # the selection prompt stays out of the state sequence
     assert "docs for alpha" not in record.final_state
 
@@ -376,9 +376,9 @@ def test_selection_prompt_is_built_once_per_two_tool_task(monkeypatch):
 
     built, sent = [], []
 
-    def counting_prompt(state, tools):
-        built.append(state)
-        return original(state, tools)
+    def counting_prompt(tools):
+        built.append(tools)
+        return original(tools)
 
     original = agwf.agents.selection_prompt
     for module in (agwf.agents, agwf.workflow_engine):
@@ -395,7 +395,7 @@ def test_selection_prompt_is_built_once_per_two_tool_task(monkeypatch):
     record = execute(spec, "Q", Recording())
     assert len(built) == 1
     # the recorded prompt is the one sent, with the tools listed by name
-    assert sent[0] == record.details["T"].selection_prompt
+    assert sent[0] == record.selection_prompt("T")
     assert sent[0].index("- alpha:") < sent[0].index("- beta:")
 
 
@@ -492,7 +492,7 @@ def run_router(token):
 
 def test_router_prompt_lists_options():
     record = run_router("semantic")
-    prompt = record.details["route_it"].prompt_sent
+    prompt = record.prompt_sent("route_it")
     assert "semantic, statistics" in prompt
 
 
