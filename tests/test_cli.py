@@ -484,6 +484,37 @@ def test_a_wrong_kind_in_any_field_is_one_error_line(obj, key, tmp_path, capsys)
     assert captured.err.splitlines() == [f"error: {where}.{key}{error}"]
 
 
+#: every bundled demo, each writing its transcript into the directory argv[1]
+DEMO_RUNS = """
+import sys
+from agwf import cli
+from agwf.demos import BUNDLE_NAMES
+for name in BUNDLE_NAMES:
+    code = cli.main(["demo", name, "--output", f"{sys.argv[1]}/{name}.json"])
+    print(f"exit {code}")
+"""
+
+
+def test_demo_runs_depend_on_no_hash_seed_time_zone_or_locale(tmp_path):
+    environments = {
+        "hash-seed-0": {"PYTHONHASHSEED": "0"},
+        "hash-seed-1": {"PYTHONHASHSEED": "1"},
+        "kolkata-c-ascii": {"TZ": "Asia/Kolkata", "LC_ALL": "C", "PYTHONIOENCODING": "ascii"},
+    }
+    runs = []
+    for name, settings in environments.items():
+        out = tmp_path / name
+        out.mkdir()
+        env = {**os.environ, "PYTHONPATH": str(README.parent / "src"), **settings}
+        done = subprocess.run([sys.executable, "-c", DEMO_RUNS, str(out)],
+                              env=env, capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        runs.append((done.stdout, {path.name: path.read_bytes() for path in out.iterdir()}))
+    stdout, transcripts = runs[0]
+    assert stdout.count(b"exit 0\n") == len(transcripts) == len(BUNDLE_NAMES)
+    assert all(run == runs[0] for run in runs[1:])
+
+
 #: a scripted run in a fresh interpreter: the HTTP modules it loaded, then
 #: whether building an HTTP backend loads http.client
 SCRIPTED_RUN_IMPORTS = """
