@@ -84,29 +84,30 @@ def _write_states(out, states: list[memoryview]) -> None:
     out.write(b'"\n  ]')
 
 
-def _write_details(out, details: dict, states: list[memoryview]) -> None:
+def _write_details(out, record: ExecutionRecord, details: dict,
+                   states: list[memoryview]) -> None:
     """record_to_dict's details as json.dump(indent=2) writes them with
-    each prompt spelled out, two levels deep.  The i-th detail's task ran
-    on states[i], so a sent prompt is written as its escaped head, that
-    escaped state and its escaped tail."""
+    each sent prompt spelled out, two levels deep.  The i-th detail's task
+    ran on states[i], so a sent prompt is written as its escaped head,
+    that escaped state and its escaped tail."""
     if not details:
         out.write(b"{}")
         return
     separator = b"{\n    "
     for state, (task_id, detail) in zip(states, details.items()):
         out.write(separator + json.dumps(task_id).encode() + b": {")
+        prompts = record.prompt_parts(task_id)
         comma = b"\n      "
         for key, value in detail.items():
             out.write(comma + json.dumps(key).encode() + b": ")
-            if not isinstance(value, tuple):
+            parts = prompts.get(key)
+            if parts is None:
                 out.write(json.dumps(value).encode())
-            elif value[1]:
-                head, tail = value
+            else:
+                head, tail = parts
                 out.write(json.dumps(head)[:-1].encode())
                 out.write(state)
                 out.write(json.dumps(tail)[1:].encode())
-            else:
-                out.write(b'""')
             comma = b",\n      "
         out.write(b"\n    }")
         separator = b",\n    "
@@ -127,7 +128,7 @@ def _write_transcript(path: Path, record: ExecutionRecord, error: str | None) ->
         for key, value in payload.items():
             out.write(separator + encoder.encode(key).encode() + b": ")
             if key == "details":
-                _write_details(out, value, states)
+                _write_details(out, record, value, states)
             else:
                 for chunk in encoder.iterencode(value):
                     out.write(chunk.replace("\n", "\n  ").encode())

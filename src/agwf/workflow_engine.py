@@ -197,22 +197,32 @@ class ExecutionRecord:
     def states(self) -> tuple[str, ...]:
         return tuple(self.final_state[:end] for end in self.state_ends)
 
+    def prompt_parts(self, task_id: str) -> dict[str, tuple[str, str] | None]:
+        """Each prompt the task's detail records, by its transcript key, as
+        its own text before and after the state the task ran on: the prompt
+        is head, that state, tail.  None for a prompt that was not sent."""
+        detail = self.details[task_id]
+        return {
+            "prompt_sent": ("", detail.prompt_suffix) if detail.prompt_suffix else None,
+            "selection_prompt": ((detail.selection_head, detail.selection_tail)
+                                 if detail.selection_tail else None),
+        }
+
     def prompt_sent(self, task_id: str) -> str:
         """The task's prompt, or "" if it sent none (it was skipped)."""
-        return self._on_state(task_id, "", self.details[task_id].prompt_suffix)
+        return self._prompt(task_id, "prompt_sent")
 
     def selection_prompt(self, task_id: str) -> str:
         """The task's tool-selection prompt, or "" if it chose no tool
         among several."""
-        detail = self.details[task_id]
-        return self._on_state(task_id, detail.selection_head, detail.selection_tail)
+        return self._prompt(task_id, "selection_prompt")
 
-    def _on_state(self, task_id: str, head: str, tail: str) -> str:
-        """head, the state the task ran on, tail; "" for an unsent prompt."""
-        if not tail:
+    def _prompt(self, task_id: str, key: str) -> str:
+        parts = self.prompt_parts(task_id)[key]
+        if parts is None:
             return ""
-        end = self.state_ends[self.task_sequence.index(task_id)]
-        return head + self.final_state[:end] + tail
+        head, tail = parts
+        return head + self.final_state[:self.state_ends[self.task_sequence.index(task_id)]] + tail
 
     def task_output(self, task_id: str) -> str:
         """The text the task appended (without the section delimiter)."""
@@ -585,13 +595,12 @@ def execute(spec: WorkflowSpec, inquiry: str, backend: CompletionBackend) -> Exe
 # ---------------------------------------------------------------------------
 
 def record_to_dict(record: ExecutionRecord) -> dict:
-    """JSON-ready mirror of an ExecutionRecord but its states and prompts,
-    which the transcript writer streams from final_state and state_ends.
+    """JSON-ready mirror of an ExecutionRecord but its states and sent
+    prompts, which the transcript writer streams from the record.
 
-    Each detail maps the transcript's keys, in order, to scalar values,
-    except that each prompt is the (head, tail) of its own text around the
-    state its task ran on, ("", "") if it was not sent; the i-th detail's
-    task ran on states[i].
+    Each detail maps the transcript's keys, in order, to scalar values;
+    each prompt is "", its value when not sent, and the writer spells out
+    a sent one from record.prompt_parts.
     """
     return {
         "task_sequence": list(record.task_sequence),
@@ -599,13 +608,13 @@ def record_to_dict(record: ExecutionRecord) -> dict:
             task_id: {
                 "selected_tool": d.selected_tool,
                 "tool_output": d.tool_output,
-                "prompt_sent": ("", d.prompt_suffix),
+                "prompt_sent": "",
                 "raw_response": d.raw_response,
                 "retries_used": d.retries_used,
                 "skipped": d.skipped,
                 "score": d.score,
                 "low_quality": d.low_quality,
-                "selection_prompt": (d.selection_head, d.selection_tail),
+                "selection_prompt": "",
             }
             for task_id, d in record.details.items()
         },

@@ -24,8 +24,9 @@ from conftest import plain_task
 
 def test_build_prompt_plain():
     task = plain_task("t1", instruction="list the problems", expected_output="a list")
-    prompt = "STATE" + build_prompt(task)
-    assert prompt.startswith("STATE")
+    prompt = build_prompt(task)
+    # the text that follows the state opens with the blank line after it
+    assert prompt.startswith("\n\n")
     assert "Task: list the problems" in prompt
     assert prompt.endswith("Expected output: a list")
     assert "ROUTE:" not in prompt and "SCORE:" not in prompt
@@ -33,14 +34,14 @@ def test_build_prompt_plain():
 
 def test_build_prompt_includes_tool_output():
     task = plain_task("t1")
-    prompt = "STATE" + build_prompt(task, tool_output="TOOLTEXT")
-    assert "Tool output:\nTOOLTEXT" in prompt
-    assert prompt.index("STATE") < prompt.index("TOOLTEXT")
+    prompt = build_prompt(task, tool_output="TOOLTEXT")
+    assert prompt.startswith("\n\nTool output:\nTOOLTEXT")
+    assert prompt.index("TOOLTEXT") < prompt.index("Task:")
 
 
 def test_build_prompt_router_lists_options():
     task = plain_task("r", kind=ROUTER, instruction="pick a branch")
-    prompt = "STATE" + build_prompt(task, route_options=["code_gen", "llm_insights"])
+    prompt = build_prompt(task, route_options=["code_gen", "llm_insights"])
     assert "code_gen, llm_insights" in prompt
     assert 'ROUTE: <option>' in prompt
 
@@ -50,7 +51,7 @@ def test_build_prompt_evaluator_score_instruction():
         "e", kind=EVALUATOR,
         evaluator_config=EvaluatorConfig(threshold=5.0, target_task_id="t"),
     )
-    prompt = "STATE" + build_prompt(task)
+    prompt = build_prompt(task)
     assert 'SCORE: <value>' in prompt
     assert "between 1.0 and 10.0" in prompt
 

@@ -188,6 +188,48 @@ def test_recorded_prompts_match_the_plain_encoder(case, tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# The record gives the prompts the backend was sent
+# ---------------------------------------------------------------------------
+
+class RecordingBackend(ScriptedBackend):
+    """A scripted backend that keeps every user prompt it is sent."""
+
+    def __init__(self, rules, fallback: str = ""):
+        super().__init__(rules, fallback)
+        self.sent: list[str] = []
+
+    def complete(self, role_prompt, user_prompt, **kwargs):
+        self.sent.append(user_prompt)
+        return super().complete(role_prompt, user_prompt, **kwargs)
+
+
+def test_the_record_gives_the_prompts_each_task_sent():
+    """t0; t1 picks alpha; t2 scores low and rewinds to t1, which names no
+    tool, is re-asked and picks beta; t2 passes."""
+    backend = RecordingBackend([rule("Choose exactly one tool", "alpha", "no tool", "beta"),
+                                rule("carry out step t2", "SCORE: 2.0", "SCORE: 9.0")],
+                               fallback=f"noted {ESCAPES}")
+    record = execute(tool_chain(graded=True), ESCAPES, backend)
+    prompt, selection, states = record.prompt_sent, record.selection_prompt, record.states
+    assert record.task_sequence == ("t0", "t1", "t2")
+    assert record.details["t1"].selected_tool == "beta"
+    sent = backend.sent
+    assert len(sent) == 8
+    # the rewind dropped t1's and t2's first prompts; the re-ask adds a
+    # note to the selection prompt
+    assert [*sent[:2], sent[4], *sent[6:]] == [
+        prompt("t0"), selection("t1"), selection("t1"), prompt("t1"), prompt("t2")]
+    assert sent[5].startswith(selection("t1") + "\nYour previous reply")
+    assert sent[2].startswith(states[1] + "\n\n") and "alpha saw" in sent[2]
+    # each prompt starts with the state its task ran on, and the selection
+    # prompt holds it after its head
+    for tid, state in zip(record.task_sequence, states):
+        assert prompt(tid).startswith(state + "\n\n")
+    assert f"Current state:\n{states[1]}\nReply with" in selection("t1")
+    assert selection("t0") == selection("t2") == ""
+
+
+# ---------------------------------------------------------------------------
 # The writer does not build the states
 # ---------------------------------------------------------------------------
 
@@ -206,36 +248,14 @@ def test_a_run_writes_its_transcript_without_reading_record_states(tmp_path, mon
 
 
 def test_a_long_run_holds_no_separate_states(tmp_path):
-    """Execute plus transcript write on a 200-task chain with 1 KB replies.
-
-    Every prompt carries the state it was built on, so the prompts alone
-    hold about 100 final states' worth of text.  Separate state strings
-    would add about as much again; one final state plus offsets adds next
-    to nothing.
-    """
-    ids = [f"t{j:03d}" for j in range(200)]
-    reply = "r" * 1000
-    tracemalloc.start()
-    try:
-        record = execute(chain_spec(*ids), "Q", ScriptedBackend([], fallback=reply))
-        cli._write_transcript(tmp_path / "t.json", record, None)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    prompts = sum(len(record.prompt_sent(tid)) for tid in record.details)
-    final = len(record.final_state)
-    assert prompts > 90 * final
-    assert peak < prompts + 20 * final
-
-
-def test_a_long_run_holds_no_separate_prompts(tmp_path):
     """Execute plus transcript write on a 200-task chain with 1 KB replies,
     where one task chooses between two tools.
 
-    Every prompt repeats the state it was built on, about 100 final states'
-    worth of text in all.  A record that holds only each prompt's own text,
-    and a writer that takes each prompt's state part from the escaped
-    states, stay within a few final states.
+    Every prompt starts with the state it was built on, so the prompts hold
+    about 100 final states' worth of text, and separate state strings would
+    add about as much again.  One final state plus offsets, prompts held as
+    their own text and written from the escaped states, stay within a few
+    final states.
     """
     ids = [f"t{j:03d}" for j in range(200)]
     spec = chain_spec(*ids, registry=TWO_TOOLS)
@@ -251,4 +271,7 @@ def test_a_long_run_holds_no_separate_prompts(tmp_path):
     finally:
         tracemalloc.stop()
     assert record.details["t100"].selected_tool == "beta"
-    assert peak < 10 * len(record.final_state)
+    prompts = sum(len(record.prompt_sent(tid)) for tid in record.details)
+    final = len(record.final_state)
+    assert prompts > 90 * final
+    assert peak < 10 * final
