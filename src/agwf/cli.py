@@ -32,7 +32,6 @@ from .workflow_engine import (
     ExecutionRecord,
     InvalidWorkflow,
     execute,
-    record_to_dict,
     validate,
 )
 
@@ -59,6 +58,15 @@ def _make_backend(args) -> CompletionBackend:
         raise UsageError(f"--http (or AGWF_ENDPOINT): {exc}") from exc
 
 
+class _Escaped(tuple):
+    """A transcript string held as pieces of its JSON-escaped text, without
+    the quotes; _write_json writes the pieces between quotes."""
+
+
+def _escape(text: str) -> bytes:
+    return json.dumps(text)[1:-1].encode("ascii")
+
+
 def _escaped_states(record: ExecutionRecord) -> list[memoryview]:
     """Each state's JSON-escaped text, without quotes, as a slice of one
     escaped copy of the final state.
@@ -68,83 +76,85 @@ def _escaped_states(record: ExecutionRecord) -> list[memoryview]:
     each segment's end the escaped end of a state.
     """
     ends = record.state_ends
-    pieces = [json.dumps(record.final_state[start:end])[1:-1]
-              for start, end in zip((0, *ends), ends)]
-    text = memoryview("".join(pieces).encode("ascii"))
+    pieces = [_escape(record.final_state[start:end]) for start, end in zip((0, *ends), ends)]
+    text = memoryview(b"".join(pieces))
     return [text[:end] for end in accumulate(map(len, pieces))]
 
 
-def _write_states(out, states: list[memoryview]) -> None:
-    """The states array as json.dump(indent=2) writes it one level deep."""
-    separator = b'[\n    "'
-    for state in states:
-        out.write(separator)
-        out.write(state)
-        separator = b'",\n    "'
-    out.write(b'"\n  ]')
+def record_to_dict(record: ExecutionRecord) -> dict:
+    """The transcript of a record but its aborted and error keys.
+
+    Each state is an _Escaped slice of one escaped copy of the final state,
+    and each sent prompt is its escaped head, the state its task ran on and
+    its escaped tail; a prompt not sent is "".
+    """
+    states = _escaped_states(record)
+    details = {}
+    for task_id, state in zip(record.task_sequence, states):
+        d = record.details[task_id]
+        prompts = {key: "" if parts is None else
+                   _Escaped((_escape(parts[0]), state, _escape(parts[1])))
+                   for key, parts in record.prompt_parts(task_id).items()}
+        details[task_id] = {
+            "selected_tool": d.selected_tool,
+            "tool_output": d.tool_output,
+            "prompt_sent": prompts["prompt_sent"],
+            "raw_response": d.raw_response,
+            "retries_used": d.retries_used,
+            "skipped": d.skipped,
+            "score": d.score,
+            "low_quality": d.low_quality,
+            "selection_prompt": prompts["selection_prompt"],
+        }
+    return {
+        "task_sequence": list(record.task_sequence),
+        "states": [_Escaped((state,)) for state in states],
+        "details": details,
+        "memory_final": {
+            key: {
+                "type": "event_log",
+                "source_name": log.source_name,
+                "trace_count": len(log.traces),
+                "event_count": sum(len(t.events) for t in log.traces),
+            }
+            for key, log in record.memory_final.items()
+        },
+    }
 
 
-def _write_details(out, record: ExecutionRecord, details: dict,
-                   states: list[memoryview]) -> None:
-    """record_to_dict's details as json.dump(indent=2) writes them with
-    each sent prompt spelled out, two levels deep.  The i-th detail's task
-    ran on states[i], so a sent prompt is written as its escaped head,
-    that escaped state and its escaped tail."""
-    if not details:
-        out.write(b"{}")
-        return
-    separator = b"{\n    "
-    for state, (task_id, detail) in zip(states, details.items()):
-        out.write(separator + json.dumps(task_id).encode() + b": {")
-        prompts = record.prompt_parts(task_id)
-        comma = b"\n      "
-        for key, value in detail.items():
-            out.write(comma + json.dumps(key).encode() + b": ")
-            parts = prompts.get(key)
-            if parts is None:
-                out.write(json.dumps(value).encode())
-            else:
-                head, tail = parts
-                out.write(json.dumps(head)[:-1].encode())
-                out.write(state)
-                out.write(json.dumps(tail)[1:].encode())
-            comma = b",\n      "
-        out.write(b"\n    }")
-        separator = b",\n    "
-    out.write(b"\n  }")
+def _write_json(out, value, indent: bytes = b"\n") -> None:
+    """Write value to the binary file out as json.dump(value, indent=2)
+    writes it, byte for byte, with an _Escaped leaf as the string it
+    escapes; indent is the newline and indentation of value's own line."""
+    if isinstance(value, _Escaped):
+        out.writelines((b'"', *value, b'"'))
+    elif isinstance(value, (dict, list)) and value:
+        is_dict = isinstance(value, dict)
+        inner = indent + b"  "
+        out.write(b"{" if is_dict else b"[")
+        for index, item in enumerate(value.items() if is_dict else value):
+            out.write(b"," + inner if index else inner)
+            if is_dict:
+                key, item = item
+                out.write(json.dumps(key).encode() + b": ")
+            _write_json(out, item, inner)
+        out.write(indent + (b"}" if is_dict else b"]"))
+    else:
+        out.write(json.dumps(value).encode())
 
 
 def _write_transcript(path: Path, record: ExecutionRecord, error: str | None) -> None:
-    """json.dump(mirror, indent=2) and a newline, byte for byte, where
-    mirror is record_to_dict(record) with the states after task_sequence
-    and each prompt spelled out, plus aborted and error."""
-    payload = record_to_dict(record)
-    payload["aborted"] = error is not None
-    payload["error"] = error
-    states = _escaped_states(record)
-    encoder = json.JSONEncoder(indent=2)
+    """json.dump of the transcript, indent 2, and a newline: record_to_dict
+    with aborted and error."""
+    transcript = record_to_dict(record)
+    transcript["aborted"] = error is not None
+    transcript["error"] = error
     with open(path, "wb") as out:
-        separator = b"{\n  "
-        for key, value in payload.items():
-            out.write(separator + encoder.encode(key).encode() + b": ")
-            if key == "details":
-                _write_details(out, record, value, states)
-            else:
-                for chunk in encoder.iterencode(value):
-                    out.write(chunk.replace("\n", "\n  ").encode())
-            if key == "task_sequence":
-                out.write(b',\n  "states": ')
-                _write_states(out, states)
-            separator = b",\n  "
-        out.write(b"\n}\n")
+        _write_json(out, transcript)
+        out.write(b"\n")
 
 
-def _report_record(record: ExecutionRecord, verbose: bool) -> int:
-    if verbose:
-        for task_id in record.task_sequence:
-            detail = record.details[task_id]
-            note = "skipped" if detail.skipped else (detail.selected_tool or "-")
-            print(f"[task] {task_id}: {note}", file=sys.stderr)
+def _report_record(record: ExecutionRecord) -> int:
     final_id = record.task_sequence[-1]
     print(f"--- output of final task {final_id} ---")
     print(record.task_output(final_id))
@@ -191,7 +201,12 @@ def cmd_run(args) -> int:
         backend.close()
     if output:
         _write_transcript(output, record, error)
-    return EXIT_FAILURE if error is not None else _report_record(record, args.verbose)
+    if args.verbose:  # an aborted run's tasks too
+        for task_id in record.task_sequence:
+            detail = record.details[task_id]
+            note = "skipped" if detail.skipped else (detail.selected_tool or "-")
+            print(f"[task] {task_id}: {note}", file=sys.stderr)
+    return EXIT_FAILURE if error is not None else _report_record(record)
 
 
 def cmd_abstract(args) -> int:
@@ -254,6 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys.stdout, "reconfigure"):
+        # as on stderr: a character stdout cannot encode is written escaped
+        sys.stdout.reconfigure(errors="backslashreplace")
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)

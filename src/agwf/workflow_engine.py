@@ -198,9 +198,9 @@ class ExecutionRecord:
         return tuple(self.final_state[:end] for end in self.state_ends)
 
     def prompt_parts(self, task_id: str) -> dict[str, tuple[str, str] | None]:
-        """Each prompt the task's detail records, by its transcript key, as
-        its own text before and after the state the task ran on: the prompt
-        is head, that state, tail.  None for a prompt that was not sent."""
+        """Each prompt the task's detail records, by name, as its own text
+        before and after the state the task ran on: the prompt is head,
+        that state, tail.  None for a prompt that was not sent."""
         detail = self.details[task_id]
         return {
             "prompt_sent": ("", detail.prompt_suffix) if detail.prompt_suffix else None,
@@ -589,42 +589,3 @@ def execute(spec: WorkflowSpec, inquiry: str, backend: CompletionBackend) -> Exe
 
     return partial()
 
-
-# ---------------------------------------------------------------------------
-# Transcript serialization
-# ---------------------------------------------------------------------------
-
-def record_to_dict(record: ExecutionRecord) -> dict:
-    """JSON-ready mirror of an ExecutionRecord but its states and sent
-    prompts, which the transcript writer streams from the record.
-
-    Each detail maps the transcript's keys, in order, to scalar values;
-    each prompt is "", its value when not sent, and the writer spells out
-    a sent one from record.prompt_parts.
-    """
-    return {
-        "task_sequence": list(record.task_sequence),
-        "details": {
-            task_id: {
-                "selected_tool": d.selected_tool,
-                "tool_output": d.tool_output,
-                "prompt_sent": "",
-                "raw_response": d.raw_response,
-                "retries_used": d.retries_used,
-                "skipped": d.skipped,
-                "score": d.score,
-                "low_quality": d.low_quality,
-                "selection_prompt": "",
-            }
-            for task_id, d in record.details.items()
-        },
-        "memory_final": {
-            key: {
-                "type": "event_log",
-                "source_name": log.source_name,
-                "trace_count": len(log.traces),
-                "event_count": sum(len(t.events) for t in log.traces),
-            }
-            for key, log in record.memory_final.items()
-        },
-    }

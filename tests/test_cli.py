@@ -164,6 +164,20 @@ def test_run_aborted_mid_run_exits_1_with_partial_transcript(tmp_path, capsys):
     assert list(transcript["details"]) == transcript["task_sequence"]
 
 
+def test_run_verbose_notes_the_tasks_of_an_aborted_run(tmp_path, capsys):
+    workflow = _write_json(tmp_path / "w.json", _workflow(
+        {"id": "T1", "instruction": "draft it"},
+        {"id": "T2", "instruction": "finish it", "prec": ["T1"]},
+    ))
+    rules = _write_json(tmp_path / "r.json", [{"match": "draft it", "response": "drafted"}])
+    assert run_cli("run", workflow, "--inquiry", "q", "--scripted", rules, "-v") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    aborted, *notes = captured.err.splitlines()
+    assert aborted.startswith("execution aborted: task 'T2'")
+    assert notes == ["[task] T1: -"]
+
+
 def test_run_refused_by_validation_exits_1_before_any_request(tmp_path, capsys, monkeypatch):
     posts = []
     monkeypatch.setattr("http.client.HTTPConnection.request",
@@ -580,3 +594,23 @@ def test_demo_http_backend_via_env(monkeypatch, tmp_path):
     finally:
         server.shutdown()
         server.server_close()
+
+
+def test_text_stdout_cannot_encode_is_written_escaped(tmp_path):
+    """As Python writes it to stderr: a backslash escape, and the exit code
+    the command has anyway."""
+    workflow, rules, inquiry = bundle("rca")
+    log = tmp_path / "log.csv"
+    log.write_text("case_id,activity,timestamp\n"
+                   "c1,Prüfung,2024-03-01T09:00:00+00:00\n"
+                   "c1,Zahlung,2024-03-01T10:00:00+00:00\n", encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(README.parent / "src"), "PYTHONIOENCODING": "ascii"}
+    for argv, shown in [
+        (["run", str(workflow), "--inquiry", inquiry.replace("Why", "Why café"),
+          "--scripted", str(rules)], b"Why caf\\xe9 do cases"),
+        (["abstract", str(log), "--kind", "dfg"], b"Pr\\xfcfung -> Zahlung"),
+    ]:
+        done = subprocess.run([sys.executable, "-m", "agwf.cli", *argv],
+                              env=env, capture_output=True, timeout=60)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert shown in done.stdout

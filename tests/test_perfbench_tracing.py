@@ -43,6 +43,15 @@ def test_traced_run_validates_once(monkeypatch, capsys):
     assert calls["workflow_engine.linearize"] == 1
 
 
+def test_traced_run_builds_its_transcript_once(monkeypatch, capsys, tmp_path):
+    # workflow_engine.record_to_dict_s times this one call
+    tracer = load_tracing(monkeypatch).Tracer()
+    output = tmp_path / "t.json"
+    assert tracer.run(lambda: cli.main(["demo", "anomaly", "--output", str(output)])) == 0
+    assert tracer.per_operation()[0]["calls"]["workflow_engine.record_to_dict"] == 1
+    assert output.is_file()
+
+
 #: per-name call counts of a traced demo run (a subset of the span names)
 DEMO_SPAN_CALLS = {
     "fairness": {

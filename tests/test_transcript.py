@@ -275,3 +275,32 @@ def test_a_long_run_holds_no_separate_states(tmp_path):
     final = len(record.final_state)
     assert prompts > 90 * final
     assert peak < 10 * final
+
+
+# ---------------------------------------------------------------------------
+# The writer writes any value as the plain encoder does
+# ---------------------------------------------------------------------------
+
+TEXTS = st.sampled_from(SPECIAL) | st.text(max_size=4)
+
+#: (value, what the plain encoder is given for it): a leaf, the pieces of
+#: some texts' escapes, stands for the texts joined
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), TEXTS).map(
+    lambda value: (value, value))
+LEAVES = st.lists(TEXTS, max_size=3).map(lambda texts: (
+    cli._Escaped(json.dumps(text)[1:-1].encode() for text in texts), "".join(texts)))
+VALUES = st.recursive(SCALARS | LEAVES, lambda children: st.one_of(
+    st.lists(children, max_size=4).map(
+        lambda items: ([value for value, _ in items], [plain for _, plain in items])),
+    st.dictionaries(TEXTS, children, max_size=4).map(
+        lambda items: ({key: value for key, (value, _) in items.items()},
+                       {key: plain for key, (_, plain) in items.items()}))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(VALUES)
+def test_the_writer_writes_any_value_as_the_plain_encoder(pair):
+    value, plain = pair
+    out = io.BytesIO()
+    cli._write_json(out, value)
+    assert out.getvalue() == json.dumps(plain, indent=2).encode()
