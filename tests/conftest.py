@@ -123,6 +123,27 @@ def csv_log_text(cases: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def xes_log_text(cases: int) -> str:
+    """An XES log in the layout of scripts/make_demo_fixtures.py, with
+    ``gender`` and ``age`` case attributes and 5-15 events per case."""
+    lines = ['<?xml version="1.0" encoding="UTF-8"?>',
+             '<log xes.version="1.0" xmlns="http://www.xes-standard.org/">']
+    for case in range(cases):
+        lines += ["  <trace>",
+                  f'    <string key="concept:name" value="case_{case:05d}"/>',
+                  f'    <string key="gender" value="{"FM"[case % 2]}"/>',
+                  f'    <int key="age" value="{20 + case % 45}"/>']
+        for step in range(5 + case % 11):
+            moment = T0 + timedelta(minutes=case + 7 * step)
+            lines += ["    <event>",
+                      f'      <string key="concept:name" value="Check Step {step % 9}"/>',
+                      f'      <date key="time:timestamp" value="{moment.isoformat()}"/>',
+                      "    </event>"]
+        lines.append("  </trace>")
+    lines.append("</log>")
+    return "\n".join(lines) + "\n"
+
+
 @pytest.fixture
 def data_dir():
     return DATA_DIR

@@ -332,6 +332,15 @@ BIG_FIELD_CSV = (
     b"case_id,activity,timestamp\nc1,A,2024-03-01T09:00:00+00:00\nc2," + b"x" * 200_000 + b",t\n"
 )
 
+#: logs whose one byte that is not UTF-8 lies past their first 64 KiB, after
+#: a row or a trace that is an error: case -> (file name, content)
+LATE_NOT_UTF8 = {
+    "log-not-utf8-late-csv": ("l.csv", b"case_id,activity,timestamp\nc1,,2024-03-01T09:00:00Z\n"
+                              + b"c2,A,2024-03-01T09:00:00Z\n" * 3000 + b"c3,\xff,t\n"),
+    "log-not-utf8-late-xes": ("l.xes", b"<log><trace><event/></trace>\n" + b"<trace/>\n" * 8000
+                              + b"<string value='\xff'/></log>"),
+}
+
 
 def _edited_rca(edit):
     """The rca workflow document after edit(doc), as JSON bytes."""
@@ -393,6 +402,11 @@ HOSTILE = {
     "rules-5000-digit-int": lambda d: [
         "demo", "rca", "--scripted", _file(d / "r.json", b'{"fallback": ' + HUGE_INT + b"}")],
     "log-not-utf8": lambda d: ["abstract", _file(d / "l.xes", b"<log>\xff</log>"), "--kind", "dfg"],
+    **{
+        case: lambda d, name=name, content=content: [
+            "abstract", _file(d / name, content), "--kind", "dfg"]
+        for case, (name, content) in LATE_NOT_UTF8.items()
+    },
     "csv-200kb-field": lambda d: ["abstract", _file(d / "l.csv", BIG_FIELD_CSV), "--kind", "dfg"],
     "output-missing-dir": lambda d: ["demo", "rca", "--output", str(d / "missing" / "t.json")],
     "http-no-scheme": lambda d: ["demo", "rca", "--http", "foo"],
@@ -426,6 +440,10 @@ def test_hostile_input_exits_2_with_one_error_line(case, tmp_path, capsys, monke
     assert posts == []
     expected = {f"workflow-{case}": line for case, (_, line) in WORKFLOW_CONFIG_ERRORS.items()}
     expected.update((case, line) for case, (_, line) in RULES_CONFIG_ERRORS.items())
+    expected.update(
+        (case, f"{tmp_path / name}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff "
+               f"in position {content.index(0xff)}: invalid start byte")
+        for case, (name, content) in LATE_NOT_UTF8.items())
     if case in expected:
         assert lines[0] == f"error: {expected[case]}"
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import gc
 import tracemalloc
 import xml.etree.ElementTree as ET
-from datetime import datetime, timedelta
+from datetime import datetime
 from pathlib import Path
 from xml.parsers.expat import ErrorString
 from xml.sax.saxutils import quoteattr
@@ -37,7 +37,7 @@ from agwf.event_log import (
     parse_xes,
 )
 
-from conftest import DATA_DIR, T0, reference_parse_timestamp
+from conftest import DATA_DIR, reference_parse_timestamp, xes_log_text
 
 SHIPPED_DIR = Path(__file__).resolve().parents[1] / "src" / "agwf" / "data"
 
@@ -368,28 +368,8 @@ def test_a_duplicate_case_id_after_the_events_comes_before_their_errors():
 # Memory: one trace at a time
 # ---------------------------------------------------------------------------
 
-def generated_log(cases: int) -> str:
-    """A log in the layout of scripts/make_demo_fixtures.py."""
-    lines = ['<?xml version="1.0" encoding="UTF-8"?>',
-             '<log xes.version="1.0" xmlns="http://www.xes-standard.org/">']
-    for case in range(cases):
-        lines += ["  <trace>",
-                  f'    <string key="concept:name" value="case_{case:05d}"/>',
-                  f'    <string key="gender" value="{"FM"[case % 2]}"/>',
-                  f'    <int key="age" value="{20 + case % 45}"/>']
-        for step in range(5 + case % 11):
-            moment = T0 + timedelta(minutes=case + 7 * step)
-            lines += ["    <event>",
-                      f'      <string key="concept:name" value="Check Step {step % 9}"/>',
-                      f'      <date key="time:timestamp" value="{moment.isoformat()}"/>',
-                      "    </event>"]
-        lines.append("  </trace>")
-    lines.append("</log>")
-    return "\n".join(lines) + "\n"
-
-
 def test_parse_xes_peak_memory_stays_within_five_times_the_document():
-    document = generated_log(1000)
+    document = xes_log_text(1000)
     gc.collect()
     tracemalloc.start()
     try:
