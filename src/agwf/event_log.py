@@ -17,14 +17,13 @@ keeps one string object per distinct activity name.
 from __future__ import annotations
 
 import csv
-import io
 import operator
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from types import MappingProxyType
-from typing import Callable, Mapping, Union
+from typing import Callable, Iterator, Mapping, TextIO, Union
 from xml.parsers.expat import ErrorString
 
 Scalar = Union[str, int, float, bool, datetime]
@@ -217,8 +216,8 @@ def _sorted_events(events: list[Event]) -> tuple[Event, ...]:
 # XES parsing
 # ---------------------------------------------------------------------------
 
-#: the document goes to expat in slices of this many characters, so no
-#: UTF-8 copy of the whole document is made
+#: the document goes to expat in reads or slices of this many characters,
+#: so no UTF-8 copy of the whole document is made
 _FEED_CHARS = 1 << 16
 
 
@@ -361,8 +360,9 @@ class _XesReader:
         return Trace(case_id, case_attrs or NO_ATTRIBUTES, _sorted_events(events))
 
 
-def parse_xes(document: str, source_name: str = "") -> EventLog:
-    """Parse an XES document into an EventLog, one trace at a time.
+def parse_xes(document: str | TextIO, source_name: str = "") -> EventLog:
+    """Parse an XES document, given as text or a text stream, into an
+    EventLog, one trace at a time.
 
     Interprets log/trace/event elements and string/date/int/float/boolean
     attribute elements keyed by ``key``/``value``; unknown attribute types
@@ -375,11 +375,17 @@ def parse_xes(document: str, source_name: str = "") -> EventLog:
     MissingActivity, MissingTimestamp, UnparsableTimestamp, or
     DuplicateCaseId.
     """
+    if isinstance(document, str):
+        chunks = (document[start:start + _FEED_CHARS]
+                  for start in range(0, len(document), _FEED_CHARS))
+    else:
+        chunks = iter(lambda: document.read(_FEED_CHARS), "")
     reader = _XesReader()
     parser = ET.XMLParser(target=reader)
     try:
-        for start in range(0, len(document), _FEED_CHARS):
-            parser.feed(document[start:start + _FEED_CHARS])
+        # text is fed as text, so an encoding declaration is not honoured
+        for chunk in chunks:
+            parser.feed(chunk)
         parser.close()
     except ET.ParseError as exc:
         line, column = exc.position
@@ -408,8 +414,21 @@ class CsvMapping:
 DEFAULT_CSV_MAPPING = CsvMapping("case_id", "activity", "timestamp")
 
 
-def parse_csv(document: str, mapping: CsvMapping, source_name: str = "") -> EventLog:
-    """Parse CSV text (RFC-4180, header row mandatory) into an EventLog.
+def _lines(document: str) -> Iterator[str]:
+    """The lines of ``document``, each but the last ending in a newline,
+    as iterating ``io.StringIO(document)`` gives them, without its UCS-4
+    copy of the whole document."""
+    start, find = 0, document.find
+    while end := find("\n", start) + 1:
+        yield document[start:end]
+        start = end
+    if start < len(document):
+        yield document[start:]
+
+
+def parse_csv(document: str | TextIO, mapping: CsvMapping, source_name: str = "") -> EventLog:
+    """Parse CSV text or a text stream (RFC-4180, header row mandatory)
+    into an EventLog.
 
     Rows are grouped by the case column in first-appearance order; the
     remaining columns become event attributes (kept as text), and events
@@ -421,7 +440,7 @@ def parse_csv(document: str, mapping: CsvMapping, source_name: str = "") -> Even
     that appears twice, a row longer than the header, or a CSV syntax
     error), MissingCaseId, MissingActivity, or UnparsableTimestamp.
     """
-    reader = csv.reader(io.StringIO(document))
+    reader = csv.reader(_lines(document) if isinstance(document, str) else document)
     try:
         return _csv_log(reader, mapping, source_name)
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()

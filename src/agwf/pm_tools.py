@@ -33,6 +33,7 @@ from .event_log import (
     ComparisonFinding,
     Dfg,
     EventLog,
+    EventLogError,
     MalformedDocument,
     Variant,
     compare_dfgs,
@@ -185,15 +186,23 @@ def _read_log_once(path: str, memory: "EntityMemory") -> EventLog:
 
 
 def read_log(path: str) -> EventLog:
-    """Read and parse a log file: CSV with the default column mapping when
-    the path ends in ``.csv``, XES otherwise."""
+    """Parse a log file as it is read: CSV with the default column mapping
+    when the path ends in ``.csv``, XES otherwise.  The file is UTF-8 text
+    with universal newlines, as ``Path.read_text`` reads it; a file that is
+    not is a MalformedDocument that names the first bad byte's offset."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise MalformedDocument(f"{path}: not UTF-8 text: {exc}") from exc
-    if path.endswith(".csv"):
-        return parse_csv(text, DEFAULT_CSV_MAPPING, source_name=path)
-    return parse_xes(text, source_name=path)
+        with open(path, encoding="utf-8") as stream:
+            if path.endswith(".csv"):
+                return parse_csv(stream, DEFAULT_CSV_MAPPING, source_name=path)
+            return parse_xes(stream, source_name=path)
+    except (UnicodeDecodeError, EventLogError):
+        # a streamed decode error counts its position from the start of one
+        # read, and an error in the text may come before the first bad byte
+        try:
+            Path(path).read_bytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedDocument(f"{path}: not UTF-8 text: {exc}") from exc
+        raise
 
 
 def parse_directive(state: str, name: str) -> str | None:

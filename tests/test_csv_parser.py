@@ -5,7 +5,8 @@ with conftest's ``reference_parse_timestamp``: on the fixtures and on generated
 documents, ``parse_csv`` must return an equal log or raise the same error
 class with the same message.  The generated documents leave out the two
 inputs the reference accepted and ``parse_csv`` now rejects: a header name
-that appears twice, and a row with more cells than the header.
+that appears twice, and a row with more cells than the header.  Each
+document goes to ``parse_csv`` both as text and as a text stream.
 """
 
 from __future__ import annotations
@@ -130,8 +131,14 @@ def outcome(parse, document: str, mapping: CsvMapping):
         return type(exc), str(exc)
 
 
+def streamed_parse_csv(document: str, mapping: CsvMapping, source_name: str = "") -> EventLog:
+    """``parse_csv`` given the document as a text stream."""
+    return parse_csv(io.StringIO(document), mapping, source_name)
+
+
 def assert_same_outcome(document: str, mapping: CsvMapping) -> None:
-    assert outcome(parse_csv, document, mapping) == outcome(reference_parse_csv, document, mapping)
+    for parse in (parse_csv, streamed_parse_csv):
+        assert outcome(parse, document, mapping) == outcome(reference_parse_csv, document, mapping)
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,14 @@ and on generated documents, ``parse_xes`` must return an equal
 EventLog or raise the same error class with the same message.  The one
 intended difference is the MalformedDocument text, which now states the
 position once; ``reference_outcome`` derives the new text from the
-reference's own ParseError, so line and column are still checked.
+reference's own ParseError, so line and column are still checked.  Each
+document goes to ``parse_xes`` both as text and as a text stream.
 """
 
 from __future__ import annotations
 
 import gc
+import io
 import tracemalloc
 import xml.etree.ElementTree as ET
 from datetime import datetime
@@ -175,7 +177,15 @@ def reference_outcome(document: str):
         return type(exc), str(exc)
 
 
-def outcome(document: str):
+class Trickle(io.StringIO):
+    """A text stream whose reads return at most seven characters, so that
+    a parse from it meets a read boundary every few characters."""
+
+    def read(self, size=-1):
+        return super().read(7 if size < 0 else min(size, 7))
+
+
+def outcome(document: str | Trickle):
     try:
         return parse_xes(document, "doc")
     except EventLogError as exc:
@@ -194,6 +204,7 @@ def outcome(document: str):
 def test_parse_xes_matches_the_reference_on_fixture(path):
     document = path.read_text(encoding="utf-8")
     assert outcome(document) == reference_outcome(document)
+    assert outcome(Trickle(document)) == reference_outcome(document)
 
 
 NS = "http://www.xes-standard.org/"
@@ -335,6 +346,7 @@ def documents(draw):
 @settings(max_examples=600, deadline=None)
 def test_parse_xes_matches_the_reference_on_generated_documents(document):
     assert outcome(document) == reference_outcome(document)
+    assert outcome(Trickle(document)) == reference_outcome(document)
 
 
 # ---------------------------------------------------------------------------
