@@ -63,6 +63,7 @@ DEMO_SPAN_CALLS = {
         "event_log.discover_dfg": 1, "event_log.discover_variants": 1,
         "pm_tools.render": 2, "pm_tools.resolve_log": 2,
     },
+    "rca": {"event_log.discover_dfg": 1},
 }
 
 
