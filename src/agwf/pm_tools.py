@@ -158,7 +158,8 @@ def resolve_log_reference(state: str, memory: "EntityMemory") -> EventLog:
     references resolve from memory; paths are read from disk and parsed
     (CSV files use the default case_id/activity/timestamp column mapping)
     at most once per memory, that is per run, while the file keeps its
-    size and modification time.
+    size and modification time.  Each spelling of one file's path gives
+    its traces, so the tools discover them once per run (``_discovered``).
     """
     entity_match = _last_entity_reference(state)
     # a path wins only if its token starts at or after the entity reference
@@ -318,16 +319,29 @@ def _in_band_errors(fn: Callable[[str, "EntityMemory"], str]) -> Callable[[str, 
     return wrapper
 
 
+def _discovered(discover: Callable[[EventLog], object], log: EventLog,
+                memory: "EntityMemory"):
+    """``discover(log)``, kept in ``memory.discoveries`` for the rest of the
+    run.  The results depend on the traces alone, and the traces are held
+    with them, so that their id names them while the run lasts; the
+    renderers only read them."""
+    key = (discover, id(log.traces))
+    kept = memory.discoveries.get(key)
+    if kept is None:
+        kept = memory.discoveries[key] = (log.traces, discover(log))
+    return kept[1]
+
+
 def _dfg_discovery(state: str, memory: "EntityMemory") -> str:
     log = resolve_log_reference(state, memory)
     top_k = int(parse_directive(state, "top_k") or DEFAULT_DFG_TOP_K)
-    return abstract_dfg(discover_dfg(log), top_k)
+    return abstract_dfg(_discovered(discover_dfg, log, memory), top_k)
 
 
 def _variants_discovery(state: str, memory: "EntityMemory") -> str:
     log = resolve_log_reference(state, memory)
     top_k = int(parse_directive(state, "top_k") or DEFAULT_VARIANTS_TOP_K)
-    return abstract_variants(discover_variants(log), top_k)
+    return abstract_variants(_discovered(discover_variants, log, memory), top_k)
 
 
 def _split_log_by_predicate(state: str, memory: "EntityMemory") -> str:
@@ -353,7 +367,8 @@ def _compare_group_dfgs(state: str, memory: "EntityMemory") -> str:
     logs = [memory.load(key) for key in match.groups()]
     threshold = float(parse_directive(state, "shift_threshold") or DEFAULT_SHIFT_THRESHOLD)
     limit = int(parse_directive(state, "limit") or DEFAULT_COMPARISON_LIMIT)
-    findings = compare_dfgs(discover_dfg(logs[0]), discover_dfg(logs[1]), threshold)
+    dfgs = [_discovered(discover_dfg, log, memory) for log in logs]
+    findings = compare_dfgs(dfgs[0], dfgs[1], threshold)
     return render_comparison(findings, limit)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from . import task_kinds
 from .agents import (
@@ -77,13 +77,16 @@ class EntityMemory:
     TypeError; re-storing an existing key raises DuplicateKey, which keeps
     the data flow of one execution auditable.  ``parsed_logs`` holds the
     log files the tools parsed, keyed on (resolved path, st_mtime_ns,
-    st_size); they are not entries, so snapshot(), restore() and
+    st_size), and ``discoveries`` the results of the discovery functions,
+    keyed on (function, id of the log's traces) and held with those
+    traces; neither holds entries, so snapshot(), restore() and
     memory_final never see them.
     """
 
     def __init__(self):
         self._items: dict[str, EventLog] = {}
         self.parsed_logs: dict[tuple[str, int, int], EventLog] = {}
+        self.discoveries: dict[tuple[Callable, int], tuple[tuple, object]] = {}
 
     def store(self, key: str, value: EventLog) -> None:
         if not isinstance(value, EventLog):
