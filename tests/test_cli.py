@@ -224,6 +224,31 @@ def test_run_verbose_notes_each_task(tmp_path, capsys, data_dir):
     ]
 
 
+def test_run_reads_route_and_score_lines_that_end_in_crlf(tmp_path, capsys):
+    route = {"router_task_id": "R"}
+    workflow = _write_json(tmp_path / "w.json", _workflow(
+        {"id": "R", "kind": "router", "instruction": "pick"},
+        {"id": "A", "instruction": "branch a", "prec": ["R"],
+         "guard": {**route, "expected_route_token": "a"}},
+        {"id": "B", "instruction": "branch b", "prec": ["R"],
+         "guard": {**route, "expected_route_token": "b"}},
+        {"id": "E", "kind": "evaluator", "instruction": "grade", "prec": ["A", "B"],
+         "evaluator": {"threshold": 5, "target_task_id": "A"}},
+        initial="R", final="E",
+    ))
+    rules = _write_json(tmp_path / "r.json", {"rules": [
+        {"match": "Decide which branch", "response": "A fits.\r\nROUTE: a\r\n"},
+        {"match": "Assess the quality", "response": "fine\r\nSCORE: 8\r\n"},
+    ], "fallback": "ok"})
+    assert run_cli("run", workflow, "--inquiry", "q", "--scripted", rules, "-v") == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "[task] R: -",
+        "[task] A: -",
+        "[task] B: skipped",
+        "[task] E: -",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # abstract
 # ---------------------------------------------------------------------------

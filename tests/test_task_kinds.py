@@ -78,6 +78,11 @@ def test_parse_route_last_wins():
     assert parse_route("ROUTE: a\nmore\nROUTE: b") == "b"
 
 
+def test_parse_route_reads_crlf_lines():
+    assert parse_route("A fits.\r\nROUTE: a\r\n") == "a"
+    assert parse_route("ROUTE: a \r\nmore\r\nROUTE:\tb\t\r") == "b"
+
+
 # ---------------------------------------------------------------------------
 # SCORE protocol
 # ---------------------------------------------------------------------------
@@ -101,6 +106,11 @@ def test_parse_score_missing():
 
 def test_parse_score_last_line_wins():
     assert parse_score("SCORE: 2.0\nrevised\nSCORE: 9.5") == 9.5
+
+
+def test_parse_score_reads_crlf_lines():
+    assert parse_score("fine\r\nSCORE: 8\r\n") == 8.0
+    assert parse_score("SCORE: 2.0\r\nrevised\r\nSCORE: 9.5 \r") == 9.5
 
 
 # ---------------------------------------------------------------------------
