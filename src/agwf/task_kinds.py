@@ -92,8 +92,9 @@ def build_prompt(task: "TaskSpec", tool_output: str | None = None,
     return "\n\n".join(parts)
 
 
-_ROUTE_RE = re.compile(r"^ROUTE:[ \t]*(.+?)[ \t]*$", re.MULTILINE)
-_SCORE_RE = re.compile(r"^SCORE:[ \t]*([+-]?\d+(?:\.\d+)?)[ \t]*$", re.MULTILINE)
+# a line may end in CRLF: the "\r" before "$" counts as trailing blank
+_ROUTE_RE = re.compile(r"^ROUTE:[ \t]*(.+?)[ \t\r]*$", re.MULTILINE)
+_SCORE_RE = re.compile(r"^SCORE:[ \t]*([+-]?\d+(?:\.\d+)?)[ \t\r]*$", re.MULTILINE)
 
 
 def parse_route(response: str) -> str:
