@@ -38,6 +38,33 @@ def test_parse_minimal_document():
     assert validate(spec) == []
 
 
+def _task(task_id, *prec):
+    return {"id": task_id, "agent": "a", "instruction": "step", "prec": list(prec)}
+
+
+def test_validate_checks_the_predecessors_of_every_copy_of_a_duplicated_id():
+    spec = parse_workflow(minimal_doc(tasks=[
+        _task("T1"), _task("T2", "T1", "ghost"), _task("T2", "T1", "phantom"),
+    ]))
+    assert [str(v) for v in validate(spec)] == [
+        "DuplicateTaskId: T2: task id appears more than once",
+        "UnknownTask: ghost: prec of 'T2' names a task that does not exist",
+        "UnknownTask: phantom: prec of 'T2' names a task that does not exist",
+    ]
+
+
+def test_validate_lists_unknown_predecessors_by_task_id_then_by_name():
+    spec = parse_workflow(minimal_doc(tasks=[
+        _task("T1"), _task("T3", "zeta", "T1", "alpha"), _task("T2", "omega", "beta"),
+    ], final_task="T3"))
+    assert [(v.subject, v.message) for v in validate(spec)] == [
+        ("beta", "prec of 'T2' names a task that does not exist"),
+        ("omega", "prec of 'T2' names a task that does not exist"),
+        ("alpha", "prec of 'T3' names a task that does not exist"),
+        ("zeta", "prec of 'T3' names a task that does not exist"),
+    ]
+
+
 def test_schema_version_is_required():
     doc = minimal_doc()
     del doc["schema_version"]
