@@ -92,19 +92,19 @@ def record_to_dict(record: ExecutionRecord) -> dict:
     details = {}
     for task_id, state in zip(record.task_sequence, states):
         d = record.details[task_id]
-        prompts = {key: "" if parts is None else
-                   _Escaped((_escape(parts[0]), state, _escape(parts[1])))
-                   for key, parts in record.prompt_parts(task_id).items()}
+        prompt, selection = (
+            "" if parts is None else _Escaped((_escape(parts[0]), state, _escape(parts[1])))
+            for parts in (d.prompt, d.selection))
         details[task_id] = {
             "selected_tool": d.selected_tool,
             "tool_output": d.tool_output,
-            "prompt_sent": prompts["prompt_sent"],
+            "prompt_sent": prompt,
             "raw_response": d.raw_response,
             "retries_used": d.retries_used,
             "skipped": d.skipped,
             "score": d.score,
             "low_quality": d.low_quality,
-            "selection_prompt": prompts["selection_prompt"],
+            "selection_prompt": selection,
         }
     return {
         "task_sequence": list(record.task_sequence),

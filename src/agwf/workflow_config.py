@@ -95,7 +95,7 @@ def _construct(where: str, make: Callable[[], Any]) -> Any:
         raise WorkflowConfigError(f"{where}: {exc}") from exc
 
 
-def _parse_task(data: Any, where: str) -> tuple[TaskSpec, frozenset[str]]:
+def _parse_task(data: Any, where: str) -> TaskSpec:
     (task_id, kind, agent, instruction, expected_output, tools, prec,
      guard, callbacks, evaluator) = _fields(data, where, TASK_FIELDS)
     if guard is not None:
@@ -105,9 +105,8 @@ def _parse_task(data: Any, where: str) -> tuple[TaskSpec, frozenset[str]]:
             evaluator, f"{where}.evaluator", EVALUATOR_FIELDS)
         evaluator = _construct(f"{where}.evaluator", lambda: EvaluatorConfig(
             float(threshold), target, max_retries))
-    task = TaskSpec(task_id, agent, instruction, kind, expected_output, tuple(tools),
-                    guard, tuple(callbacks), evaluator)
-    return task, frozenset(prec)
+    return TaskSpec(task_id, agent, instruction, kind, expected_output, tuple(tools),
+                    guard, tuple(callbacks), evaluator, frozenset(prec))
 
 
 def parse_workflow(data: Any) -> WorkflowSpec:
@@ -123,10 +122,8 @@ def parse_workflow(data: Any) -> WorkflowSpec:
         agent_id, role_prompt, model_ref, temperature = _fields(raw, where, AGENT_FIELDS)
         agents.append(_construct(where, lambda: AgentProfile(
             agent_id, role_prompt, model_ref, float(temperature))))
-    tasks = [_parse_task(raw, f"tasks[{i}]") for i, raw in enumerate(raw_tasks)]
     return WorkflowSpec(
-        tasks=tuple(task for task, _ in tasks),
-        prec={task.id: predecessors for task, predecessors in tasks},
+        tasks=tuple(_parse_task(raw, f"tasks[{i}]") for i, raw in enumerate(raw_tasks)),
         initial_task=initial_task,
         final_task=final_task,
         agents=tuple(agents),

@@ -140,12 +140,12 @@ class TaskSpec:
     guard: RouterGuard | None = None
     callback_names: tuple[str, ...] = ()
     evaluator_config: EvaluatorConfig | None = None
+    prec: frozenset[str] = frozenset()
 
 
 @dataclass(frozen=True)
 class WorkflowSpec:
     tasks: tuple[TaskSpec, ...]
-    prec: dict[str, frozenset[str]]
     initial_task: str
     final_task: str
     agents: tuple[AgentProfile, ...]
@@ -158,23 +158,21 @@ class TaskDetail:
 
     Each prompt the task sent is kept as its own text around the state the
     task ran on, which the record holds (ExecutionRecord.prompt_sent and
-    selection_prompt give the full texts): prompt_suffix follows that state
-    in the task's prompt, and selection_head and selection_tail enclose it
-    in the tool-selection prompt, sent only when a tool was chosen among
-    several candidates.  Each is "" when its prompt was not sent, and a
-    sent prompt's suffix or tail is never "".
+    selection_prompt give the full texts): prompt is the (head, tail) pair
+    of the task's prompt, and selection that of the tool-selection prompt,
+    sent only when a tool was chosen among several candidates.  A prompt is
+    head, that state, tail; None means it was not sent.
     """
 
     selected_tool: str | None = None
     tool_output: str = ""
-    prompt_suffix: str = ""
+    prompt: tuple[str, str] | None = None
     raw_response: str = ""
     retries_used: int = 0
     skipped: bool = False
     score: float | None = None
     low_quality: bool = False
-    selection_head: str = ""
-    selection_tail: str = ""
+    selection: tuple[str, str] | None = None
 
 
 @dataclass(frozen=True)
@@ -200,28 +198,16 @@ class ExecutionRecord:
     def states(self) -> tuple[str, ...]:
         return tuple(self.final_state[:end] for end in self.state_ends)
 
-    def prompt_parts(self, task_id: str) -> dict[str, tuple[str, str] | None]:
-        """Each prompt the task's detail records, by name, as its own text
-        before and after the state the task ran on: the prompt is head,
-        that state, tail.  None for a prompt that was not sent."""
-        detail = self.details[task_id]
-        return {
-            "prompt_sent": ("", detail.prompt_suffix) if detail.prompt_suffix else None,
-            "selection_prompt": ((detail.selection_head, detail.selection_tail)
-                                 if detail.selection_tail else None),
-        }
-
     def prompt_sent(self, task_id: str) -> str:
         """The task's prompt, or "" if it sent none (it was skipped)."""
-        return self._prompt(task_id, "prompt_sent")
+        return self._prompt(task_id, self.details[task_id].prompt)
 
     def selection_prompt(self, task_id: str) -> str:
         """The task's tool-selection prompt, or "" if it chose no tool
         among several."""
-        return self._prompt(task_id, "selection_prompt")
+        return self._prompt(task_id, self.details[task_id].selection)
 
-    def _prompt(self, task_id: str, key: str) -> str:
-        parts = self.prompt_parts(task_id)[key]
+    def _prompt(self, task_id: str, parts: tuple[str, str] | None) -> str:
         if parts is None:
             return ""
         head, tail = parts
@@ -274,9 +260,9 @@ def _reachable(edges: Mapping[str, Iterable[str]], start: str) -> set[str]:
     return seen
 
 
-def _graph(spec: WorkflowSpec) -> tuple[dict[str, set[str]], dict[str, list[str]]]:
+def _graph(spec: WorkflowSpec) -> tuple[dict[str, frozenset[str]], dict[str, list[str]]]:
     """Predecessors and successors by id; assumes unique ids and resolvable prec."""
-    preds = {task.id: set(spec.prec.get(task.id, ())) for task in spec.tasks}
+    preds = {task.id: task.prec for task in spec.tasks}
     successors: dict[str, list[str]] = {task_id: [] for task_id in preds}
     for task_id, predecessors in preds.items():
         for pred in predecessors:
@@ -293,7 +279,7 @@ def _route_tokens(spec: WorkflowSpec) -> dict[str, list[str]]:
     return {router: sorted(found) for router, found in tokens.items()}
 
 
-def _toposort(preds: Mapping[str, set[str]],
+def _toposort(preds: Mapping[str, frozenset[str]],
               successors: Mapping[str, list[str]]) -> tuple[list[str], list[str]]:
     """Kahn's algorithm taking the smallest ready id first.
 
@@ -329,12 +315,9 @@ def validate(spec: WorkflowSpec) -> list[Violation]:
     for name, ref in (("initial_task", spec.initial_task), ("final_task", spec.final_task)):
         if ref not in known:
             out.append(Violation(UNKNOWN_TASK, ref, f"{name} is not among the tasks"))
-    for task_id, predecessors in sorted(spec.prec.items()):
-        if task_id not in known:
-            out.append(Violation(UNKNOWN_TASK, task_id, "prec names a task that does not exist"))
-        for pred in sorted(predecessors):
-            if pred not in known:
-                out.append(Violation(UNKNOWN_TASK, pred, f"prec of {task_id!r} names a task that does not exist"))
+    for task in sorted(spec.tasks, key=lambda task: task.id):
+        for pred in sorted(task.prec - known):
+            out.append(Violation(UNKNOWN_TASK, pred, f"prec of {task.id!r} names a task that does not exist"))
 
     agent_ids = {a.id for a in spec.agents}
     for task in spec.tasks:
@@ -553,8 +536,8 @@ def execute(spec: WorkflowSpec, inquiry: str, backend: CompletionBackend) -> Exe
                     tools = [spec.registry.get(name) for name in sorted(set(task.tool_names))]
                     prompt = ""  # select_tool asks nothing to pick a single tool
                     if len(tools) > 1:
-                        detail.selection_head, detail.selection_tail = selection_prompt(tools)
-                        prompt = detail.selection_head + sigma + detail.selection_tail
+                        head, tail = detail.selection = selection_prompt(tools)
+                        prompt = head + sigma + tail
                     tool = select_tool(profile, backend, prompt, tools)
                     detail.selected_tool = tool.name
                     tool_output = tool.function(sigma, memory)
@@ -562,9 +545,9 @@ def execute(spec: WorkflowSpec, inquiry: str, backend: CompletionBackend) -> Exe
 
                 # the prompts are held as their own text, joined to the
                 # state only for the call
-                detail.prompt_suffix = task_kinds.build_prompt(
-                    task, tool_output, route_options=route_tokens.get(task.id, ()))
-                response = complete(profile, backend, sigma + detail.prompt_suffix)
+                head, tail = detail.prompt = ("", task_kinds.build_prompt(
+                    task, tool_output, route_options=route_tokens.get(task.id, ())))
+                response = complete(profile, backend, head + sigma + tail)
                 detail.raw_response = response
 
                 if task.kind == EVALUATOR:

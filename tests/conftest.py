@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -37,9 +38,11 @@ def plain_task(task_id, agent_id="analyst", **kwargs):
 
 
 def spec_of(tasks, prec, initial, final, agents=(AGENT,), registry=None):
+    """A workflow of the tasks, each given its predecessors from prec (by
+    id; an id prec does not name gets none)."""
+    assert prec.keys() <= {task.id for task in tasks}, "prec names an unknown task"
     return WorkflowSpec(
-        tasks=tuple(tasks),
-        prec={k: frozenset(v) for k, v in prec.items()},
+        tasks=tuple(replace(task, prec=frozenset(prec.get(task.id, ()))) for task in tasks),
         initial_task=initial,
         final_task=final,
         agents=tuple(agents),

@@ -180,13 +180,13 @@ def test_criterion_4_dag_properties():
         assert order[-1] == spec.final_task
         assert sorted(order) == sorted(t.id for t in spec.tasks)
         position = {tid: i for i, tid in enumerate(order)}
-        for tid, preds in spec.prec.items():
-            for pred in preds:
-                assert position[pred] < position[tid]
+        for task in spec.tasks:
+            for pred in task.prec:
+                assert position[pred] < position[task.id]
 
     for i in range(50):
         spec = random_valid_spec(rng)
-        prec = {tid: set(p) for tid, p in spec.prec.items()}
+        prec = {task.id: set(task.prec) for task in spec.tasks}
         if i % 2 == 0:
             # reverse an existing edge to force a cycle
             after = rng.choice([t for t, p in prec.items() if p])

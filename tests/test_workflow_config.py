@@ -34,7 +34,7 @@ def minimal_doc(**overrides):
 def test_parse_minimal_document():
     spec = parse_workflow(minimal_doc())
     assert [t.id for t in spec.tasks] == ["T1", "T2"]
-    assert spec.prec["T2"] == frozenset({"T1"})
+    assert [t.prec for t in spec.tasks] == [frozenset(), frozenset({"T1"})]
     assert validate(spec) == []
 
 
