@@ -214,6 +214,20 @@ def test_parse_timestamp_naive_is_utc():
     assert moment.utcoffset().total_seconds() == 0
 
 
+@pytest.mark.parametrize("text, expected", [
+    pytest.param("2024-01-01T10:00:00+0000", datetime(2024, 1, 1, 10, tzinfo=timezone.utc),
+                 id="offset-without-colon"),
+    pytest.param("20240101T100000", datetime(2024, 1, 1, 10, tzinfo=timezone.utc),
+                 id="basic-format"),
+    pytest.param("2024-01-01T10:00:00.5", datetime(2024, 1, 1, 10, 0, 0, 500_000, timezone.utc),
+                 id="short-fraction"),
+])
+def test_parse_timestamp_reads_iso_forms_beyond_isoformat_output(text, expected):
+    """datetime.fromisoformat reads these from Python 3.11 on, which is
+    why pyproject.toml requires it."""
+    assert parse_timestamp(text) == expected
+
+
 # ---------------------------------------------------------------------------
 # CSV parsing
 # ---------------------------------------------------------------------------
