@@ -83,6 +83,23 @@ def test_parse_route_reads_crlf_lines():
     assert parse_route("ROUTE: a \r\nmore\r\nROUTE:\tb\t\r") == "b"
 
 
+def test_parse_route_reads_lone_cr_lines():
+    assert parse_route("A fits.\rROUTE: a\r") == "a"
+    assert parse_route("ROUTE: a\rmore\rROUTE: b") == "b"
+
+
+@pytest.mark.parametrize("response", [
+    "ROUTE: ", "ROUTE:", "ROUTE:\t\t\n", "ROUTE:  \r\n", "ROUTE: \r", "A fits.\nROUTE: \n",
+])
+def test_parse_route_rejects_a_blank_token(response):
+    with pytest.raises(RouteMissing):
+        parse_route(response)
+
+
+def test_parse_route_skips_a_blank_route_line():
+    assert parse_route("ROUTE: a\nROUTE: \n") == "a"
+
+
 # ---------------------------------------------------------------------------
 # SCORE protocol
 # ---------------------------------------------------------------------------
@@ -111,6 +128,11 @@ def test_parse_score_last_line_wins():
 def test_parse_score_reads_crlf_lines():
     assert parse_score("fine\r\nSCORE: 8\r\n") == 8.0
     assert parse_score("SCORE: 2.0\r\nrevised\r\nSCORE: 9.5 \r") == 9.5
+
+
+def test_parse_score_reads_lone_cr_lines():
+    assert parse_score("fine\rSCORE: 8\r") == 8.0
+    assert parse_score("SCORE: 2.0\rrevised\rSCORE: 9.5") == 9.5
 
 
 # ---------------------------------------------------------------------------

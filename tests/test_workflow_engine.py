@@ -516,6 +516,18 @@ def test_router_without_route_line_aborts():
         execute(router_spec(), "Q", backend)
 
 
+def test_router_with_a_blank_route_token_aborts():
+    backend = ScriptedBackend([
+        rule("choose the branch", "leaning one way\nROUTE: "),
+        rule("review semantics", "semantic findings"),
+        rule("compute statistics", "statistical findings"),
+        rule("sum it up", "done"),
+    ])
+    with pytest.raises(ExecutionAborted) as err:
+        execute(router_spec(), "Q", backend)
+    assert str(err.value).startswith("task 'semantic_review' aborted the execution: no 'ROUTE:")
+
+
 # ---------------------------------------------------------------------------
 # Evaluator wrap-back
 # ---------------------------------------------------------------------------
