@@ -92,25 +92,34 @@ def build_prompt(task: "TaskSpec", tool_output: str | None = None,
     return "\n\n".join(parts)
 
 
-# a line may end in CRLF: the "\r" before "$" counts as trailing blank
-_ROUTE_RE = re.compile(r"^ROUTE:[ \t]*(.+?)[ \t\r]*$", re.MULTILINE)
-_SCORE_RE = re.compile(r"^SCORE:[ \t]*([+-]?\d+(?:\.\d+)?)[ \t\r]*$", re.MULTILINE)
+# each matched against one whole line of str.splitlines(), so any line end
+# counts; a token starts with a non-blank character
+_ROUTE_RE = re.compile(r"ROUTE:[ \t]*(\S.*?)[ \t]*")
+_SCORE_RE = re.compile(r"SCORE:[ \t]*([+-]?\d+(?:\.\d+)?)[ \t]*")
+
+
+def _last_match(pattern: re.Pattern[str], response: str) -> str | None:
+    """The group of the last line that ``pattern`` matches whole."""
+    for line in reversed(response.splitlines()):
+        if match := pattern.fullmatch(line):
+            return match.group(1)
+    return None
 
 
 def parse_route(response: str) -> str:
     """Token from the last ``ROUTE: <token>`` line."""
-    found = _ROUTE_RE.findall(response)
-    if not found:
+    token = _last_match(_ROUTE_RE, response)
+    if token is None:
         raise RouteMissing("no 'ROUTE: <token>' line in response")
-    return found[-1]
+    return token
 
 
 def parse_score(response: str) -> float:
     """Score from the last ``SCORE: <number>`` line; out-of-range rejects."""
-    found = _SCORE_RE.findall(response)
-    if not found:
+    found = _last_match(_SCORE_RE, response)
+    if found is None:
         raise ScoreMissing("no 'SCORE: <number>' line in response")
-    score = float(found[-1])
+    score = float(found)
     if not SCORE_MIN <= score <= SCORE_MAX:
         raise ScoreOutOfRange(f"score {score} outside [{SCORE_MIN}, {SCORE_MAX}]")
     return score
