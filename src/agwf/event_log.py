@@ -10,8 +10,9 @@ Event and Trace are slotted classes, so a log of many events stays small.
 An event's attributes are a read-only mapping that events may share: every
 event without extra attributes holds ``NO_ATTRIBUTES``, and within one CSV
 parse, events with equal attribute cells hold one mapping.  Every trace
-without case attributes holds ``NO_ATTRIBUTES`` too.  Each parse
-keeps one string object per distinct activity name.
+without case attributes holds ``NO_ATTRIBUTES`` too, and within one XES
+parse, traces whose case attributes are written alike hold one mapping.
+Each parse keeps one string object per distinct activity name.
 """
 
 from __future__ import annotations
@@ -218,7 +219,7 @@ def _sorted_events(events: list[Event]) -> tuple[Event, ...]:
 
 #: the document goes to expat in reads or slices of this many characters,
 #: so no UTF-8 copy of the whole document is made
-_FEED_CHARS = 1 << 16
+_FEED_CHARS = 1 << 14
 
 
 def _convert_xes_value(type_tag: str, value: str) -> Scalar:
@@ -269,8 +270,11 @@ class _XesReader:
     except ``event`` with both is an event attribute.  Nothing else is
     read.  An open trace keeps only raw (type, key, value) triples, which
     are converted once it ends, so its attributes and case id are checked
-    before its events.  The first semantic error is recorded, not raised,
-    so that a syntax error later in the document still wins.
+    before its events.  Traces whose raw case triples other than
+    ``concept:name`` are equal share one mapping: the raw text, not the
+    converted values, so ``int 1`` and ``boolean true`` stay apart.  The
+    first semantic error is recorded, not raised, so that a syntax error
+    later in the document still wins.
     """
 
     def __init__(self):
@@ -279,6 +283,7 @@ class _XesReader:
         self._seen_ids: set[str] = set()
         self._names: dict[str, str] = {}  # tag -> local name
         self._strings: dict[str, str] = {}  # one object per activity name and attribute key
+        self._case_attributes: dict[str, Mapping[str, Scalar]] = {}  # raw text -> mapping
         self._depth = 0
         self._trace: list[tuple[str, str, str]] | None = None
         self._events: list[list[tuple[str, str, str]]] = []
@@ -357,7 +362,16 @@ class _XesReader:
                     ) from None
             events.append(Event(intern(activity, activity), raw_ts,
                                 MappingProxyType(attrs) if attrs else NO_ATTRIBUTES))
-        return Trace(case_id, case_attrs or NO_ATTRIBUTES, _sorted_events(events))
+        if case_attrs:
+            # expat delivers no U+0000 or U+0001 in a name or value
+            key = "\0".join("\1".join(triple) for triple in case_triples
+                            if triple[1] != "concept:name")
+            shared = self._case_attributes.get(key)
+            if shared is None:
+                shared = self._case_attributes[key] = MappingProxyType(case_attrs)
+        else:
+            shared = NO_ATTRIBUTES
+        return Trace(case_id, shared, _sorted_events(events))
 
 
 def parse_xes(document: str | TextIO, source_name: str = "") -> EventLog:
@@ -506,8 +520,9 @@ def _csv_log(reader, mapping: CsvMapping, source_name: str) -> EventLog:
                 attributes = shared[key] = MappingProxyType(dict(zip(attr_names, values)))
         events.append(Event(intern.setdefault(activity, activity), moment, attributes))
 
+    # each case's list is freed once its sorted tuple exists
     traces = tuple(
-        Trace(cid, NO_ATTRIBUTES, _sorted_events(events)) for cid, events in grouped.items()
+        Trace(cid, NO_ATTRIBUTES, _sorted_events(grouped.pop(cid))) for cid in list(grouped)
     )
     return EventLog(traces=traces, source_name=source_name)
 

@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import gc
 import tracemalloc
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -374,10 +375,55 @@ def test_traces_without_case_attributes_share_the_empty_mapping(data_dir):
     csv_traces = parse_csv(f"case,act,ts,team\nc1,A,{TS},ops\nc2,A,{TS},dev\n", CSV_MAPPING).traces
     for trace in (*csv_traces, *parse_xes(MINIMAL_XES).traces, Trace("c1")):
         assert trace.case_attributes is NO_ATTRIBUTES
-    # a trace with case attributes besides its concept:name keeps a dict of its own
+    # a trace with case attributes besides its concept:name holds a read-only mapping,
+    # shared only with traces whose case attributes are written alike
     first, second = parse_xes((data_dir / "two_traces.xes").read_text()).traces
-    assert type(first.case_attributes) is dict and type(second.case_attributes) is dict
+    assert type(first.case_attributes) is MappingProxyType is type(second.case_attributes)
     assert first.case_attributes is not second.case_attributes
+
+
+def case_attribute_log(*attribute_sets: str) -> str:
+    """An XES log with one trace per set of case attribute elements."""
+    trace = ('<trace><string key="concept:name" value="c{}"/>{}<event>'
+             '<string key="concept:name" value="A"/><date key="time:timestamp" value="{}"/>'
+             '</event></trace>')
+    return "<log>" + "".join(trace.format(i, attributes, TS)
+                             for i, attributes in enumerate(attribute_sets)) + "</log>"
+
+
+def test_traces_with_equal_raw_case_attributes_share_one_mapping():
+    region = '<string key="region" value="north"/><int key="priority" value="3"/>'
+    first, second, third = parse_xes(case_attribute_log(region, region, region)).traces
+    assert first.case_attributes is second.case_attributes is third.case_attributes
+    assert first.case_attributes == {"region": "north", "priority": 3}
+    with pytest.raises(TypeError):
+        first.case_attributes["region"] = "south"
+
+
+@pytest.mark.parametrize("first_set, second_set, first_value, second_value", [
+    ('<int key="flag" value="1"/>', '<boolean key="flag" value="true"/>', 1, True),
+    ('<float key="flag" value="0.0"/>', '<float key="flag" value="-0.0"/>', 0.0, -0.0),
+    ('<date key="flag" value="2024-03-01T09:00:00+00:00"/>',
+     '<date key="flag" value="2024-03-01T10:00:00+01:00"/>',
+     datetime(2024, 3, 1, 9, tzinfo=timezone.utc),
+     datetime(2024, 3, 1, 10, tzinfo=timezone(timedelta(hours=1)))),
+], ids=["int-boolean", "zero-signs", "offsets"])
+def test_case_attributes_written_apart_keep_mappings_of_their_own(
+        first_set, second_set, first_value, second_value):
+    first, second = parse_xes(case_attribute_log(first_set, second_set)).traces
+    assert first.case_attributes is not second.case_attributes
+    # the two values compare equal, but each trace keeps its own, as written
+    for trace, value in ((first, first_value), (second, second_value)):
+        [(kind, held)] = [(type(v), v) for v in trace.case_attributes.values()]
+        assert (kind, str(held)) == (type(value), str(value))
+
+
+def test_case_attributes_in_another_key_order_keep_a_mapping_of_their_own():
+    a, b = '<string key="a" value="x"/>', '<string key="b" value="y"/>'
+    first, second = parse_xes(case_attribute_log(a + b, b + a)).traces
+    assert first.case_attributes is not second.case_attributes
+    assert list(first.case_attributes) == ["a", "b"]
+    assert list(second.case_attributes) == ["b", "a"]
 
 
 def test_each_parse_keeps_one_string_per_activity():

@@ -85,10 +85,11 @@ def test_an_xes_encoding_declaration_is_ignored(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Read boundaries: the file is read 8 KiB and 64 KiB at a time
+# Read boundaries: the file is read 8 KiB at a time, and XES text goes to
+# expat 16 KiB at a time
 # ---------------------------------------------------------------------------
 
-BOUNDARIES = (8192, 65536)
+BOUNDARIES = (8192, 16384, 65536)
 
 CSV_ROW = "c1,A,2024-03-01T09:00:00Z,filler\n"
 #: a CSV log: (head, one filler row, text before the piece, text after it, tail)
@@ -177,7 +178,7 @@ def test_an_error_in_a_utf8_file_is_raised_as_itself(tmp_path, name, content, er
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("name, text", [("l.csv", csv_log_text), ("l.xes", xes_log_text)])
-def test_read_log_peaks_at_most_one_and_a_half_times_the_parsed_log(tmp_path, name, text):
+def test_read_log_peaks_at_most_1_15_times_the_parsed_log(tmp_path, name, text):
     path = written(tmp_path, name, text(1000).encode())
     gc.collect()
     tracemalloc.start()
@@ -187,4 +188,4 @@ def test_read_log_peaks_at_most_one_and_a_half_times_the_parsed_log(tmp_path, na
     finally:
         tracemalloc.stop()
     assert len(log.traces) == 1000
-    assert peak <= 1.5 * live, (peak, live)
+    assert peak <= 1.15 * live, (peak, live)
