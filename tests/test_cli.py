@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import contextlib
 import copy
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agwf import cli
 from agwf.demos import BUNDLE_NAMES, bundle
@@ -16,6 +21,8 @@ from agwf.event_log import DEFAULT_CSV_MAPPING, discover_dfg, parse_csv, parse_x
 from agwf.pm_tools import abstract_dfg
 from agwf.workflow_config import load_workflow
 from agwf.workflow_engine import linearize
+
+from conftest import csv_log_text, xes_log_text
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -289,6 +296,32 @@ def test_abstract_bad_path_exits_2():
 def test_abstract_rejects_bad_top_k(data_dir):
     path = data_dir / "two_traces.xes"
     assert run_cli("abstract", str(path), "--kind", "dfg", "--top-k", "0") == 2
+
+
+#: suffix -> a 20-case log in that format, with a non-ASCII activity
+TRUNCATED_LOGS = {
+    suffix: text(20).replace("Check Step 3", "Prüfung €").encode()
+    for suffix, text in ((".xes", xes_log_text), (".csv", csv_log_text))
+}
+
+
+@pytest.mark.parametrize("suffix", TRUNCATED_LOGS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_abstract_of_a_truncated_log_exits_0_or_2_with_one_error_line(suffix, data):
+    content = TRUNCATED_LOGS[suffix]
+    cut = data.draw(st.integers(0, len(content)), label="cut")
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / f"log{suffix}"
+        path.write_bytes(content[:cut])
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["abstract", str(path), "--kind", "dfg"])
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
 
 
 # ---------------------------------------------------------------------------
