@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import pytest
 
+from agwf.agents import ScriptedBackend, ToolSelectionFailed, rule, select_tool, selection_prompt
+from agwf.pm_tools import Tool
 from agwf.task_kinds import (
     EVALUATOR,
     ROUTER,
@@ -15,7 +17,7 @@ from agwf.task_kinds import (
 )
 from agwf.workflow_engine import EvaluatorConfig, TaskSpec
 
-from conftest import plain_task
+from conftest import AGENT, plain_task
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +135,80 @@ def test_parse_score_reads_crlf_lines():
 def test_parse_score_reads_lone_cr_lines():
     assert parse_score("fine\rSCORE: 8\r") == 8.0
     assert parse_score("SCORE: 2.0\rrevised\rSCORE: 9.5") == 9.5
+
+
+# ---------------------------------------------------------------------------
+# One line rule for every reply protocol: ROUTE, SCORE and the chosen tool
+# ---------------------------------------------------------------------------
+
+TOOLS = [Tool(name, f"docs for {name}", lambda s, m: s) for name in ("a", "b")]
+
+
+def choose_tool(reply: str) -> str:
+    """The name of the tool that ``reply``, given to the ask and the re-ask, chooses."""
+    head, tail = selection_prompt(TOOLS)
+    backend = ScriptedBackend([rule("Choose", reply)])
+    return select_tool(AGENT, backend, head + "state" + tail, TOOLS).name
+
+
+#: protocol -> (its label, its reader, a value, what the value reads as)
+PROTOCOLS = {
+    "route": ("ROUTE:", parse_route, "a", "a"),
+    "score": ("SCORE:", parse_score, "8", 8.0),
+    "tool": ("", choose_tool, "a", "a"),
+}
+#: what each reader raises when no line holds a value
+MISSING = (RouteMissing, ScoreMissing, ToolSelectionFailed)
+
+LINE_ENDS = {"LF": "\n", "CRLF": "\r\n", "CR": "\r", "U+2028": "\u2028"}
+BLANKS = {"space": " ", "tab": "\t", "U+00A0": "\u00a0", "U+3000": "\u3000", "U+001F": "\x1f"}
+#: where a blank goes: the keyword of reply() that places it
+PLACES = {"before the label": "before", "after the label": "after_label", "at the end": "after"}
+
+
+def reply(label: str, value: str, end: str, before: str = "", after_label: str = " ",
+          after: str = "") -> str:
+    """A reply whose last line gives ``value`` after ``label``, its blanks placed."""
+    return f"Thinking it over.{end}{before}{label}{after_label}{value}{after}{end}"
+
+
+@pytest.mark.parametrize("place", PLACES)
+@pytest.mark.parametrize("blank", BLANKS)
+@pytest.mark.parametrize("end", LINE_ENDS)
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_a_blank_around_the_value_is_not_part_of_it(protocol, end, blank, place):
+    label, read, value, expected = PROTOCOLS[protocol]
+    text = reply(label, value, LINE_ENDS[end], **{PLACES[place]: BLANKS[blank] * 2})
+    assert read(text) == expected
+
+
+@pytest.mark.parametrize("end", LINE_ENDS)
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_the_last_line_with_a_value_wins(protocol, end):
+    label, read, value, expected = PROTOCOLS[protocol]
+    end = LINE_ENDS[end]
+    other = "b" if protocol == "tool" else "7"
+    assert read(f"{label} {other}{end}{reply(label, value, end)}") == expected
+    assert read(f"{label} {other}{end}{reply(label, value, end)}  {end}") == expected
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_a_zero_width_space_is_no_blank(protocol):
+    label, read, value, _ = PROTOCOLS[protocol]
+    text = reply(label, value + "\u200b", "\n")
+    if protocol == "route":
+        assert read(text) == "a\u200b"
+    else:  # neither a number nor a tool's name
+        with pytest.raises(MISSING):
+            read(text)
+
+
+@pytest.mark.parametrize("blank", ["", *BLANKS.values(), " \t\u00a0\u3000"])
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_a_blank_value_is_no_value(protocol, blank):
+    label, read, _, _ = PROTOCOLS[protocol]
+    with pytest.raises(MISSING):
+        read(reply(label, "", "\n", after_label=blank))
 
 
 # ---------------------------------------------------------------------------

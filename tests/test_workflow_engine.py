@@ -510,6 +510,12 @@ def test_router_flipping_token_flips_branch():
     assert not record.details["statistics_pass"].skipped
 
 
+def test_a_unicode_blank_after_the_route_token_is_not_part_of_it():
+    record = run_router("semantic\u00a0")
+    assert not record.details["semantic_review"].skipped
+    assert record.details["statistics_pass"].skipped
+
+
 def test_router_without_route_line_aborts():
     backend = ScriptedBackend([rule("choose the branch", "no routing information")])
     with pytest.raises(ExecutionAborted):
