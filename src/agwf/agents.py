@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 from urllib.parse import SplitResult, quote, urlsplit
 
 from .pm_tools import Tool
+from .task_kinds import last_line_match
 
 
 class AgentError(Exception):
@@ -309,13 +310,6 @@ def complete(profile: AgentProfile, backend: CompletionBackend, user_prompt: str
         return text
 
 
-def _last_nonempty_line(text: str) -> str:
-    for line in reversed(text.splitlines()):
-        if line.strip():
-            return line.strip()
-    return ""
-
-
 def selection_prompt(tools: Sequence[Tool]) -> tuple[str, str]:
     """Head and tail of the tool-selection prompt: the prompt is head,
     state, tail."""
@@ -329,31 +323,29 @@ def selection_prompt(tools: Sequence[Tool]) -> tuple[str, str]:
     )
 
 
+#: the chosen tool's name, as last_line_match reads it: any non-blank line
+_TOOL_NAME_RE = re.compile(r"(.+)")
+
+
 def select_tool(profile: AgentProfile, backend: CompletionBackend,
                 prompt: str, tools: Sequence[Tool]) -> Tool:
     """Send ``prompt``, the head and tail of ``selection_prompt(tools)``
     around the state, and return the tool the reply names.
 
     A single tool is returned without consulting the backend.  Otherwise
-    the last line of the reply must be a tool name (case-sensitive exact
-    match); one re-ask, listing the names in the given order, is allowed
-    before ToolSelectionFailed.
+    the reply's last non-blank line, read by ``last_line_match``, must be
+    a tool name (case-sensitive exact match); one re-ask, listing the
+    names in the given order, is allowed before ToolSelectionFailed.
     """
     if len(tools) == 1:
         return tools[0]
     by_name = {tool.name: tool for tool in tools}
-    answer = _last_nonempty_line(complete(profile, backend, prompt))
-    if answer in by_name:
-        return by_name[answer]
-    retry_prompt = (
-        prompt
-        + "\nYour previous reply was not a valid tool name. "
-        + f"Answer with exactly one of: {', '.join(by_name)}."
-    )
-    raw = complete(profile, backend, retry_prompt)
-    answer = _last_nonempty_line(raw)
-    if answer in by_name:
-        return by_name[answer]
+    reask = ("\nYour previous reply was not a valid tool name. "
+             f"Answer with exactly one of: {', '.join(by_name)}.")
+    for suffix in ("", reask):  # prompt + "" is prompt itself, not a copy
+        raw = complete(profile, backend, prompt + suffix)
+        if (name := last_line_match(_TOOL_NAME_RE, raw)) in by_name:
+            return by_name[name]
     raise ToolSelectionFailed(
         f"agent {profile.id!r} named no valid tool twice; last reply: {raw!r}",
         raw_output=raw,

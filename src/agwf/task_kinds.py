@@ -92,23 +92,24 @@ def build_prompt(task: "TaskSpec", tool_output: str | None = None,
     return "\n\n".join(parts)
 
 
-# each matched against one whole line of str.splitlines(), so any line end
-# counts; a token starts with a non-blank character
-_ROUTE_RE = re.compile(r"ROUTE:[ \t]*(\S.*?)[ \t]*")
-_SCORE_RE = re.compile(r"SCORE:[ \t]*([+-]?\d+(?:\.\d+)?)[ \t]*")
+# what follows each label on a line that last_line_match reads
+_ROUTE_RE = re.compile(r"ROUTE:\s*(\S.*)")
+_SCORE_RE = re.compile(r"SCORE:\s*([+-]?\d+(?:\.\d+)?)")
 
 
-def _last_match(pattern: re.Pattern[str], response: str) -> str | None:
-    """The group of the last line that ``pattern`` matches whole."""
-    for line in reversed(response.splitlines()):
-        if match := pattern.fullmatch(line):
+def last_line_match(pattern: re.Pattern[str], reply: str) -> str | None:
+    """The group of the last ``str.splitlines`` line of ``reply`` that
+    ``pattern`` matches whole once ``str.strip``-ped: the one reader of
+    every reply protocol (ROUTE, SCORE and the chosen tool's name)."""
+    for line in reversed(reply.splitlines()):
+        if match := pattern.fullmatch(line.strip()):
             return match.group(1)
     return None
 
 
 def parse_route(response: str) -> str:
     """Token from the last ``ROUTE: <token>`` line."""
-    token = _last_match(_ROUTE_RE, response)
+    token = last_line_match(_ROUTE_RE, response)
     if token is None:
         raise RouteMissing("no 'ROUTE: <token>' line in response")
     return token
@@ -116,7 +117,7 @@ def parse_route(response: str) -> str:
 
 def parse_score(response: str) -> float:
     """Score from the last ``SCORE: <number>`` line; out-of-range rejects."""
-    found = _last_match(_SCORE_RE, response)
+    found = last_line_match(_SCORE_RE, response)
     if found is None:
         raise ScoreMissing("no 'SCORE: <number>' line in response")
     score = float(found)
