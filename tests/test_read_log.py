@@ -18,6 +18,7 @@ import pytest
 
 from agwf.event_log import (
     DEFAULT_CSV_MAPPING,
+    EventLogError,
     MalformedDocument,
     MissingActivity,
     MissingColumn,
@@ -189,3 +190,30 @@ def test_read_log_peaks_at_most_1_15_times_the_parsed_log(tmp_path, name, text):
         tracemalloc.stop()
     assert len(log.traces) == 1000
     assert peak <= 1.15 * live, (peak, live)
+
+
+def early_error(name: str) -> bytes:
+    """A 1,000-case log whose first event has no timestamp (XES) or whose
+    second row's timestamp does not parse (CSV)."""
+    if name.endswith(".csv"):
+        head, first, second, rest = csv_log_text(1000).split("\n", 3)
+        second = second.replace(second.split(",")[2], "not a time")
+        return "\n".join((head, first, second, rest)).encode()
+    text = xes_log_text(1000)
+    start = text.index("<date")
+    return (text[:start] + text[text.index("/>", start) + 2:]).encode()
+
+
+@pytest.mark.parametrize("name", ["l.csv", "l.xes"])
+def test_a_failing_read_peaks_at_most_a_quarter_of_the_file(tmp_path, name):
+    content = early_error(name)
+    path = written(tmp_path, name, content)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        with pytest.raises(EventLogError):
+            read_log(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * len(content), (peak, len(content))
