@@ -17,11 +17,11 @@ and scripted agents match on them byte for byte.
 
 from __future__ import annotations
 
+import codecs
 import os
 import re
 from dataclasses import dataclass, field, replace
-from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, BinaryIO, Callable, Sequence
 
 from .event_log import (
     DEFAULT_CSV_MAPPING,
@@ -199,11 +199,33 @@ def read_log(path: str) -> EventLog:
     except (UnicodeDecodeError, EventLogError):
         # a streamed decode error counts its position from the start of one
         # read, and an error in the text may come before the first bad byte
-        try:
-            Path(path).read_bytes().decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedDocument(f"{path}: not UTF-8 text: {exc}") from exc
+        with open(path, "rb") as stream:
+            message = _utf8_error(stream)
+        if message is not None:
+            raise MalformedDocument(f"{path}: not UTF-8 text: {message}")
         raise
+
+
+def _utf8_error(stream: BinaryIO, piece_bytes: int = 1 << 14) -> str | None:
+    """What ``bytes.decode("utf-8")`` of the stream's whole content says
+    of its first bad byte, or None; read ``piece_bytes`` at a time."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    done = 0  # the bytes read before the piece
+    while True:
+        piece = stream.read(piece_bytes)
+        held = len(decoder.getstate()[0])  # the decoder puts them before the piece
+        try:
+            decoder.decode(piece, final=not piece)
+        except UnicodeDecodeError as exc:
+            start, end = done - held + exc.start, done - held + exc.end
+            if end - start == 1:
+                where = f"byte 0x{exc.object[exc.start]:02x} in position {start}"
+            else:
+                where = f"bytes in position {start}-{end - 1}"
+            return f"'{exc.encoding}' codec can't decode {where}: {exc.reason}"
+        if not piece:
+            return None
+        done += len(piece)
 
 
 def parse_directive(state: str, name: str) -> str | None:

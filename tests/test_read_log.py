@@ -11,10 +11,13 @@ as such, with the offset of its first bad byte in the file: the
 from __future__ import annotations
 
 import gc
+import io
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agwf.event_log import (
     DEFAULT_CSV_MAPPING,
@@ -25,6 +28,7 @@ from agwf.event_log import (
     parse_csv,
     parse_xes,
 )
+from agwf import pm_tools
 from agwf.pm_tools import read_log
 
 from conftest import csv_log_text, xes_log_text
@@ -190,6 +194,29 @@ def test_read_log_peaks_at_most_1_15_times_the_parsed_log(tmp_path, name, text):
         tracemalloc.stop()
     assert len(log.traces) == 1000
     assert peak <= 1.15 * live, (peak, live)
+
+
+#: bytes that are mostly UTF-8: text, bytes of any value, and pieces of
+#: multi-byte sequences
+MOSTLY_UTF8 = st.lists(st.one_of(
+    st.text(max_size=4).map(str.encode),
+    st.binary(max_size=3),
+    st.sampled_from(["\u00e9", "\u20ac", "\U0001d11e", "\ud800"]).map(
+        lambda c: c.encode("utf-8", "surrogatepass")).flatmap(
+        lambda b: st.integers(1, len(b)).map(lambda n: b[:n])),
+), max_size=12).map(b"".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(MOSTLY_UTF8)
+def test_the_bad_byte_is_named_as_bytes_decode_names_it(content):
+    try:
+        content.decode("utf-8")
+        expected = None
+    except UnicodeDecodeError as exc:
+        expected = str(exc)
+    for piece_bytes in (1, 2, 3, 5, 64):
+        assert pm_tools._utf8_error(io.BytesIO(content), piece_bytes) == expected, piece_bytes
 
 
 def early_error(name: str) -> bytes:
