@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import resource
 import select
 import socket
 import subprocess
@@ -485,6 +486,36 @@ def test_http_backend_resends_once_when_the_idle_check_misses_a_hang_up(
     assert [complete(AGENT, backend, "hello") for _ in range(10)] == [f"r{i}" for i in range(10)]
     assert len(stub.seen) == 10
     assert backend.calls == 10
+
+
+HIGH_FD = 1500  # above FD_SETSIZE (1024), which select.select cannot watch
+
+
+@pytest.mark.skipif(resource.getrlimit(resource.RLIMIT_NOFILE)[0] <= HIGH_FD,
+                    reason=f"the soft RLIMIT_NOFILE allows no fd {HIGH_FD}")
+def test_http_backend_reuses_a_connection_whose_fd_is_past_fd_setsize(
+        keepalive, open_backend, monkeypatch):
+    try:
+        os.fstat(HIGH_FD)
+        pytest.skip(f"fd {HIGH_FD} is in use")
+    except OSError:
+        pass
+    connect, opened = socket.create_connection, []
+
+    def connect_at_a_high_fd(*args, **kwargs):
+        with connect(*args, **kwargs) as low:
+            os.dup2(low.fileno(), HIGH_FD)
+            opened.append(socket.socket(fileno=HIGH_FD))
+            opened[-1].settimeout(low.gettimeout())
+        return opened[-1]
+
+    monkeypatch.setattr(socket, "create_connection", connect_at_a_high_fd)
+    stub = keepalive()
+    stub.script = [(200, ok_payload("r0"), 0), (200, ok_payload("r1"), 0)]
+    backend = open_backend(stub.url)
+    assert [complete(AGENT, backend, "hello") for _ in range(2)] == ["r0", "r1"]
+    assert [sock.fileno() for sock in opened] == [HIGH_FD]
+    assert stub.connections == 1
 
 
 def test_http_backend_does_not_resend_on_a_fresh_connection():
