@@ -190,7 +190,7 @@ class HttpChatBackend(CompletionBackend):
     def complete(self, role_prompt: str, user_prompt: str, *,
                  model: str = "", temperature: float = 0.0) -> str:
         import http.client
-        import select
+        import selectors
 
         body = json.dumps({
             "model": model,
@@ -201,9 +201,13 @@ class HttpChatBackend(CompletionBackend):
             "temperature": temperature,
         }).encode()
         connection = self._connection
-        if connection.sock is not None and select.select([connection.sock], [], [], 0)[0]:
-            # an idle connection with something to read was hung up by the server
-            connection.close()
+        if connection.sock is not None:
+            # a selector, unlike select.select, takes any file descriptor
+            with selectors.DefaultSelector() as selector:
+                selector.register(connection.sock, selectors.EVENT_READ)
+                if selector.select(0):
+                    # an idle connection with something to read was hung up by the server
+                    connection.close()
         reused = connection.sock is not None
         try:
             try:

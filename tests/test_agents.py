@@ -3,7 +3,7 @@ from __future__ import annotations
 import json
 import os
 import resource
-import select
+import selectors
 import socket
 import subprocess
 import sys
@@ -481,7 +481,11 @@ def test_http_backend_resends_once_when_the_idle_check_misses_a_hang_up(
     stub.hang_up = True
     stub.script = [(200, ok_payload(f"r{i}"), 0) for i in range(10)]
     # the idle check never sees the hang-up, as when its FIN is still in flight
-    monkeypatch.setattr(select, "select", lambda *args: ([], [], []))
+    class Deaf(selectors.DefaultSelector):
+        def select(self, timeout=None):
+            return []
+
+    monkeypatch.setattr(selectors, "DefaultSelector", Deaf)
     backend = CountingBackend(open_backend(stub.url))
     assert [complete(AGENT, backend, "hello") for _ in range(10)] == [f"r{i}" for i in range(10)]
     assert len(stub.seen) == 10
