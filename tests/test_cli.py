@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agwf import cli
+from agwf.agents import ScriptedBackend
 from agwf.demos import BUNDLE_NAMES, bundle
 from agwf.event_log import DEFAULT_CSV_MAPPING, discover_dfg, parse_csv, parse_xes
 from agwf.pm_tools import abstract_dfg
@@ -504,6 +505,111 @@ def test_hostile_input_exits_2_with_one_error_line(case, tmp_path, capsys, monke
         for case, (name, content) in LATE_NOT_UTF8.items())
     if case in expected:
         assert lines[0] == f"error: {expected[case]}"
+
+
+# ---------------------------------------------------------------------------
+# Mutated workflow and rules files
+# ---------------------------------------------------------------------------
+
+#: a value of another kind, or an out-of-range one
+ODD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.just(10**30),
+    st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+    st.text(max_size=6),
+    st.lists(st.text(max_size=3), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.text(max_size=3), max_size=2),
+)
+
+
+def _nodes(doc, path=()):
+    """(path, value) of every value in a JSON document, the root first."""
+    yield path, doc
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _nodes(value, (*path, key))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def mutated_bundle(draw):
+    """(bundle name, "workflow" or "rules", that file's mutated JSON bytes)."""
+    name = draw(st.sampled_from(BUNDLE_NAMES), label="bundle")
+    which = draw(st.sampled_from(["workflow", "rules"]), label="file")
+    doc = json.loads(getattr(bundle(name), which).read_text())
+    nodes = list(_nodes(doc))
+    task_ids = [task["id"] for task in doc["tasks"]] if which == "workflow" else []
+    kinds = ["replace", "delete", "add", "duplicate"] + (["repoint"] if task_ids else [])
+    kind = draw(st.sampled_from(kinds), label="mutation")
+    if kind == "replace":
+        path, _ = draw(st.sampled_from(nodes[1:]), label="at")
+        _at(doc, path[:-1])[path[-1]] = draw(ODD_VALUES, label="value")
+    elif kind == "delete":
+        path = draw(st.sampled_from([p for p, _ in nodes if p and isinstance(p[-1], str)]),
+                    label="at")
+        del _at(doc, path[:-1])[path[-1]]
+    elif kind == "add":
+        path = draw(st.sampled_from([p for p, v in nodes if isinstance(v, dict)]), label="at")
+        _at(doc, path)["unknown_key"] = draw(ODD_VALUES, label="value")
+    elif kind == "duplicate":
+        items = _at(doc, draw(st.sampled_from(
+            [p for p, v in nodes if p and p[-1] in ("tasks", "agents", "rules") and v]),
+            label="list"))
+        items.insert(draw(st.integers(0, len(items)), label="to"),
+                     copy.deepcopy(draw(st.sampled_from(items), label="item")))
+    else:
+        path = draw(st.sampled_from([p for p, v in nodes if p and v in task_ids]), label="at")
+        _at(doc, path[:-1])[path[-1]] = draw(st.sampled_from(task_ids), label="id")
+    return name, which, json.dumps(doc).encode()
+
+
+def _main_counting_backend_calls(argv):
+    """cli.main(argv): (exit code, stdout, stderr, ScriptedBackend calls)."""
+    out, err, calls = io.StringIO(), io.StringIO(), []
+    complete = ScriptedBackend.complete
+
+    def counted(self, *args, **kwargs):
+        calls.append(None)
+        return complete(self, *args, **kwargs)
+
+    ScriptedBackend.complete = counted
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        ScriptedBackend.complete = complete
+    return code, out.getvalue(), err.getvalue(), len(calls)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated_bundle())
+def test_a_mutated_workflow_or_rules_file_exits_0_1_or_2(mutation):
+    name, which, content = mutation
+    workflow, rules, inquiry = bundle(name)
+    with tempfile.TemporaryDirectory() as directory:
+        mutated = _file(Path(directory) / f"{which}.json", content)
+        workflow, rules = (mutated, str(rules)) if which == "workflow" else (str(workflow), mutated)
+        output = Path(directory) / "transcript.json"
+        runs = {
+            "validate": _main_counting_backend_calls(["validate", workflow]),
+            "run": _main_counting_backend_calls(["run", workflow, "--inquiry", inquiry,
+                                                 "--scripted", rules, "--output", str(output)]),
+        }
+        transcript = json.loads(output.read_text()) if output.exists() else None
+    for command, (code, _, err, calls) in runs.items():
+        assert code in (0, 1, 2), command
+        if code == 2:
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), (command, err)
+            assert calls == 0, command
+    if runs["validate"][0] == 0 and which == "workflow":
+        assert runs["run"][0] != 2, runs["run"][2]
+    if transcript is not None:
+        assert list(transcript["details"]) == transcript["task_sequence"]
 
 
 #: the JSON kind of every field of both file formats, by object
