@@ -92,7 +92,7 @@ def build_prompt(task: "TaskSpec", tool_output: str | None = None,
     return "\n\n".join(parts)
 
 
-# what follows each label on a line that last_line_match reads
+# each matched by last_line_match against a line stripped of its blanks
 _ROUTE_RE = re.compile(r"ROUTE:\s*(\S.*)")
 _SCORE_RE = re.compile(r"SCORE:\s*([+-]?\d+(?:\.\d+)?)")
 

@@ -207,7 +207,7 @@ MOSTLY_UTF8 = st.lists(st.one_of(
 ), max_size=12).map(b"".join)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(MOSTLY_UTF8)
 def test_the_bad_byte_is_named_as_bytes_decode_names_it(content):
     try:
