@@ -46,11 +46,8 @@ class MalformedResponse(AgentError):
 
 
 class ToolSelectionFailed(AgentError):
-    """Raised after two unparsable selection replies; keeps the raw output."""
-
-    def __init__(self, message: str, raw_output: str):
-        super().__init__(message)
-        self.raw_output = raw_output
+    """Raised after two unparsable selection replies; the message ends with
+    the last reply."""
 
 
 @dataclass(frozen=True)
@@ -351,6 +348,4 @@ def select_tool(profile: AgentProfile, backend: CompletionBackend,
         if (name := last_line_match(_TOOL_NAME_RE, raw)) in by_name:
             return by_name[name]
     raise ToolSelectionFailed(
-        f"agent {profile.id!r} named no valid tool twice; last reply: {raw!r}",
-        raw_output=raw,
-    )
+        f"agent {profile.id!r} named no valid tool twice; last reply: {raw!r}")

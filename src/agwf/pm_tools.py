@@ -171,17 +171,24 @@ def resolve_log_reference(state: str, memory: "EntityMemory") -> EventLog:
     return memory.load(entity_match.group(1))  # UnknownEntityKey propagates
 
 
+def _kept(memory: "EntityMemory", key: tuple, compute: Callable[[], object]):
+    """``memory.kept[key]``, computed and kept on first use.  Each caller's
+    keys have a length of their own, so no two callers share one."""
+    value = memory.kept.get(key)
+    if value is None:
+        value = memory.kept[key] = compute()
+    return value
+
+
 def _read_log_once(path: str, memory: "EntityMemory") -> EventLog:
-    """``read_log(path)``, kept in ``memory.parsed_logs`` while the file
-    keeps its size and modification time."""
+    """``read_log(path)``, kept while the file keeps its size and
+    modification time."""
     try:
         info = os.stat(path)
     except (OSError, ValueError):
         return read_log(path)  # fails the way reading the file does
-    key = (os.path.realpath(path), info.st_mtime_ns, info.st_size)
-    log = memory.parsed_logs.get(key)
-    if log is None:
-        log = memory.parsed_logs[key] = read_log(path)
+    log = _kept(memory, (os.path.realpath(path), info.st_mtime_ns, info.st_size),
+                lambda: read_log(path))
     # the same file under another spelling keeps the name it was given
     return log if log.source_name == path else replace(log, source_name=path)
 
@@ -233,7 +240,7 @@ def parse_directive(state: str, name: str) -> str | None:
 
     Only spaces and tabs may precede the name and the ``:``; the value is
     the rest of the line without surrounding spaces and tabs.  Lines end
-    at ``\\n`` only.
+    at ``\\n`` only.  ``name`` starts with neither a space nor a tab.
     """
     end = len(state)
     while (found := state.rfind(name, 0, end)) >= 0:
@@ -241,11 +248,10 @@ def parse_directive(state: str, name: str) -> str | None:
         stop = state.find("\n", found)
         line = state[start:stop] if stop >= 0 else state[start:]
         indent = len(line) - len(line.lstrip(" \t"))
-        for offset in range(indent, -1, -1):  # the longest indent first
-            if line.startswith(name, offset):
-                rest = line[offset + len(name):].lstrip(" \t")
-                if rest.startswith(":"):
-                    return rest[1:].strip(" \t")
+        if line.startswith(name, indent):
+            rest = line[indent + len(name):].lstrip(" \t")
+            if rest.startswith(":"):
+                return rest[1:].strip(" \t")
         if not start:
             return None
         end = start - 1
@@ -343,15 +349,10 @@ def _in_band_errors(fn: Callable[[str, "EntityMemory"], str]) -> Callable[[str, 
 
 def _discovered(discover: Callable[[EventLog], object], log: EventLog,
                 memory: "EntityMemory"):
-    """``discover(log)``, kept in ``memory.discoveries`` for the rest of the
-    run.  The results depend on the traces alone, and the traces are held
-    with them, so that their id names them while the run lasts; the
-    renderers only read them."""
-    key = (discover, id(log.traces))
-    kept = memory.discoveries.get(key)
-    if kept is None:
-        kept = memory.discoveries[key] = (log.traces, discover(log))
-    return kept[1]
+    """``discover(log)``, kept for the rest of the run.  The results depend
+    on the traces alone, and the traces are kept with them, so that their
+    id names them while the run lasts; the renderers only read them."""
+    return _kept(memory, (discover, id(log.traces)), lambda: (log.traces, discover(log)))[1]
 
 
 def _dfg_discovery(state: str, memory: "EntityMemory") -> str:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from . import task_kinds
 from .agents import (
@@ -75,18 +75,14 @@ class EntityMemory:
 
     Each execution makes its own.  Storing anything but an EventLog raises
     TypeError; re-storing an existing key raises DuplicateKey, which keeps
-    the data flow of one execution auditable.  ``parsed_logs`` holds the
-    log files the tools parsed, keyed on (resolved path, st_mtime_ns,
-    st_size), and ``discoveries`` the results of the discovery functions,
-    keyed on (function, id of the log's traces) and held with those
-    traces; neither holds entries, so snapshot(), restore() and
-    memory_final never see them.
+    the data flow of one execution auditable.  ``kept`` holds what the
+    tools keep for the rest of the run (see pm_tools); it holds no
+    entries, so snapshot(), restore() and memory_final never see it.
     """
 
     def __init__(self):
         self._items: dict[str, EventLog] = {}
-        self.parsed_logs: dict[tuple[str, int, int], EventLog] = {}
-        self.discoveries: dict[tuple[Callable, int], tuple[tuple, object]] = {}
+        self.kept: dict[tuple, object] = {}
 
     def store(self, key: str, value: EventLog) -> None:
         if not isinstance(value, EventLog):
@@ -157,8 +153,7 @@ class TaskDetail:
     """What one task actually did during an execution.
 
     Each prompt the task sent is kept as its own text around the state the
-    task ran on, which the record holds (ExecutionRecord.prompt_sent and
-    selection_prompt give the full texts): prompt is the (head, tail) pair
+    task ran on, which the record holds: prompt is the (head, tail) pair
     of the task's prompt, and selection that of the tool-selection prompt,
     sent only when a tool was chosen among several candidates.  A prompt is
     head, that state, tail; None means it was not sent.
@@ -184,8 +179,7 @@ class ExecutionRecord:
     the record holds only the last state, final_state, and where each
     state ends in it: states[i] is final_state[:state_ends[i]], sliced on
     demand by the states property.  Tasks commit in order, so
-    task_sequence[i] ran on states[i], and its prompts are joined from
-    that state and their own text on demand too.
+    task_sequence[i] ran on states[i].
     """
 
     task_sequence: tuple[str, ...]
@@ -197,21 +191,6 @@ class ExecutionRecord:
     @property
     def states(self) -> tuple[str, ...]:
         return tuple(self.final_state[:end] for end in self.state_ends)
-
-    def prompt_sent(self, task_id: str) -> str:
-        """The task's prompt, or "" if it sent none (it was skipped)."""
-        return self._prompt(task_id, self.details[task_id].prompt)
-
-    def selection_prompt(self, task_id: str) -> str:
-        """The task's tool-selection prompt, or "" if it chose no tool
-        among several."""
-        return self._prompt(task_id, self.details[task_id].selection)
-
-    def _prompt(self, task_id: str, parts: tuple[str, str] | None) -> str:
-        if parts is None:
-            return ""
-        head, tail = parts
-        return head + self.final_state[:self.state_ends[self.task_sequence.index(task_id)]] + tail
 
     def task_output(self, task_id: str) -> str:
         """The text the task appended (without the section delimiter)."""

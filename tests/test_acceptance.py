@@ -46,7 +46,8 @@ from agwf.workflow_engine import (
     validate,
 )
 
-from conftest import AGENT, T0, CountingBackend, plain_task, random_valid_spec, spec_of
+from conftest import (AGENT, T0, CountingBackend, joined_prompt, plain_task, random_valid_spec,
+                      spec_of)
 
 
 def criterion(number, description):
@@ -105,7 +106,7 @@ def test_criterion_2_tool_non_persistence():
         registry=ToolRegistry.of(sentinel),
     )
     record = execute(spec, "Q", ScriptedBackend([], fallback="noted"))
-    assert "XTOOLX" in record.prompt_sent("T")
+    assert "XTOOLX" in joined_prompt(record, "T")
     assert "XTOOLX" not in record.states[1]
 
 

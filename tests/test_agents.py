@@ -159,7 +159,7 @@ def test_select_tool_reasks_once_then_fails():
     with pytest.raises(ToolSelectionFailed) as err:
         choose(backend, tools)
     assert backend.calls == 2
-    assert err.value.raw_output == "banana"
+    assert str(err.value).endswith("last reply: 'banana'")
 
 
 def test_select_tool_recovers_on_reask():

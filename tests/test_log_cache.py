@@ -262,5 +262,5 @@ def test_kept_discoveries_render_as_fresh_ones(shapes, calls):
         assert TOOLS.get(name).function(state, memory) \
             == TOOLS.get(name).function(state, memory_of_logs())
         # rendering only reads what is kept
-        for (discover, _), (traces, result) in memory.discoveries.items():
+        for (discover, _), (traces, result) in memory.kept.items():
             assert result == discover(EventLog(traces))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import io
 import json
 import tempfile
@@ -28,7 +29,7 @@ from agwf.pm_tools import Tool, ToolRegistry
 from agwf.task_kinds import EVALUATOR
 from agwf.workflow_engine import EvaluatorConfig, ExecutionAborted, ExecutionRecord, execute
 
-from conftest import chain_spec, plain_task, spec_of
+from conftest import chain_spec, joined_prompt, plain_task, spec_of
 from test_workflow_engine import routed_workflows, scripted
 
 #: text that JSON escapes in every way it can: quotes, backslashes, control
@@ -44,13 +45,13 @@ def mirror(record: ExecutionRecord, error: str | None) -> dict:
             tid: {
                 "selected_tool": d.selected_tool,
                 "tool_output": d.tool_output,
-                "prompt_sent": record.prompt_sent(tid),
+                "prompt_sent": joined_prompt(record, tid),
                 "raw_response": d.raw_response,
                 "retries_used": d.retries_used,
                 "skipped": d.skipped,
                 "score": d.score,
                 "low_quality": d.low_quality,
-                "selection_prompt": record.selection_prompt(tid),
+                "selection_prompt": joined_prompt(record, tid, "selection"),
             }
             for tid, d in record.details.items()
         },
@@ -210,7 +211,9 @@ def test_the_record_gives_the_prompts_each_task_sent():
                                 rule("carry out step t2", "SCORE: 2.0", "SCORE: 9.0")],
                                fallback=f"noted {ESCAPES}")
     record = execute(tool_chain(graded=True), ESCAPES, backend)
-    prompt, selection, states = record.prompt_sent, record.selection_prompt, record.states
+    prompt = functools.partial(joined_prompt, record)
+    selection = functools.partial(joined_prompt, record, which="selection")
+    states = record.states
     assert record.task_sequence == ("t0", "t1", "t2")
     assert record.details["t1"].selected_tool == "beta"
     sent = backend.sent
@@ -271,7 +274,7 @@ def test_a_long_run_holds_no_separate_states(tmp_path):
     finally:
         tracemalloc.stop()
     assert record.details["t100"].selected_tool == "beta"
-    prompts = sum(len(record.prompt_sent(tid)) for tid in record.details)
+    prompts = sum(len(joined_prompt(record, tid)) for tid in record.details)
     final = len(record.final_state)
     assert prompts > 90 * final
     assert peak < 10 * final

@@ -43,7 +43,7 @@ from agwf.workflow_engine import (
     validate,
 )
 
-from conftest import CountingBackend, chain_spec, make_log, plain_task, spec_of
+from conftest import CountingBackend, chain_spec, joined_prompt, make_log, plain_task, spec_of
 
 
 def fig2_like_spec():
@@ -344,7 +344,7 @@ def test_execute_tool_output_not_persisted():
     spec = spec_of([task], {"T": set()}, "T", "T", registry=registry)
     record = execute(spec, "Q", ScriptedBackend([], fallback="noted"))
     detail = record.details["T"]
-    assert "XTOOLX" in record.prompt_sent("T")
+    assert "XTOOLX" in joined_prompt(record, "T")
     assert detail.tool_output == "XTOOLX"
     assert "XTOOLX" not in record.states[1]
     assert detail.selected_tool == "emit_marker"
@@ -363,7 +363,7 @@ def test_execute_records_selection_prompt_for_multi_tool_tasks():
     record = execute(spec, "Q", backend)
     detail = record.details["T"]
     assert detail.selected_tool == "beta"
-    assert "docs for alpha" in record.selection_prompt("T")
+    assert "docs for alpha" in joined_prompt(record, "T", "selection")
     # the selection prompt stays out of the state sequence
     assert "docs for alpha" not in record.final_state
 
@@ -393,7 +393,7 @@ def test_selection_prompt_is_built_once_per_two_tool_task(monkeypatch):
     record = execute(spec, "Q", Recording())
     assert len(built) == 1
     # the recorded prompt is the one sent, with the tools listed by name
-    assert sent[0] == record.selection_prompt("T")
+    assert sent[0] == joined_prompt(record, "T", "selection")
     assert sent[0].index("- alpha:") < sent[0].index("- beta:")
 
 
@@ -490,7 +490,7 @@ def run_router(token):
 
 def test_router_prompt_lists_options():
     record = run_router("semantic")
-    prompt = record.prompt_sent("route_it")
+    prompt = joined_prompt(record, "route_it")
     assert "semantic, statistics" in prompt
 
 
