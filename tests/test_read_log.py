@@ -244,3 +244,27 @@ def test_a_failing_read_peaks_at_most_a_quarter_of_the_file(tmp_path, name):
     finally:
         tracemalloc.stop()
     assert peak <= 0.25 * len(content), (peak, len(content))
+
+
+def failing_read_log(path: str) -> None:
+    with pytest.raises(MalformedDocument, match="not UTF-8 text"):
+        read_log(path)
+
+
+@pytest.mark.parametrize("name, text", [("l.csv", csv_log_text), ("l.xes", xes_log_text)])
+def test_a_read_failing_at_its_last_byte_peaks_as_the_successful_read(tmp_path, name, text):
+    """The parse reaches its peak before the UTF-8 check starts, so the
+    check holds nothing beyond it."""
+    content = text(1000).encode()
+    peaks = []
+    for read, path in ((read_log, written(tmp_path, name, content)),
+                       (failing_read_log, written(tmp_path, "bad-" + name, content + b"\xff"))):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            read(path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    good, bad = peaks
+    assert bad <= 1.05 * good, (bad, good)
