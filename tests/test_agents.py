@@ -265,10 +265,13 @@ def test_http_backend_retry_exhaustion(stub_server):
 
 
 def test_http_backend_malformed_response(stub_server):
-    StubHandler.script = [(200, {"unexpected": True})]
     backend = http_chat_backend(stub_server)
-    with pytest.raises(MalformedResponse):
-        complete(AGENT, backend, "hello")
+    for payload, message in [({"unexpected": True}, "response has no choices"),
+                             (ok_payload(None), "message content is not text"),
+                             (ok_payload(7), "message content is not text")]:
+        StubHandler.script = [(200, payload)]
+        with pytest.raises(MalformedResponse, match=message):
+            complete(AGENT, backend, "hello")
 
 
 def test_http_backend_non_json_response(stub_server):
@@ -358,6 +361,12 @@ class KeepAliveHandler(BaseHTTPRequestHandler):
         # only from the socket
         self.close_connection = server.hang_up or server.missing_bytes > 0
 
+    def do_CONNECT(self):
+        # a proxy that opens no tunnel
+        with self.server.lock:
+            self.server.seen.append({"path": self.path, "host": self.headers.get("Host")})
+        self.send_error(501)
+
     def log_message(self, *args):
         pass
 
@@ -437,6 +446,14 @@ def test_http_backend_uses_the_proxy_from_the_environment(keepalive, open_backen
     assert complete(AGENT, open_backend(direct.url), "hello") == "direct"
     assert [s["path"] for s in direct.seen] == ["/v1/chat/completions"]
     assert len(proxy.seen) == 1
+
+
+def test_an_https_endpoint_tunnels_through_the_proxy(keepalive, open_backend, monkeypatch):
+    proxy = keepalive()
+    monkeypatch.setenv("HTTPS_PROXY", f"http://127.0.0.1:{proxy.server_port}")
+    with pytest.raises(TransportError):
+        open_backend("https://endpoint.invalid/v1/chat/completions").complete("role", "hello")
+    assert [s["path"] for s in proxy.seen] == ["endpoint.invalid:443"]
 
 
 def test_http_backend_short_body_is_a_transport_error(keepalive, open_backend):

@@ -422,12 +422,15 @@ EVALUATOR = ("tasks", 1, "evaluator")
 WORKFLOW_CONFIG_ERRORS = {
     "agent-not-object": (_set(("agents", 0), 1), "agents[0]: expected an object"),
     "agent-id-not-text": (_set(("agents", 0, "id"), 5), "agents[0].id: expected text, got int"),
+    "agent-id-empty": (_set(("agents", 0, "id"), ""), "agents[0]: agent id must be non-empty"),
     "tools-not-list": (_set(("tasks", 0, "tools"), "x"),
                        "tasks[0].tools: expected list of text, got str"),
     "threshold-not-number": (_set((*EVALUATOR, "threshold"), "hi"),
                              "tasks[1].evaluator.threshold: expected number, got str"),
     "max-retries-not-integer": (_set((*EVALUATOR, "max_retries"), 1.5),
                                 "tasks[1].evaluator.max_retries: expected integer, got float"),
+    "max-retries-negative": (_set((*EVALUATOR, "max_retries"), -1),
+                             "tasks[1].evaluator: max_retries must be >= 0"),
     "threshold-out-of-range": (_set((*EVALUATOR, "threshold"), 11),
                                "tasks[1].evaluator: threshold must be in [1, 10], got 11.0"),
     "temperature-huge-int": (_set(("agents", 0, "temperature"), 10**400),

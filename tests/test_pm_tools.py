@@ -38,8 +38,10 @@ from conftest import make_log
 # ---------------------------------------------------------------------------
 
 def test_tool_name_must_be_identifier_shaped():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="identifier-shaped"):
         Tool("bad name", "docs", lambda s, m: s)
+    with pytest.raises(ValueError, match="has no documentation"):
+        Tool("x", " \n\t", lambda s, m: s)
 
 
 def test_registry_rejects_duplicates():
