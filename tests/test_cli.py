@@ -306,16 +306,11 @@ TRUNCATED_LOGS = {
 }
 
 
-@pytest.mark.parametrize("suffix", TRUNCATED_LOGS)
-@settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_abstract_of_a_truncated_log_exits_0_or_2_with_one_error_line(suffix, data):
-    content = TRUNCATED_LOGS[suffix]
-    cut = data.draw(st.integers(0, len(content)), label="cut")
+def assert_abstract_exits_0_or_2_with_one_error_line(name: str, content: bytes) -> None:
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as directory:
-        path = Path(directory) / f"log{suffix}"
-        path.write_bytes(content[:cut])
+        path = Path(directory) / name
+        path.write_bytes(content)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(["abstract", str(path), "--kind", "dfg"])
     assert code in (0, 2)
@@ -323,6 +318,47 @@ def test_abstract_of_a_truncated_log_exits_0_or_2_with_one_error_line(suffix, da
     if code == 2:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
+
+
+@pytest.mark.parametrize("suffix", TRUNCATED_LOGS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_abstract_of_a_truncated_log_exits_0_or_2_with_one_error_line(suffix, data):
+    content = TRUNCATED_LOGS[suffix]
+    cut = data.draw(st.integers(0, len(content)), label="cut")
+    assert_abstract_exits_0_or_2_with_one_error_line(f"log{suffix}", content[:cut])
+
+
+def _cell(column: int, value: str):
+    """A row mutation that replaces one of the row's cells."""
+    return lambda cells: [",".join(cells[:column] + [value] + cells[column + 1:])]
+
+
+#: name -> a function from a data row's cells to the lines put in its place
+CSV_ROW_MUTATIONS = {
+    "short-row": lambda cells: [",".join(cells[:-1])],
+    "long-row": lambda cells: [",".join(cells + ["extra"])],
+    "header-repeated": lambda cells: ["case_id,activity,timestamp,resource", ",".join(cells)],
+    "empty-case-id": _cell(0, ""),
+    "empty-activity": _cell(1, ""),
+    "nul": _cell(1, "Check\x00Step"),
+    "unterminated-quote": _cell(1, '"Check Step'),
+    "cell-over-field-limit": _cell(1, "x" * 200_000),
+    **{f"timestamp-{moment}": _cell(2, moment) for moment in (
+        "2024-03-01T24:00:00", "2024-02-30T09:00:00", "2024-03-01T23:59:60",
+        "2024-03-01T09:00:00+25:00", "99999-03-01T09:00:00", "nan")},
+    "year-1-aware-next-to-naive": lambda cells: [
+        *_cell(2, "0001-01-01T00:00:00+01:00")(cells), *_cell(2, "0001-01-01T00:00:00")(cells)],
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(CSV_ROW_MUTATIONS)), st.data())
+def test_abstract_of_a_csv_log_with_a_mutated_row_exits_0_or_2_with_one_error_line(mutation, data):
+    rows = csv_log_text(20).splitlines()
+    at = data.draw(st.integers(1, len(rows) - 1), label="row")
+    rows[at:at + 1] = CSV_ROW_MUTATIONS[mutation](rows[at].split(","))
+    assert_abstract_exits_0_or_2_with_one_error_line("log.csv", "\n".join(rows).encode() + b"\n")
 
 
 # ---------------------------------------------------------------------------
