@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import resource
@@ -12,6 +13,8 @@ import time
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from agwf.agents import (
     AgentProfile,
@@ -31,8 +34,10 @@ from agwf.agents import (
     selection_prompt,
 )
 from agwf.pm_tools import Tool
+from agwf.workflow_engine import ExecutionAborted, execute
 
 from conftest import AGENT, CountingBackend
+from test_transcript import ESCAPES, SPECIAL, tool_chain
 
 
 def noop_tool(name):
@@ -338,6 +343,9 @@ class KeepAliveHandler(BaseHTTPRequestHandler):
     """HTTP/1.1 with keep-alive; the server object carries the script."""
 
     protocol_version = "HTTP/1.1"
+    # the headers and the body go out in two writes: without this, the body
+    # waits for the client's delayed ACK of the headers
+    disable_nagle_algorithm = True
 
     def setup(self):
         super().setup()
@@ -346,10 +354,16 @@ class KeepAliveHandler(BaseHTTPRequestHandler):
 
     def do_POST(self):
         server = self.server
-        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
         with server.lock:
-            server.seen.append({"path": self.path, "host": self.headers.get("Host")})
-            status, payload, delay = server.script.pop(0) if server.script else (200, ok_payload("ok"), 0)
+            server.seen.append({"path": self.path, "host": self.headers.get("Host"), "body": body})
+            if server.answer is not None:
+                user_prompt = json.loads(body)["messages"][1]["content"]
+                status, payload, delay = 200, ok_payload(server.answer(user_prompt)), 0
+            elif server.script:
+                status, payload, delay = server.script.pop(0)
+            else:
+                status, payload, delay = 200, ok_payload("ok"), 0
         time.sleep(delay)
         data = json.dumps(payload).encode()
         self.send_response(status)
@@ -380,6 +394,7 @@ class KeepAliveServer(ThreadingHTTPServer):
         self.connections = 0
         self.seen = []
         self.script = []  # (status, payload, seconds to wait before replying)
+        self.answer = None  # if set, the reply to a user prompt, in place of the script
         self.missing_bytes = 0  # announced in Content-Length but never sent
         self.hang_up = False  # close the connection after each reply
         self.url = f"http://127.0.0.1:{self.server_port}/v1/chat/completions"
@@ -573,6 +588,102 @@ def test_http_backend_percent_encodes_the_request_target(keepalive, open_backend
     url = f"http://127.0.0.1:{stub.server_port}/v1/caf\u00e9 x?model=a b&k=%41"
     assert complete(AGENT, open_backend(url), "hello") == "ok"
     assert [s["path"] for s in stub.seen] == ["/v1/caf%C3%A9%20x?model=a%20b&k=%41"]
+
+
+# ---------------------------------------------------------------------------
+# Request bodies: each is what json.dumps makes of its call
+# ---------------------------------------------------------------------------
+
+class CallRecorder(CompletionBackend):
+    """Wraps another backend and keeps the text of each call's arguments."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def complete(self, role_prompt, user_prompt, *, model="", temperature=0.0):
+        self.calls.append((role_prompt, str(user_prompt), model, temperature))
+        return self.inner.complete(role_prompt, user_prompt, model=model,
+                                   temperature=temperature)
+
+
+def assert_plain_bodies(stub, recorder):
+    """Each body the stub got is json.dumps(...).encode() of its call."""
+    assert [seen["body"] for seen in stub.seen] == [
+        json.dumps({
+            "model": model,
+            "messages": [
+                {"role": "system", "content": role_prompt},
+                {"role": "user", "content": user_prompt},
+            ],
+            "temperature": temperature,
+        }).encode()
+        for role_prompt, user_prompt, model, temperature in recorder.calls]
+
+
+#: text that JSON escapes in every way it can, and the lone surrogate that
+#: surrogateescape gives a non-UTF-8 byte
+ESCAPED = [*SPECIAL, "\udcff"]
+
+
+def test_request_bodies_of_runs_are_the_plain_encoding(keepalive, open_backend):
+    """Three runs of a tool chain on one backend, the last after close(),
+    with a plain prompt sent between the first two.  The first run picks
+    alpha, is rewound by its evaluator, names no tool, is re-asked, picks
+    beta and aborts on an empty reply; the others pick beta and pass."""
+    stub = keepalive()
+    profile = AgentProfile(id="analyst", role_prompt=f"You analyze {ESCAPES}",
+                           model_ref="m\u00e9\"1", temperature=0.35)
+    spec = dataclasses.replace(tool_chain(graded=True), agents=(profile,))
+    backend = CallRecorder(open_backend(stub.url))
+
+    def run(inquiry, *rules):
+        scripted = ScriptedBackend(rules, fallback=f"noted {ESCAPES}")
+        stub.answer = lambda user_prompt: scripted.complete("", user_prompt)
+        return execute(spec, inquiry, backend)
+
+    with pytest.raises(ExecutionAborted, match="empty text"):
+        run(ESCAPES, rule("Choose exactly one tool", "alpha", "no tool", "beta"),
+            rule("carry out step t2", "SCORE: 2.0", ""))
+    assert complete(profile, backend, f"hello {ESCAPES}") == f"noted {ESCAPES}"
+    record = run(ESCAPES + "\udcff", rule("Choose exactly one tool", "beta"),
+                 rule("carry out step t2", "SCORE: 9.0"))
+    assert record.task_sequence == ("t0", "t1", "t2")
+    backend.inner.close()
+    run(ESCAPES, rule("Choose exactly one tool", "beta"), rule("carry out step t2", "SCORE: 9.0"))
+    assert len(stub.seen) == 8 + 1 + 4 + 4
+    assert_plain_bodies(stub, backend)
+
+
+@pytest.fixture
+def stub_and_backend(keepalive, open_backend):
+    """A keep-alive stub and a backend on it, shared by a property's examples."""
+    stub = keepalive()
+    return stub, open_backend(stub.url)
+
+
+TEXTS = st.lists(st.sampled_from(ESCAPED) | st.text(max_size=3), max_size=4).map("".join)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(role_prompt=TEXTS, model=TEXTS, temperature=st.floats(0, 2), state=TEXTS,
+       calls=st.lists(st.tuples(st.sampled_from(("append", "rewind", "plain")),
+                                TEXTS, TEXTS, TEXTS), min_size=1, max_size=6))
+def test_request_bodies_of_drawn_prompts_are_the_plain_encoding(
+        stub_and_backend, role_prompt, model, temperature, state, calls):
+    """Calls on one backend, each on a state that grew, was cut back or
+    stayed: the state is the text sent between each prompt's head and tail."""
+    stub, http = stub_and_backend
+    stub.seen.clear()
+    backend = CallRecorder(http)
+    for action, head, text, tail in calls:
+        if action == "append":
+            state += text
+        elif action == "rewind":
+            state = state[:len(state) // 2] + text
+        backend.complete(role_prompt, head + state + tail, model=model, temperature=temperature)
+    assert_plain_bodies(stub, backend)
 
 
 def test_agwf_needs_no_requests():
