@@ -210,3 +210,42 @@ def documents(draw):
 @settings(max_examples=500, deadline=None)
 def test_parse_csv_matches_the_reference_on_generated_documents(document):
     assert_same_outcome(document, MAPPING)
+
+
+# ---------------------------------------------------------------------------
+# An error names the line its record starts on
+# ---------------------------------------------------------------------------
+
+#: name -> (document with "\n" line breaks, error class, message); each bad
+#: record spans lines in a quoted cell
+BAD_RECORDS = {
+    "quote left open": (
+        csv_log_text(20).replace(",Check Step 0,", ',"Check Step 0,', 1),
+        UnparsableTimestamp, "row 2: cannot parse timestamp ''"),
+    "bad timestamp": (
+        'case,act,ts\nc1,A,2024-03-01\nc1,"two\nlines",junk\nc1,B,2024-03-02\n',
+        UnparsableTimestamp, "row 3: cannot parse timestamp 'junk'"),
+    "long row": (
+        'case,act,ts\nc1,A,2024-03-01\nc1,"two\n\nlines",2024-03-01,x\nc1,B,2024-03-02\n',
+        MalformedDocument, "row 3: 4 cells, but the header has 3"),
+    "no case id": (
+        'case,act,ts\n\n,"two\nlines",2024-03-01\n',
+        MissingCaseId, "row 3: empty value in case column"),
+    "no activity": (
+        'case,act,ts\n"c\n1",,2024-03-01\n',
+        MissingActivity, "row 2: empty value in activity column"),
+}
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("ending", ["newline", "none"])
+@pytest.mark.parametrize("case", BAD_RECORDS)
+def test_an_error_names_the_line_its_record_starts_on(case, ending, newline):
+    document, error, message = BAD_RECORDS[case]
+    if ending == "none":
+        document = document.removesuffix("\n")
+    document = document.replace("\n", newline)
+    for parse in (parse_csv, streamed_parse_csv):
+        with pytest.raises(error) as raised:
+            parse(document, MAPPING if document.startswith("case,") else DEFAULT_CSV_MAPPING)
+        assert str(raised.value) == message
