@@ -454,13 +454,37 @@ def parse_csv(document: str | TextIO, mapping: CsvMapping, source_name: str = ""
 
     Raises EmptyDocument, MissingColumn, MalformedDocument (a header name
     that appears twice, a row longer than the header, or a CSV syntax
-    error), MissingCaseId, MissingActivity, or UnparsableTimestamp.
+    error), MissingCaseId, MissingActivity, or UnparsableTimestamp.  An
+    error in a row names the line the row starts on; a syntax error, the
+    line the reader stopped on.
     """
     reader = csv.reader(_lines(document) if isinstance(document, str) else document)
     try:
         return _csv_log(reader, mapping, source_name)
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise MalformedDocument(f"row {reader.line_num}: {exc}") from exc
+
+
+def _first_line(reader, row: list[str]) -> int:
+    """The line the record ``row`` starts on, which the reader has just
+    read; only an error message needs it.
+
+    The record ends on line ``reader.line_num`` and spans the line breaks
+    in its cells.  A quote left open runs to the end of the input and
+    takes its last line break into a cell too, so a record read there
+    whose cells end in a line break spans one line fewer.  The last
+    record of a well-formed input reads the same when its last non-empty
+    cell is quoted and ends in a line break, and is named one line late.
+    """
+    end = reader.line_num
+    breaks = sum(cell.count("\n") for cell in row)
+    if breaks and "".join(row).endswith("\n"):
+        try:
+            if next(reader, None) is None:
+                breaks -= 1
+        except (csv.Error, ValueError):  # a bad record follows
+            pass
+    return end - breaks
 
 
 def _csv_log(reader, mapping: CsvMapping, source_name: str) -> EventLog:
@@ -493,24 +517,25 @@ def _csv_log(reader, mapping: CsvMapping, source_name: str) -> EventLog:
                 continue
             if len(row) > width:
                 raise MalformedDocument(
-                    f"row {reader.line_num}: {len(row)} cells, but the header has {width}"
+                    f"row {_first_line(reader, row)}: {len(row)} cells, but the header has {width}"
                 )
             row += [""] * (width - len(row))
         case_id = row[case_idx]
         events = grouped.get(case_id)
         if events is None:
             if not case_id:
-                raise MissingCaseId(f"row {reader.line_num}: empty value in case column")
+                raise MissingCaseId(f"row {_first_line(reader, row)}: empty value in case column")
             events = grouped[case_id] = []
         activity = row[act_idx]
         if not activity:
-            raise MissingActivity(f"row {reader.line_num}: empty value in activity column")
+            raise MissingActivity(
+                f"row {_first_line(reader, row)}: empty value in activity column")
         ts_text = row[ts_idx]
         try:
             moment = parse_timestamp(ts_text)
         except ValueError:
             raise UnparsableTimestamp(
-                f"row {reader.line_num}: cannot parse timestamp {ts_text!r}"
+                f"row {_first_line(reader, row)}: cannot parse timestamp {ts_text!r}"
             ) from None
         if cells is None:
             attributes = NO_ATTRIBUTES

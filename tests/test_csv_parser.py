@@ -82,10 +82,11 @@ def _reference_csv_log(reader, mapping: CsvMapping, source_name: str) -> EventLo
     ]
 
     grouped: dict[str, list[Event]] = {}
+    start = reader.line_num + 1  # the line the next record starts on
     for row in reader:
+        line, start = start, reader.line_num + 1
         if not row:
             continue
-        line = reader.line_num
         if len(row) < len(header):
             row = row + [""] * (len(header) - len(row))
         case_id = row[case_idx]
