@@ -68,6 +68,26 @@ class AgentProfile:
             raise ValueError(f"agent {self.id!r}: temperature must be a finite number >= 0")
 
 
+def json_escape(text: str) -> bytes:
+    """``json.dumps(text)`` without its quotes, as ASCII bytes.
+
+    JSON escapes each code point on its own, so the escapes of a text's
+    pieces, joined, are the escape of the text.
+    """
+    return json.dumps(text)[1:-1].encode("ascii")
+
+
+class Prompt(str):
+    """A user prompt whose text is head + state + tail, holding those parts
+    as ``parts``: a backend may reuse what it did with a state it saw
+    before, and any other takes the prompt as the str it is."""
+
+    def __new__(cls, head: str, state: str, tail: str):
+        prompt = super().__new__(cls, head + state + tail)
+        prompt.parts = (head, state, tail)
+        return prompt
+
+
 class CompletionBackend:
     """Completion contract.
 
@@ -144,6 +164,11 @@ class HttpChatBackend(CompletionBackend):
     run at a time; close() releases it.  A reused connection that turns
     out to be hung up when the request is sent is replaced, and the
     request sent once more, within the same complete().
+
+    The backend keeps the state of the last Prompt it sent and that
+    state's JSON escape, so a request on a state that extends it escapes
+    only what was added; close() drops them.  The body is, byte for byte,
+    what json.dumps makes of the request.
     """
 
     def __init__(self, endpoint_url: str, api_key: str = "", timeout: float = 60.0):
@@ -180,23 +205,36 @@ class HttpChatBackend(CompletionBackend):
             self._connection = http.client.HTTPConnection(*address, timeout=timeout)
             if proxy:  # a proxy takes the absolute URI
                 self._target = f"http://{parts.netloc.rpartition('@')[2]}{self._target}"
+        self._state, self._escaped_state = "", bytearray()
 
     def close(self) -> None:
         self._connection.close()
+        self._state, self._escaped_state = "", bytearray()
+
+    def _escape_state(self, state: str) -> bytearray:
+        """The state's JSON escape, extending the kept one when the state
+        extends the kept state, and kept in its place."""
+        if not state.startswith(self._state):  # rewound, or another run's
+            self._state, self._escaped_state = "", bytearray()
+        self._escaped_state += json_escape(state[len(self._state):])
+        self._state = state
+        return self._escaped_state
 
     def complete(self, role_prompt: str, user_prompt: str, *,
                  model: str = "", temperature: float = 0.0) -> str:
         import http.client
         import selectors
 
-        body = json.dumps({
-            "model": model,
-            "messages": [
-                {"role": "system", "content": role_prompt},
-                {"role": "user", "content": user_prompt},
-            ],
-            "temperature": temperature,
-        }).encode()
+        if isinstance(user_prompt, Prompt):
+            head, state, tail = user_prompt.parts
+            escaped_state = self._escape_state(state)
+        else:
+            head, tail, escaped_state = user_prompt, "", b""
+        body = b"".join((
+            b'{"model": ', json.dumps(model).encode(),
+            b', "messages": [{"role": "system", "content": ', json.dumps(role_prompt).encode(),
+            b'}, {"role": "user", "content": "', json_escape(head), escaped_state,
+            json_escape(tail), b'"}], "temperature": ', json.dumps(temperature).encode(), b"}"))
         connection = self._connection
         if connection.sock is not None:
             # a selector, unlike select.select, takes any file descriptor
@@ -343,8 +381,9 @@ def select_tool(profile: AgentProfile, backend: CompletionBackend,
     by_name = {tool.name: tool for tool in tools}
     reask = ("\nYour previous reply was not a valid tool name. "
              f"Answer with exactly one of: {', '.join(by_name)}.")
-    for suffix in ("", reask):  # prompt + "" is prompt itself, not a copy
-        raw = complete(profile, backend, prompt + suffix)
+    for asked in range(2):
+        # the first ask sends prompt itself, which may be a Prompt
+        raw = complete(profile, backend, prompt + reask if asked else prompt)
         if (name := last_line_match(_TOOL_NAME_RE, raw)) in by_name:
             return by_name[name]
     raise ToolSelectionFailed(

@@ -16,7 +16,7 @@ from itertools import accumulate
 from pathlib import Path
 
 from . import demos
-from .agents import CompletionBackend, http_chat_backend
+from .agents import CompletionBackend, http_chat_backend, json_escape
 from .event_log import EventLogError, discover_dfg, discover_variants
 from .pm_tools import (
     DEFAULT_DFG_TOP_K,
@@ -63,10 +63,6 @@ class _Escaped(tuple):
     the quotes; _write_json writes the pieces between quotes."""
 
 
-def _escape(text: str) -> bytes:
-    return json.dumps(text)[1:-1].encode("ascii")
-
-
 def _escaped_states(record: ExecutionRecord) -> list[memoryview]:
     """Each state's JSON-escaped text, without quotes, as a slice of one
     escaped copy of the final state.
@@ -76,7 +72,7 @@ def _escaped_states(record: ExecutionRecord) -> list[memoryview]:
     each segment's end the escaped end of a state.
     """
     ends = record.state_ends
-    pieces = [_escape(record.final_state[start:end]) for start, end in zip((0, *ends), ends)]
+    pieces = [json_escape(record.final_state[start:end]) for start, end in zip((0, *ends), ends)]
     text = memoryview(b"".join(pieces))
     return [text[:end] for end in accumulate(map(len, pieces))]
 
@@ -93,7 +89,8 @@ def record_to_dict(record: ExecutionRecord) -> dict:
     for task_id, state in zip(record.task_sequence, states):
         d = record.details[task_id]
         prompt, selection = (
-            "" if parts is None else _Escaped((_escape(parts[0]), state, _escape(parts[1])))
+            "" if parts is None
+            else _Escaped((json_escape(parts[0]), state, json_escape(parts[1])))
             for parts in (d.prompt, d.selection))
         details[task_id] = {
             "selected_tool": d.selected_tool,

@@ -20,6 +20,7 @@ from . import task_kinds
 from .agents import (
     AgentProfile,
     CompletionBackend,
+    Prompt,
     complete,
     select_tool,
     selection_prompt,
@@ -516,8 +517,9 @@ def execute(spec: WorkflowSpec, inquiry: str, backend: CompletionBackend) -> Exe
                     prompt = ""  # select_tool asks nothing to pick a single tool
                     if len(tools) > 1:
                         head, tail = detail.selection = selection_prompt(tools)
-                        prompt = head + sigma + tail
+                        prompt = Prompt(head, sigma, tail)
                     tool = select_tool(profile, backend, prompt, tools)
+                    del prompt  # a Prompt holds its state: none outlives its task
                     detail.selected_tool = tool.name
                     tool_output = tool.function(sigma, memory)
                     detail.tool_output = tool_output
@@ -526,7 +528,7 @@ def execute(spec: WorkflowSpec, inquiry: str, backend: CompletionBackend) -> Exe
                 # state only for the call
                 head, tail = detail.prompt = ("", task_kinds.build_prompt(
                     task, tool_output, route_options=route_tokens.get(task.id, ())))
-                response = complete(profile, backend, head + sigma + tail)
+                response = complete(profile, backend, Prompt(head, sigma, tail))
                 detail.raw_response = response
 
                 if task.kind == EVALUATOR:

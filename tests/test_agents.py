@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import pytest
@@ -23,6 +24,7 @@ from agwf.agents import (
     CompletionBackend,
     HttpChatBackend,
     MalformedResponse,
+    Prompt,
     RequestRejected,
     ScriptedBackend,
     ToolSelectionFailed,
@@ -672,8 +674,8 @@ TEXTS = st.lists(st.sampled_from(ESCAPED) | st.text(max_size=3), max_size=4).map
                                 TEXTS, TEXTS, TEXTS), min_size=1, max_size=6))
 def test_request_bodies_of_drawn_prompts_are_the_plain_encoding(
         stub_and_backend, role_prompt, model, temperature, state, calls):
-    """Calls on one backend, each on a state that grew, was cut back or
-    stayed: the state is the text sent between each prompt's head and tail."""
+    """Calls on one backend, each a Prompt on a state that grew, was cut
+    back or stayed, or a plain str, which leaves the kept state as it was."""
     stub, http = stub_and_backend
     stub.seen.clear()
     backend = CallRecorder(http)
@@ -682,8 +684,69 @@ def test_request_bodies_of_drawn_prompts_are_the_plain_encoding(
             state += text
         elif action == "rewind":
             state = state[:len(state) // 2] + text
-        backend.complete(role_prompt, head + state + tail, model=model, temperature=temperature)
+        prompt = head + state + tail if action == "plain" else Prompt(head, state, tail)
+        backend.complete(role_prompt, prompt, model=model, temperature=temperature)
     assert_plain_bodies(stub, backend)
+
+
+def test_a_prompt_is_the_str_of_its_parts():
+    prompt = Prompt("head ", "state", " tail")
+    assert prompt == "head state tail" and type(str(prompt)) is str
+    assert prompt.parts == ("head ", "state", " tail")
+    assert ScriptedBackend([rule("d s", "hit")]).complete("", prompt) == "hit"
+
+
+# ---------------------------------------------------------------------------
+# What outlives a request: the one kept state, until close()
+# ---------------------------------------------------------------------------
+
+def held_text(backend, text):
+    """The names of the backend's attributes whose text holds text."""
+    escaped = json.dumps(text)[1:-1].encode()
+    return sorted(name for name, value in vars(backend).items()
+                  if isinstance(value, str) and text in value
+                  or isinstance(value, (bytes, bytearray)) and escaped in value)
+
+
+def test_a_closed_backend_holds_no_text_of_its_run(keepalive):
+    stub = keepalive()
+    scripted = ScriptedBackend([rule("Choose exactly one tool", "beta")], fallback="noted")
+    stub.answer = lambda user_prompt: scripted.complete("", user_prompt)
+    backend = http_chat_backend(stub.url)
+    inquiry = f"inquiry 7f3a {ESCAPES}"
+    execute(tool_chain(), inquiry, backend)
+    assert held_text(backend, inquiry)  # the kept state, and its escape
+    backend.close()
+    assert held_text(backend, inquiry) == []
+    assert held_text(backend, "noted") == []
+
+
+class PromptWatcher(ScriptedBackend):
+    """Scripted; when sent a Prompt, notes how many Prompts sent before it
+    are still alive."""
+
+    def __init__(self, rules, fallback=""):
+        super().__init__(rules, fallback)
+        self.sent = []  # a weak reference to each Prompt sent
+        self.alive = []
+
+    def complete(self, role_prompt, user_prompt, **kwargs):
+        if isinstance(user_prompt, Prompt):
+            self.alive.append(sum(ref() not in (None, user_prompt) for ref in self.sent))
+            self.sent.append(weakref.ref(user_prompt))
+        return super().complete(role_prompt, user_prompt, **kwargs)
+
+
+def test_execute_keeps_no_prompt_from_one_task_to_the_next():
+    """t0; t1 picks alpha; t2 rewinds to t1, which is re-asked and picks
+    beta; t2 passes."""
+    backend = PromptWatcher([rule("Choose exactly one tool", "alpha", "no tool", "beta"),
+                             rule("carry out step t2", "SCORE: 2.0", "SCORE: 9.0")],
+                            fallback="noted")
+    record = execute(tool_chain(graded=True), "Q", backend)
+    assert record.details["t1"].selected_tool == "beta"
+    assert backend.alive == [0] * 7
+    assert all(ref() is None for ref in backend.sent)
 
 
 def test_agwf_needs_no_requests():
