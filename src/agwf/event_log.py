@@ -478,7 +478,7 @@ def _first_line(reader, row: list[str]) -> int:
     """
     end = reader.line_num
     breaks = sum(cell.count("\n") for cell in row)
-    if breaks and "".join(row).endswith("\n"):
+    if "".join(row).endswith("\n"):
         try:
             if next(reader, None) is None:
                 breaks -= 1
