@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import re
 import resource
 import selectors
 import socket
@@ -97,6 +98,59 @@ def test_scripted_response_sequence_consumes():
 def test_scripted_regex_rule():
     backend = ScriptedBackend([rule(r"^inspect \d+", "matched", regex=True)])
     assert complete(AGENT, backend, "inspect 42 now") == "matched"
+
+
+class WholePromptRules:
+    """The scripted backend's answer by its definition: the first rule that
+    matches the whole prompt text consumes its next response."""
+
+    def __init__(self, rules, fallback):
+        self.rules, self.fallback = rules, fallback
+        self.uses = [0] * len(rules)
+
+    def answer(self, prompt: str) -> str:
+        for i, scripted in enumerate(self.rules):
+            if (re.search(scripted.match, prompt) if scripted.regex
+                    else scripted.match in prompt):
+                self.uses[i] += 1
+                return scripted.responses[min(self.uses[i], len(scripted.responses)) - 1]
+        return self.fallback
+
+
+#: a two-letter alphabet, so that matches often straddle the parts of a prompt
+SHORT = st.text("ab", max_size=5)
+SCRIPTED_RULES = st.lists(st.one_of(
+    st.tuples(st.text("ab", max_size=4), st.just(False)),
+    st.tuples(st.sampled_from(("a.b", "^b", "a$", "(ab)+b", "^$")), st.just(True)),
+), min_size=1, max_size=6).map(lambda drawn: [
+    rule(match, *(f"{i}.{k}" for k in range(3)), regex=regex)
+    for i, (match, regex) in enumerate(drawn)])
+SCRIPTED_CALLS = st.lists(st.one_of(
+    st.tuples(st.sampled_from(("grow", "replace", "plain")), SHORT, SHORT, SHORT),
+    st.tuples(st.just("cut"), st.integers(0, 8), SHORT, SHORT),
+    st.tuples(st.just("close"), st.none(), st.none(), st.none()),
+), min_size=1, max_size=12)
+
+
+@settings(max_examples=400, deadline=None)
+@given(SCRIPTED_RULES, SHORT, SCRIPTED_CALLS)
+def test_scripted_answers_are_those_of_the_whole_prompt(rules, state, calls):
+    """Calls on one backend: Prompts on a state that grew, was cut back (a
+    rewind) or was replaced, plain str prompts between them, and close()."""
+    backend = ScriptedBackend(rules, fallback="none")
+    expected = WholePromptRules(rules, "none")
+    for action, drawn, head, tail in calls:
+        if action == "close":
+            backend.close()
+            continue
+        if action == "grow":
+            state += drawn
+        elif action == "cut":
+            state = state[:drawn]
+        elif action == "replace":
+            state = drawn
+        prompt = head + state + tail if action == "plain" else Prompt(head, state, tail)
+        assert backend.complete("", prompt) == expected.answer(head + state + tail)
 
 
 def test_a_scripted_rule_needs_a_response():

@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
+import hashlib
 import io
 import json
 import tempfile
@@ -112,6 +113,32 @@ def run_spec(spec, inquiry: str, backend: ScriptedBackend, output: Path) -> int:
 @pytest.mark.parametrize("name", BUNDLE_NAMES)
 def test_demo_transcripts_match_the_plain_encoder(name, tmp_path):
     assert assert_transcript_matches(["demo", name], tmp_path / "t.json") == 0
+
+
+#: SHA-256 of each demo's transcript and of its stdout, with the bundle data
+#: directory written as DATA_DIRECTORY
+DEMO_DIGESTS = {
+    "fairness": ("e9db028008acc737a50f55de8242bb6e557a767c44568e711f56bd89a8b49567",
+                 "8a03147ed3b7e40a068976456b340ac88fc2d1549cc12e7fa477ba908321ab9b"),
+    "rca": ("a168f6b5404c529c57a170e566ef6ca2e17519ae593d1ab75019e34db8f4a1a5",
+            "715bb0fd396e60b098d8b0bf3a3a74a5b644f752b1e9f3d178bd6f4d8157a851"),
+    "anomaly": ("15c8f37fac0c9bf30225f4d4390c2580cc9b76e56f3dd0e7466faeccd73496df",
+                "729170ea9db8ba5c9d2c72c49a6d0dcebf0cb794d25594707ca628b25e319abd"),
+}
+DATA_DIRECTORY = "<data>"
+
+
+@pytest.mark.parametrize("name", BUNDLE_NAMES)
+def test_demo_transcripts_and_stdout_are_pinned(name, tmp_path):
+    output = tmp_path / "t.json"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert cli.main(["demo", name, "--output", str(output)]) == 0
+    data = str(bundle(name).workflow.parent)
+    transcript = output.read_text(encoding="ascii").replace(json.dumps(data)[1:-1], DATA_DIRECTORY)
+    printed = stdout.getvalue().replace(data, DATA_DIRECTORY)
+    assert (hashlib.sha256(transcript.encode()).hexdigest(),
+            hashlib.sha256(printed.encode()).hexdigest()) == DEMO_DIGESTS[name]
 
 
 def test_escaped_replies_match_the_plain_encoder(tmp_path):
