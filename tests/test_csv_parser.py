@@ -235,6 +235,9 @@ BAD_RECORDS = {
     "no activity": (
         'case,act,ts\n"c\n1",,2024-03-01\n',
         MissingActivity, "row 2: empty value in activity column"),
+    "last cell quoted with a line break": (
+        'case,act,ts\nc1,"a\n",\n',
+        UnparsableTimestamp, "row 2: cannot parse timestamp ''"),
 }
 
 
