@@ -465,28 +465,6 @@ def parse_csv(document: str | TextIO, mapping: CsvMapping, source_name: str = ""
         raise MalformedDocument(f"row {reader.line_num}: {exc}") from exc
 
 
-def _first_line(reader, row: list[str]) -> int:
-    """The line the record ``row`` starts on, which the reader has just
-    read; only an error message needs it.
-
-    The record ends on line ``reader.line_num`` and spans the line breaks
-    in its cells.  A quote left open runs to the end of the input and
-    takes its last line break into a cell too, so a record read there
-    whose cells end in a line break spans one line fewer.  The last
-    record of a well-formed input reads the same when its last non-empty
-    cell is quoted and ends in a line break, and is named one line late.
-    """
-    end = reader.line_num
-    breaks = sum(cell.count("\n") for cell in row)
-    if "".join(row).endswith("\n"):
-        try:
-            if next(reader, None) is None:
-                breaks -= 1
-        except (csv.Error, ValueError):  # a bad record follows
-            pass
-    return end - breaks
-
-
 def _csv_log(reader, mapping: CsvMapping, source_name: str) -> EventLog:
     header = next(reader, [])
     if not any(cell.strip() for cell in header):
@@ -511,31 +489,33 @@ def _csv_log(reader, mapping: CsvMapping, source_name: str) -> EventLog:
     width = len(header)
 
     grouped: dict[str, list[Event]] = {}
+    end = reader.line_num  # a record starts on the line after the last one ended
     for row in reader:
+        line, end = end + 1, reader.line_num
         if len(row) != width:
             if not row:
                 continue
             if len(row) > width:
                 raise MalformedDocument(
-                    f"row {_first_line(reader, row)}: {len(row)} cells, but the header has {width}"
+                    f"row {line}: {len(row)} cells, but the header has {width}"
                 )
             row += [""] * (width - len(row))
         case_id = row[case_idx]
         events = grouped.get(case_id)
         if events is None:
             if not case_id:
-                raise MissingCaseId(f"row {_first_line(reader, row)}: empty value in case column")
+                raise MissingCaseId(f"row {line}: empty value in case column")
             events = grouped[case_id] = []
         activity = row[act_idx]
         if not activity:
             raise MissingActivity(
-                f"row {_first_line(reader, row)}: empty value in activity column")
+                f"row {line}: empty value in activity column")
         ts_text = row[ts_idx]
         try:
             moment = parse_timestamp(ts_text)
         except ValueError:
             raise UnparsableTimestamp(
-                f"row {_first_line(reader, row)}: cannot parse timestamp {ts_text!r}"
+                f"row {line}: cannot parse timestamp {ts_text!r}"
             ) from None
         if cells is None:
             attributes = NO_ATTRIBUTES
