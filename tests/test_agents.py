@@ -15,7 +15,7 @@ import weakref
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from agwf.agents import (
@@ -117,40 +117,74 @@ class WholePromptRules:
         return self.fallback
 
 
-#: a two-letter alphabet, so that matches often straddle the parts of a prompt
-SHORT = st.text("ab", max_size=5)
+#: mostly substring rules, as an empty match, and often a regex, hide the rules after them
 SCRIPTED_RULES = st.lists(st.one_of(
-    st.tuples(st.text("ab", max_size=4), st.just(False)),
+    *[st.tuples(st.text("ab", min_size=2, max_size=4), st.just(False))] * 6,
+    st.tuples(st.just(""), st.just(False)),
     st.tuples(st.sampled_from(("a.b", "^b", "a$", "(ab)+b", "^$")), st.just(True)),
-), min_size=1, max_size=6).map(lambda drawn: [
+), min_size=1, max_size=4).map(lambda drawn: [
     rule(match, *(f"{i}.{k}" for k in range(3)), regex=regex)
     for i, (match, regex) in enumerate(drawn)])
-SCRIPTED_CALLS = st.lists(st.one_of(
-    st.tuples(st.sampled_from(("grow", "replace", "plain")), SHORT, SHORT, SHORT),
-    st.tuples(st.just("cut"), st.integers(0, 8), SHORT, SHORT),
-    st.tuples(st.just("close"), st.none(), st.none(), st.none()),
-), min_size=1, max_size=12)
+#: what a call does to the state; most grow it or cut it back, as a run does
+SCRIPTED_ACTIONS = ("grow",) * 3 + ("cut",) * 3 + ("replace", "plain", "close")
 
 
-@settings(max_examples=400, deadline=None)
-@given(SCRIPTED_RULES, SHORT, SCRIPTED_CALLS)
-def test_scripted_answers_are_those_of_the_whole_prompt(rules, state, calls):
+def scripted_runs(rules):
+    """The rules, a start state, and calls: (action, text grown or put in
+    place, characters cut, head, tail).
+
+    Texts are made of the pieces of the rules' matches and of "c", which
+    no match holds, so that a match is seldom whole in one text and often
+    straddles where a state grew or was cut, or where it meets the head
+    or the tail.
+    """
+    pieces = sorted({"c", *(scripted.match[:k] for scripted in rules for k in range(1, 4)),
+                     *(scripted.match[k:] for scripted in rules for k in range(1, 4))} - {""})
+    texts = st.lists(st.sampled_from(pieces), max_size=2).map("".join)
+    grown = st.lists(st.sampled_from(pieces), min_size=1, max_size=2).map("".join)
+    calls = st.lists(st.tuples(st.sampled_from(SCRIPTED_ACTIONS), grown, st.integers(1, 3),
+                               texts, texts), min_size=4, max_size=10)
+    return st.tuples(st.just(rules), texts, calls)
+
+
+#: a rule that only the first of its three responses answers
+AB = [rule("ab", "0.0", "0.1", "0.2")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(SCRIPTED_RULES.flatmap(scripted_runs))
+# a match across the end of the state the last Prompt held
+@example((AB, "a", [("grow", "c", 1, "", ""), ("grow", "b", 1, "", "")]))
+# a match that a rewind cut in two
+@example((AB, "cab", [("grow", "", 1, "", ""), ("cut", "", 1, "", "")]))
+# matches across the head, a short state and the tail, the head and an
+# empty state and the tail, the state and the tail, and the head and the state
+@example(([rule("acb", "1.0"), *AB], "", [
+    ("replace", "c", 1, "a", "b"), ("cut", "", 1, "a", "b"),
+    ("grow", "ca", 1, "", "b"), ("replace", "bc", 1, "a", "")]))
+def test_scripted_answers_are_those_of_the_whole_prompt(run):
     """Calls on one backend: Prompts on a state that grew, was cut back (a
-    rewind) or was replaced, plain str prompts between them, and close()."""
-    backend = ScriptedBackend(rules, fallback="none")
-    expected = WholePromptRules(rules, "none")
-    for action, drawn, head, tail in calls:
+    rewind) or was replaced, plain str prompts between them, and close().
+    A backend of each rule alone takes the same calls, so that a rule that
+    the first match hides is checked too."""
+    rules, state, calls = run
+    tables = [rules, *([scripted] for scripted in rules)]
+    backends = [ScriptedBackend(table, fallback="none") for table in tables]
+    expected = [WholePromptRules(table, "none") for table in tables]
+    for action, text, cut, head, tail in calls:
         if action == "close":
-            backend.close()
+            for backend in backends:
+                backend.close()
             continue
         if action == "grow":
-            state += drawn
+            state += text
         elif action == "cut":
-            state = state[:drawn]
+            state = state[:max(0, len(state) - cut)]
         elif action == "replace":
-            state = drawn
+            state = text
         prompt = head + state + tail if action == "plain" else Prompt(head, state, tail)
-        assert backend.complete("", prompt) == expected.answer(head + state + tail)
+        assert [backend.complete("", prompt) for backend in backends] \
+            == [whole.answer(head + state + tail) for whole in expected]
 
 
 def test_a_scripted_rule_needs_a_response():
