@@ -136,17 +136,63 @@ def rule(match: str, *responses: str, regex: bool = False) -> ScriptedRule:
 
 
 class ScriptedBackend(CompletionBackend):
-    """Deterministic backend answering from an ordered rule table."""
+    """Deterministic backend answering from an ordered rule table.
+
+    A rule's answer is that of matching the whole prompt.  For a Prompt,
+    the backend keeps the last state it saw and, per substring rule, where
+    the rule's first occurrence in that state ends (None if nowhere), so a
+    state that extends the kept one is searched only where it grew, and a
+    state cut back to a prefix of it (an evaluator rewind) is not searched
+    at all; close() drops them.  A regex or empty match, and a plain str
+    prompt, are matched whole.
+    """
 
     def __init__(self, rules: Iterable[ScriptedRule], fallback: str = ""):
         self.rules = list(rules)
         self.fallback = fallback
         self._uses = [0] * len(self.rules)
+        self.close()
+
+    def close(self) -> None:
+        self._state, self._ends = "", [None] * len(self.rules)
+
+    def _keep(self, state: str) -> None:
+        """Make state the kept state, with each substring rule's end in it."""
+        kept = self._state
+        if not state.startswith(kept):
+            if kept.startswith(state):  # cut back: the occurrences that still fit
+                self._state = state
+                self._ends = [end if end is not None and end <= len(state) else None
+                              for end in self._ends]
+                return
+            kept, self._ends = "", [None] * len(self.rules)
+        for i, scripted in enumerate(self.rules):
+            match = scripted.match
+            if self._ends[i] is None and match and not scripted.regex:
+                # an occurrence not found before ends in the added text
+                at = state.find(match, max(0, len(kept) - len(match) + 1))
+                if at >= 0:
+                    self._ends[i] = at + len(match)
+        self._state = state
+
+    def _matches(self, i: int, scripted: ScriptedRule, user_prompt: str) -> bool:
+        match = scripted.match
+        if scripted.regex or not match or not isinstance(user_prompt, Prompt):
+            return scripted.matches(user_prompt)
+        head, state, tail = user_prompt.parts
+        if len(state) < len(match):
+            return match in user_prompt
+        n = len(match) - 1  # an occurrence across a joint has at most n on each side
+        return (self._ends[i] is not None or match in head or match in tail
+                or match in head[max(0, len(head) - n):] + state[:n]
+                or match in state[len(state) - n:] + tail[:n])
 
     def complete(self, role_prompt: str, user_prompt: str, *,
                  model: str = "", temperature: float = 0.0) -> str:
+        if isinstance(user_prompt, Prompt):
+            self._keep(user_prompt.parts[1])
         for i, scripted in enumerate(self.rules):
-            if scripted.matches(user_prompt):
+            if self._matches(i, scripted, user_prompt):
                 index = min(self._uses[i], len(scripted.responses) - 1)
                 self._uses[i] += 1
                 return scripted.responses[index]

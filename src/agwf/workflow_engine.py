@@ -12,8 +12,9 @@ per-task execution detail.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from . import task_kinds
@@ -76,13 +77,15 @@ class EntityMemory:
 
     Each execution makes its own.  Storing anything but an EventLog raises
     TypeError; re-storing an existing key raises DuplicateKey, which keeps
-    the data flow of one execution auditable.  ``kept`` holds what the
-    tools keep for the rest of the run (see pm_tools); it holds no
-    entries, so snapshot(), restore() and memory_final never see it.
+    the data flow of one execution auditable.  The entries are a read-only
+    mapping that store() replaces, so snapshot() and restore() hand one
+    over without copying it.  ``kept`` holds what the tools keep for the
+    rest of the run (see pm_tools); it holds no entries, so snapshot(),
+    restore() and memory_final never see it.
     """
 
     def __init__(self):
-        self._items: dict[str, EventLog] = {}
+        self._items: Mapping[str, EventLog] = MappingProxyType({})
         self.kept: dict[tuple, object] = {}
 
     def store(self, key: str, value: EventLog) -> None:
@@ -90,7 +93,7 @@ class EntityMemory:
             raise TypeError(f"entity {key!r} must be an event log, got {type(value).__name__}")
         if key in self._items:
             raise DuplicateKey(f"entity key {key!r} already stored")
-        self._items[key] = value
+        self._items = MappingProxyType({**self._items, key: value})
 
     def load(self, key: str) -> EventLog:
         if key not in self._items:
@@ -100,12 +103,12 @@ class EntityMemory:
     def __contains__(self, key: str) -> bool:
         return key in self._items
 
-    def snapshot(self) -> dict[str, EventLog]:
-        return dict(self._items)
+    def snapshot(self) -> Mapping[str, EventLog]:
+        return self._items
 
     def restore(self, contents: Mapping[str, EventLog]) -> None:
         """Reset to earlier snapshot() contents (an evaluator rewind)."""
-        self._items = dict(contents)
+        self._items = contents
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +190,7 @@ class ExecutionRecord:
     final_state: str
     state_ends: tuple[int, ...]
     details: dict[str, TaskDetail]
-    memory_final: dict[str, EventLog] = field(default_factory=dict)
+    memory_final: Mapping[str, EventLog]
 
     @property
     def states(self) -> tuple[str, ...]:
@@ -347,9 +350,16 @@ def validate(spec: WorkflowSpec) -> list[Violation]:
             out.append(Violation(FINAL_TASK_UNREACHABLE, task_id, "task has no path to the final task"))
 
     kinds = {task.id: task.kind for task in spec.tasks}
-    # one walk per distinct guard router: the tasks it precedes
-    downstream = {router: _reachable(successors, router)
-                  for router in _route_tokens(spec).keys() & known}
+    downstream: dict[str, set[str]] = {}  # a guard router -> the tasks it precedes
+
+    def precedes(router: str, task_id: str) -> bool:
+        """A direct predecessor, or else one walk per router decides."""
+        if router in preds[task_id]:
+            return True
+        if router not in downstream:
+            downstream[router] = _reachable(successors, router)
+        return task_id in downstream[router]
+
     for task in spec.tasks:
         if task.evaluator_config is not None:
             target = task.evaluator_config.target_task_id
@@ -360,7 +370,7 @@ def validate(spec: WorkflowSpec) -> list[Violation]:
                 ))
         if task.guard is not None:
             router = task.guard.router_task_id
-            if router not in known or task.id not in downstream[router]:
+            if router not in known or not precedes(router, task.id):
                 out.append(Violation(
                     GUARD_INVALID, task.id,
                     f"guard router {router!r} must precede the guarded task",
@@ -476,13 +486,15 @@ def execute(spec: WorkflowSpec, inquiry: str, backend: CompletionBackend) -> Exe
     profiles = {agent.id: agent for agent in spec.agents}
     route_tokens = _route_tokens(spec)
     memory = EntityMemory()
+    # each tool set's selection prompt, shared by every task and run using it
+    selections: dict[tuple[str, ...], tuple[str, str]] = {}
 
     # the run history: tasks commit in order, so order[:len(done)] ran;
     # done[i] is order[i]'s detail and the entity memory before it ran,
     # and sigma[:ends[i + 1]] the state after it
     sigma = inquiry
     ends = [len(sigma)]
-    done: list[tuple[TaskDetail, dict[str, EventLog]]] = []
+    done: list[tuple[TaskDetail, Mapping[str, EventLog]]] = []
     executions: dict[str, int] = {}
     evaluator_retries: dict[str, int] = {}
 
@@ -513,10 +525,13 @@ def execute(spec: WorkflowSpec, inquiry: str, backend: CompletionBackend) -> Exe
                 profile = profiles[task.agent_id]
                 tool_output: str | None = None
                 if task.tool_names:
-                    tools = [spec.registry.get(name) for name in sorted(set(task.tool_names))]
+                    names = tuple(sorted(set(task.tool_names)))
+                    tools = [spec.registry.get(name) for name in names]
                     prompt = ""  # select_tool asks nothing to pick a single tool
                     if len(tools) > 1:
-                        head, tail = detail.selection = selection_prompt(tools)
+                        if names not in selections:
+                            selections[names] = selection_prompt(tools)
+                        head, tail = detail.selection = selections[names]
                         prompt = Prompt(head, sigma, tail)
                     tool = select_tool(profile, backend, prompt, tools)
                     del prompt  # a Prompt holds its state: none outlives its task

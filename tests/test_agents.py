@@ -809,6 +809,15 @@ def test_a_closed_backend_holds_no_text_of_its_run(keepalive):
     assert held_text(backend, "noted") == []
 
 
+def test_a_closed_scripted_backend_holds_no_text_of_its_run():
+    backend = ScriptedBackend([rule("Choose exactly one tool", "beta")], fallback="noted")
+    inquiry = f"inquiry 7f3a {ESCAPES}"
+    execute(tool_chain(), inquiry, backend)
+    assert held_text(backend, inquiry) == ["_state"]
+    backend.close()
+    assert held_text(backend, inquiry) == []
+
+
 class PromptWatcher(ScriptedBackend):
     """Scripted; when sent a Prompt, notes how many Prompts sent before it
     are still alive."""

@@ -35,6 +35,7 @@ from agwf.workflow_engine import (
     InvalidWorkflow,
     UnknownCallback,
     UnknownEntityKey,
+    Violation,
     append_state,
     execute,
     extract_section,
@@ -91,6 +92,18 @@ def test_memory_holds_event_logs_only(value):
 def test_memory_unknown_key():
     with pytest.raises(UnknownEntityKey):
         EntityMemory().load("missing")
+
+
+def test_a_memory_snapshot_is_read_only_and_kept_by_later_stores():
+    memory = EntityMemory()
+    memory.store("a", make_log([["a"]]))
+    before = memory.snapshot()
+    memory.store("b", make_log([["b"]]))
+    assert list(before) == ["a"] and sorted(memory.snapshot()) == ["a", "b"]
+    with pytest.raises(TypeError):
+        before["c"] = make_log([["c"]])
+    memory.restore(before)  # as a rewind drops what the rewound tasks stored
+    assert "b" not in memory and memory.snapshot() is before
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +193,29 @@ def test_validate_guard_router_must_precede():
     ]
     spec = spec_of(tasks, {"T1": set(), "T2": {"T1"}, "T3": {"T2"}}, "T1", "T3")
     assert GUARD_INVALID in codes(validate(spec))
+
+
+def test_validate_accepts_a_guard_whose_router_precedes_indirectly():
+    tasks = [
+        plain_task("T1", kind=ROUTER),
+        plain_task("T2"),
+        plain_task("T3", guard=RouterGuard("T1", "x")),
+    ]
+    spec = spec_of(tasks, {"T1": set(), "T2": {"T1"}, "T3": {"T2"}}, "T1", "T3")
+    assert validate(spec) == []
+
+
+def test_validate_rejects_a_guard_whose_router_is_on_another_branch():
+    tasks = [
+        plain_task("T1", kind=ROUTER),
+        plain_task("T2"),
+        plain_task("T3", kind=ROUTER),
+        plain_task("T4", guard=RouterGuard("T3", "x")),
+        plain_task("T5"),
+    ]
+    prec = {"T1": set(), "T2": {"T1"}, "T3": {"T1"}, "T4": {"T2"}, "T5": {"T3", "T4"}}
+    assert validate(spec_of(tasks, prec, "T1", "T5")) == [Violation(
+        GUARD_INVALID, "T4", "guard router 'T3' must precede the guarded task")]
 
 
 def test_validate_second_source_flagged():
@@ -397,6 +433,33 @@ def test_selection_prompt_is_built_once_per_two_tool_task(monkeypatch):
     assert sent[0].index("- alpha:") < sent[0].index("- beta:")
 
 
+def test_one_selection_prompt_serves_each_tool_set_of_a_run(monkeypatch):
+    """T1 and T2 name alpha and beta in either order, and T2 runs twice
+    (E rewinds to it): one selection prompt is built, and all three
+    selections hold it."""
+    import agwf.workflow_engine
+
+    built = []
+    original = agwf.workflow_engine.selection_prompt
+    monkeypatch.setattr(agwf.workflow_engine, "selection_prompt",
+                        lambda tools: built.append(tools) or original(tools))
+    tools = [Tool(name, f"docs for {name}", lambda s, m: "out") for name in ("alpha", "beta")]
+    tasks = [
+        plain_task("T1", tool_names=("alpha", "beta")),
+        plain_task("T2", tool_names=("beta", "alpha")),
+        plain_task("E", kind=EVALUATOR, instruction="grade the run",
+                   evaluator_config=EvaluatorConfig(threshold=6.0, target_task_id="T2")),
+    ]
+    spec = spec_of(tasks, {"T1": set(), "T2": {"T1"}, "E": {"T2"}}, "T1", "E",
+                   registry=ToolRegistry.of(*tools))
+    backend = ScriptedBackend([rule("Choose exactly one tool", "beta"),
+                               rule("grade the run", "SCORE: 2", "SCORE: 9")], fallback="done")
+    record = execute(spec, "Q", backend)
+    assert record.details["T2"].retries_used == 1
+    assert len(built) == 1
+    assert record.details["T1"].selection is record.details["T2"].selection
+
+
 def test_execute_passes_memory_to_tools():
     log = make_log([["a"]])
     writes = Tool("writer", "stores a log", lambda s, m: m.store("kept", log) or "done")
@@ -407,6 +470,8 @@ def test_execute_passes_memory_to_tools():
     record = execute(spec, "Q", ScriptedBackend([], fallback="ok"))
     assert record.details["T2"].tool_output == "test"
     assert record.memory_final == {"kept": log}
+    with pytest.raises(TypeError):  # the record's memory is read-only
+        record.memory_final["other"] = log
 
 
 def test_execute_aborts_with_partial_record():
