@@ -151,7 +151,7 @@ def scripted_runs(rules):
 AB = [rule("ab", "0.0", "0.1", "0.2")]
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(SCRIPTED_RULES.flatmap(scripted_runs))
 # a match across the end of the state the last Prompt held
 @example((AB, "a", [("grow", "c", 1, "", ""), ("grow", "b", 1, "", "")]))
