@@ -162,6 +162,9 @@ AB = [rule("ab", "0.0", "0.1", "0.2")]
 @example(([rule("acb", "1.0"), *AB], "", [
     ("replace", "c", 1, "a", "b"), ("cut", "", 1, "a", "b"),
     ("grow", "ca", 1, "", "b"), ("replace", "bc", 1, "a", "")]))
+# a plain str between two growing Prompts: the second is scanned afresh
+@example((AB, "a", [("grow", "b", 1, "", ""), ("plain", "", 1, "c", ""),
+                    ("grow", "c", 1, "", "")]))
 def test_scripted_answers_are_those_of_the_whole_prompt(run):
     """Calls on one backend: Prompts on a state that grew, was cut back (a
     rewind) or was replaced, plain str prompts between them, and close().
@@ -763,7 +766,8 @@ TEXTS = st.lists(st.sampled_from(ESCAPED) | st.text(max_size=3), max_size=4).map
 def test_request_bodies_of_drawn_prompts_are_the_plain_encoding(
         stub_and_backend, role_prompt, model, temperature, state, calls):
     """Calls on one backend, each a Prompt on a state that grew, was cut
-    back or stayed, or a plain str, which leaves the kept state as it was."""
+    back or stayed, or a plain str, after which the next Prompt's state is
+    escaped whole."""
     stub, http = stub_and_backend
     stub.seen.clear()
     backend = CallRecorder(http)
@@ -815,6 +819,25 @@ def test_a_closed_scripted_backend_holds_no_text_of_its_run():
     execute(tool_chain(), inquiry, backend)
     assert held_text(backend, inquiry) == ["_state"]
     backend.close()
+    assert held_text(backend, inquiry) == []
+
+
+def test_a_plain_prompt_leaves_the_backend_holding_no_text_of_the_run(keepalive, open_backend):
+    stub = keepalive()
+    scripted = ScriptedBackend([rule("Choose exactly one tool", "beta")], fallback="noted")
+    stub.answer = lambda user_prompt: scripted.complete("", user_prompt)
+    backend = open_backend(stub.url)
+    inquiry = f"inquiry 7f3a {ESCAPES}"
+    execute(tool_chain(), inquiry, backend)
+    assert complete(AGENT, backend, "hello") == "noted"
+    assert held_text(backend, inquiry) == []
+
+
+def test_a_plain_prompt_leaves_the_scripted_backend_holding_no_text_of_the_run():
+    backend = ScriptedBackend([rule("Choose exactly one tool", "beta")], fallback="noted")
+    inquiry = f"inquiry 7f3a {ESCAPES}"
+    execute(tool_chain(), inquiry, backend)
+    assert complete(AGENT, backend, "hello") == "noted"
     assert held_text(backend, inquiry) == []
 
 
