@@ -88,6 +88,11 @@ class Prompt(str):
         return prompt
 
 
+def _parts(user_prompt: str) -> tuple[str, str, str]:
+    """A Prompt's head, state and tail; a plain str is all head."""
+    return user_prompt.parts if isinstance(user_prompt, Prompt) else (user_prompt, "", "")
+
+
 class CompletionBackend:
     """Completion contract.
 
@@ -138,13 +143,13 @@ def rule(match: str, *responses: str, regex: bool = False) -> ScriptedRule:
 class ScriptedBackend(CompletionBackend):
     """Deterministic backend answering from an ordered rule table.
 
-    A rule's answer is that of matching the whole prompt.  For a Prompt,
-    the backend keeps the last state it saw and, per substring rule, where
-    the rule's first occurrence in that state ends (None if nowhere), so a
-    state that extends the kept one is searched only where it grew, and a
-    state cut back to a prefix of it (an evaluator rewind) is not searched
-    at all; close() drops them.  A regex or empty match, and a plain str
-    prompt, are matched whole.
+    A rule's answer is that of matching the whole prompt.  The backend
+    keeps the last state it saw, a plain str's being empty, and per
+    substring rule where the rule's first occurrence in it ends (None if
+    nowhere), so a state that extends the kept one is searched only where
+    it grew, and a state cut back to a prefix of it (an evaluator rewind)
+    is not searched at all; close() drops them.  A regex is matched on the
+    whole prompt.
     """
 
     def __init__(self, rules: Iterable[ScriptedRule], fallback: str = ""):
@@ -159,27 +164,22 @@ class ScriptedBackend(CompletionBackend):
     def _keep(self, state: str) -> None:
         """Make state the kept state, with each substring rule's end in it."""
         kept = self._state
-        if not state.startswith(kept):
-            if kept.startswith(state):  # cut back: the occurrences that still fit
-                self._state = state
-                self._ends = [end if end is not None and end <= len(state) else None
-                              for end in self._ends]
-                return
-            kept, self._ends = "", [None] * len(self.rules)
+        # the length of the text both begin with; state is a prefix after a rewind
+        shared = (len(kept) if state.startswith(kept)
+                  else len(state) if kept.startswith(state) else 0)
         for i, scripted in enumerate(self.rules):
-            match = scripted.match
-            if self._ends[i] is None and match and not scripted.regex:
-                # an occurrence not found before ends in the added text
-                at = state.find(match, max(0, len(kept) - len(match) + 1))
-                if at >= 0:
-                    self._ends[i] = at + len(match)
+            end, match = self._ends[i], scripted.match
+            if not scripted.regex and (end is None or end > shared):
+                # the first occurrence, if any, ends past the shared text
+                at = state.find(match, max(0, shared - len(match) + 1))
+                self._ends[i] = at + len(match) if at >= 0 else None
         self._state = state
 
     def _matches(self, i: int, scripted: ScriptedRule, user_prompt: str) -> bool:
         match = scripted.match
-        if scripted.regex or not match or not isinstance(user_prompt, Prompt):
+        if scripted.regex:
             return scripted.matches(user_prompt)
-        head, state, tail = user_prompt.parts
+        head, state, tail = _parts(user_prompt)
         if len(state) < len(match):
             return match in user_prompt
         n = len(match) - 1  # an occurrence across a joint has at most n on each side
@@ -189,8 +189,7 @@ class ScriptedBackend(CompletionBackend):
 
     def complete(self, role_prompt: str, user_prompt: str, *,
                  model: str = "", temperature: float = 0.0) -> str:
-        if isinstance(user_prompt, Prompt):
-            self._keep(user_prompt.parts[1])
+        self._keep(_parts(user_prompt)[1])
         for i, scripted in enumerate(self.rules):
             if self._matches(i, scripted, user_prompt):
                 index = min(self._uses[i], len(scripted.responses) - 1)
@@ -211,10 +210,10 @@ class HttpChatBackend(CompletionBackend):
     out to be hung up when the request is sent is replaced, and the
     request sent once more, within the same complete().
 
-    The backend keeps the state of the last Prompt it sent and that
-    state's JSON escape, so a request on a state that extends it escapes
-    only what was added; close() drops them.  The body is, byte for byte,
-    what json.dumps makes of the request.
+    The backend keeps the state of the last prompt it sent (a plain str's
+    is empty) and that state's JSON escape, so a request on a state that
+    extends it escapes only what was added; close() drops them.  The body
+    is, byte for byte, what json.dumps makes of the request.
     """
 
     def __init__(self, endpoint_url: str, api_key: str = "", timeout: float = 60.0):
@@ -271,15 +270,11 @@ class HttpChatBackend(CompletionBackend):
         import http.client
         import selectors
 
-        if isinstance(user_prompt, Prompt):
-            head, state, tail = user_prompt.parts
-            escaped_state = self._escape_state(state)
-        else:
-            head, tail, escaped_state = user_prompt, "", b""
+        head, state, tail = _parts(user_prompt)
         body = b"".join((
             b'{"model": ', json.dumps(model).encode(),
             b', "messages": [{"role": "system", "content": ', json.dumps(role_prompt).encode(),
-            b'}, {"role": "user", "content": "', json_escape(head), escaped_state,
+            b'}, {"role": "user", "content": "', json_escape(head), self._escape_state(state),
             json_escape(tail), b'"}], "temperature": ', json.dumps(temperature).encode(), b"}"))
         connection = self._connection
         if connection.sock is not None:
