@@ -18,13 +18,14 @@ Each parse keeps one string object per distinct activity name.
 from __future__ import annotations
 
 import csv
+import io
 import operator
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, TextIO, Union
+from typing import Callable, Mapping, TextIO, Union
 from xml.parsers.expat import ErrorString
 
 Scalar = Union[str, int, float, bool, datetime]
@@ -217,8 +218,8 @@ def _sorted_events(events: list[Event]) -> tuple[Event, ...]:
 # XES parsing
 # ---------------------------------------------------------------------------
 
-#: the document goes to expat in reads or slices of this many characters,
-#: so no UTF-8 copy of the whole document is made
+#: the document goes to expat in reads of this many characters, so no UTF-8
+#: copy of the whole document is made
 _FEED_CHARS = 1 << 14
 
 
@@ -390,16 +391,12 @@ def parse_xes(document: str | TextIO, source_name: str = "") -> EventLog:
     DuplicateCaseId.
     """
     if isinstance(document, str):
-        # sliced, not io.StringIO: perfbench's parse_peak_ratio probe parses a str
-        chunks = (document[start:start + _FEED_CHARS]
-                  for start in range(0, len(document), _FEED_CHARS))
-    else:
-        chunks = iter(lambda: document.read(_FEED_CHARS), "")
+        document = io.StringIO(document)
     reader = _XesReader()
     parser = ET.XMLParser(target=reader)
     try:
         # text is fed as text, so an encoding declaration is not honoured
-        for chunk in chunks:
+        for chunk in iter(lambda: document.read(_FEED_CHARS), ""):
             parser.feed(chunk)
         parser.close()
     except ET.ParseError as exc:
@@ -429,19 +426,6 @@ class CsvMapping:
 DEFAULT_CSV_MAPPING = CsvMapping("case_id", "activity", "timestamp")
 
 
-# stays, not io.StringIO: perfbench's parse_peak_ratio probe parses a str
-def _lines(document: str) -> Iterator[str]:
-    """The lines of ``document``, each but the last ending in a newline,
-    as iterating ``io.StringIO(document)`` gives them, without its UCS-4
-    copy of the whole document."""
-    start, find = 0, document.find
-    while end := find("\n", start) + 1:
-        yield document[start:end]
-        start = end
-    if start < len(document):
-        yield document[start:]
-
-
 def parse_csv(document: str | TextIO, mapping: CsvMapping, source_name: str = "") -> EventLog:
     """Parse CSV text or a text stream (RFC-4180, header row mandatory)
     into an EventLog.
@@ -458,7 +442,7 @@ def parse_csv(document: str | TextIO, mapping: CsvMapping, source_name: str = ""
     error in a row names the line the row starts on; a syntax error, the
     line the reader stopped on.
     """
-    reader = csv.reader(_lines(document) if isinstance(document, str) else document)
+    reader = csv.reader(io.StringIO(document) if isinstance(document, str) else document)
     try:
         return _csv_log(reader, mapping, source_name)
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
