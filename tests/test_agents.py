@@ -458,7 +458,7 @@ class KeepAliveHandler(BaseHTTPRequestHandler):
             else:
                 status, payload, delay = 200, ok_payload("ok"), 0
         time.sleep(delay)
-        data = json.dumps(payload).encode()
+        data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data) + server.missing_bytes))
@@ -486,7 +486,7 @@ class KeepAliveServer(ThreadingHTTPServer):
         self.lock = threading.Lock()
         self.connections = 0
         self.seen = []
-        self.script = []  # (status, payload, seconds to wait before replying)
+        self.script = []  # (status, payload or raw body bytes, seconds to wait before replying)
         self.answer = None  # if set, the reply to a user prompt, in place of the script
         self.missing_bytes = 0  # announced in Content-Length but never sent
         self.hang_up = False  # close the connection after each reply
@@ -569,6 +569,15 @@ def test_http_backend_short_body_is_a_transport_error(keepalive, open_backend):
     stub.missing_bytes = 10
     with pytest.raises(TransportError):
         open_backend(stub.url).complete("role", "hello")
+
+
+def test_http_backend_deeply_nested_reply_is_malformed(keepalive, open_backend):
+    stub = keepalive()
+    stub.script = [(200, b"[" * 100_000, 0), (200, ok_payload("fine"), 0)]
+    backend = open_backend(stub.url)
+    with pytest.raises(MalformedResponse, match="not JSON"):
+        complete(AGENT, backend, "hello")
+    assert complete(AGENT, backend, "hello") == "fine"
 
 
 def test_http_backend_late_reply_is_not_read_as_the_next(keepalive, open_backend):
