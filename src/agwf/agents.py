@@ -315,7 +315,7 @@ class HttpChatBackend(CompletionBackend):
             raise RequestRejected(f"HTTP {status} from {self.endpoint_url}")
         try:
             payload = json.loads(data)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
             raise MalformedResponse("response body is not JSON") from exc
         try:
             content = payload["choices"][0]["message"]["content"]
