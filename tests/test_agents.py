@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from agwf import agents
 from agwf.agents import (
     AgentProfile,
     BackendEmptyResponse,
@@ -461,9 +462,17 @@ class KeepAliveHandler(BaseHTTPRequestHandler):
         data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data) + server.missing_bytes))
-        self.end_headers()
-        self.wfile.write(data)
+        if server.chunked:
+            self.send_header("Transfer-Encoding", "chunked")
+            self.end_headers()
+            for start in range(0, len(data), 1 << 16):
+                piece = data[start:start + (1 << 16)]
+                self.wfile.write(b"%x\r\n%s\r\n" % (len(piece), piece))
+            self.wfile.write(b"0\r\n\r\n")
+        else:
+            self.send_header("Content-Length", str(len(data) + server.missing_bytes))
+            self.end_headers()
+            self.wfile.write(data)
         # close without a "Connection: close" header: the client learns of it
         # only from the socket
         self.close_connection = server.hang_up or server.missing_bytes > 0
@@ -490,6 +499,7 @@ class KeepAliveServer(ThreadingHTTPServer):
         self.answer = None  # if set, the reply to a user prompt, in place of the script
         self.missing_bytes = 0  # announced in Content-Length but never sent
         self.hang_up = False  # close the connection after each reply
+        self.chunked = False  # send bodies chunked, with no Content-Length
         self.url = f"http://127.0.0.1:{self.server_port}/v1/chat/completions"
 
     def handle_error(self, request, client_address):
@@ -578,6 +588,26 @@ def test_http_backend_deeply_nested_reply_is_malformed(keepalive, open_backend):
     with pytest.raises(MalformedResponse, match="not JSON"):
         complete(AGENT, backend, "hello")
     assert complete(AGENT, backend, "hello") == "fine"
+
+
+def padded_reply(content, size):
+    """ok_payload(content) as a JSON body of size bytes."""
+    data = json.dumps(ok_payload(content)).encode()
+    return data + b" " * (size - len(data))
+
+
+@pytest.mark.parametrize("chunked", [False, True])
+def test_http_backend_reply_over_the_cap_is_malformed(keepalive, open_backend, chunked):
+    cap = agents.MAX_REPLY_BYTES
+    stub = keepalive()
+    stub.chunked = chunked
+    stub.script = [(200, padded_reply("over", cap + 1), 0),
+                   (200, padded_reply("at the cap", cap), 0)]
+    backend = open_backend(stub.url)
+    with pytest.raises(MalformedResponse, match=f"longer than {cap} bytes"):
+        complete(AGENT, backend, "hello")
+    assert complete(AGENT, backend, "hello") == "at the cap"
+    assert stub.connections == 2  # the longer reply's connection was closed
 
 
 def test_http_backend_late_reply_is_not_read_as_the_next(keepalive, open_backend):
