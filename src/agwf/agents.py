@@ -298,7 +298,15 @@ class HttpChatBackend(CompletionBackend):
                 connection.request("POST", self._target, body, self._headers)
                 response = connection.getresponse()
             # read to the end whatever the status, so the connection stays usable
-            data = response.read()
+            data = bytearray()
+            while piece := response.read(_READ_BYTES):
+                data += piece
+                if len(data) > MAX_REPLY_BYTES:
+                    connection.close()
+                    raise MalformedResponse(
+                        f"response body is longer than {MAX_REPLY_BYTES} bytes")
+            if response.length:  # the server closed before the end the header announced
+                raise http.client.IncompleteRead(bytes(data), response.length)
         except TimeoutError as exc:
             # closed so that the late reply is never read as the next one
             connection.close()
@@ -330,6 +338,12 @@ class HttpChatBackend(CompletionBackend):
 
 #: characters a request target keeps as they are; others are percent-encoded
 _URL_SAFE = "!#$%&'()*+,/:;=?@[]~"
+
+#: the longest reply body read, in bytes; a longer one is a MalformedResponse
+MAX_REPLY_BYTES = 8 << 20
+#: a reply body is read in pieces of at most this many bytes, as a read of n
+#: bytes may allocate n before it reads
+_READ_BYTES = 1 << 16
 
 
 def _http_address(url: str, schemes: tuple[str, ...], what: str) -> tuple[SplitResult, int]:
