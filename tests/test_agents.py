@@ -155,7 +155,7 @@ AB = [rule("ab", "0.0", "0.1", "0.2")]
 @settings(max_examples=80, deadline=None)
 @given(SCRIPTED_RULES.flatmap(scripted_runs))
 # a match across the end of the state the last Prompt held
-@example((AB, "a", [("grow", "c", 1, "", ""), ("grow", "b", 1, "", "")]))
+@example((AB, "a", [("grow", "", 1, "", ""), ("grow", "b", 1, "", "")]))
 # a match that a rewind cut in two
 @example((AB, "cab", [("grow", "", 1, "", ""), ("cut", "", 1, "", "")]))
 # matches across the head, a short state and the tail, the head and an
