@@ -305,7 +305,7 @@ class HttpChatBackend(CompletionBackend):
                     connection.close()
                     raise MalformedResponse(
                         f"response body is longer than {MAX_REPLY_BYTES} bytes")
-            if response.length:  # the server closed before the end the header announced
+            if response.length:  # the connection closed short of the Content-Length
                 raise http.client.IncompleteRead(bytes(data), response.length)
         except TimeoutError as exc:
             # closed so that the late reply is never read as the next one
