@@ -18,13 +18,13 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from agwf import agents
 from agwf.agents import (
     AgentProfile,
     BackendEmptyResponse,
     BackendTimeout,
     CompletionBackend,
     HttpChatBackend,
+    MAX_REPLY_BYTES,
     MalformedResponse,
     Prompt,
     RequestRejected,
@@ -598,7 +598,7 @@ def padded_reply(content, size):
 
 @pytest.mark.parametrize("chunked", [False, True])
 def test_http_backend_reply_over_the_cap_is_malformed(keepalive, open_backend, chunked):
-    cap = agents.MAX_REPLY_BYTES
+    cap = MAX_REPLY_BYTES
     stub = keepalive()
     stub.chunked = chunked
     stub.script = [(200, padded_reply("over", cap + 1), 0),
