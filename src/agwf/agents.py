@@ -426,13 +426,10 @@ def select_tool(profile: AgentProfile, backend: CompletionBackend,
     """Send ``prompt``, the head and tail of ``selection_prompt(tools)``
     around the state, and return the tool the reply names.
 
-    A single tool is returned without consulting the backend.  Otherwise
-    the reply's last non-blank line, read by ``last_line_match``, must be
+    The reply's last non-blank line, read by ``last_line_match``, must be
     a tool name (case-sensitive exact match); one re-ask, listing the
     names in the given order, is allowed before ToolSelectionFailed.
     """
-    if len(tools) == 1:
-        return tools[0]
     by_name = {tool.name: tool for tool in tools}
     reask = ("\nYour previous reply was not a valid tool name. "
              f"Answer with exactly one of: {', '.join(by_name)}.")

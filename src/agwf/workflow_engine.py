@@ -527,14 +527,12 @@ def execute(spec: WorkflowSpec, inquiry: str, backend: CompletionBackend) -> Exe
                 if task.tool_names:
                     names = tuple(sorted(set(task.tool_names)))
                     tools = [spec.registry.get(name) for name in names]
-                    prompt = ""  # select_tool asks nothing to pick a single tool
+                    tool = tools[0]
                     if len(tools) > 1:
                         if names not in selections:
                             selections[names] = selection_prompt(tools)
                         head, tail = detail.selection = selections[names]
-                        prompt = Prompt(head, sigma, tail)
-                    tool = select_tool(profile, backend, prompt, tools)
-                    del prompt  # a Prompt holds its state: none outlives its task
+                        tool = select_tool(profile, backend, Prompt(head, sigma, tail), tools)
                     detail.selected_tool = tool.name
                     tool_output = tool.function(sigma, memory)
                     detail.tool_output = tool_output

@@ -330,9 +330,13 @@ def test_criterion_8_selection_protocol():
         select_tool(AGENT, backend, prompt, tools)
     assert backend.calls == 2
 
-    backend = CountingBackend(ScriptedBackend([], fallback="unused"))
-    assert select_tool(AGENT, backend, "", tools[:1]) is tools[0]
-    assert backend.calls == 0
+    # a task with one tool runs it without a selection prompt: one call in all
+    spec = spec_of([plain_task("t0", tool_names=("dfg_discovery",))], {}, "t0", "t0",
+                   registry=ToolRegistry.of(*tools))
+    backend = CountingBackend(ScriptedBackend([], fallback="done"))
+    detail = execute(spec, "Q", backend).details["t0"]
+    assert backend.calls == 1
+    assert detail.selected_tool == "dfg_discovery" and detail.selection is None
 
 
 # ---------------------------------------------------------------------------

@@ -230,13 +230,6 @@ def test_complete_exhausts_retries():
 # Tool selection
 # ---------------------------------------------------------------------------
 
-def test_select_tool_single_candidate_short_circuits():
-    backend = CountingBackend(ScriptedBackend([], fallback="ignored"))
-    tool = noop_tool("dfg_discovery")
-    assert select_tool(AGENT, backend, "", [tool]) is tool
-    assert backend.calls == 0
-
-
 def test_select_tool_parses_named_tool():
     tools = [noop_tool("dfg_discovery"), noop_tool("variants_discovery")]
     backend = ScriptedBackend([rule("Choose exactly one tool", "variants_discovery")])
