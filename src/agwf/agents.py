@@ -130,11 +130,6 @@ class ScriptedRule:
         if not self.responses:
             raise ValueError("'responses' must not be empty")
 
-    def matches(self, user_prompt: str) -> bool:
-        if self.regex:
-            return re.search(self.match, user_prompt) is not None
-        return self.match in user_prompt
-
 
 def rule(match: str, *responses: str, regex: bool = False) -> ScriptedRule:
     return ScriptedRule(match=match, responses=tuple(responses), regex=regex)
@@ -175,23 +170,19 @@ class ScriptedBackend(CompletionBackend):
                 self._ends[i] = at + len(match) if at >= 0 else None
         self._state = state
 
-    def _matches(self, i: int, scripted: ScriptedRule, user_prompt: str) -> bool:
-        match = scripted.match
-        if scripted.regex:
-            return scripted.matches(user_prompt)
-        head, state, tail = _parts(user_prompt)
-        if len(state) < len(match):
-            return match in user_prompt
-        n = len(match) - 1  # an occurrence across a joint has at most n on each side
-        return (self._ends[i] is not None or match in head or match in tail
-                or match in head[max(0, len(head) - n):] + state[:n]
-                or match in state[len(state) - n:] + tail[:n])
-
     def complete(self, role_prompt: str, user_prompt: str, *,
                  model: str = "", temperature: float = 0.0) -> str:
-        self._keep(_parts(user_prompt)[1])
+        head, state, _ = _parts(user_prompt)
+        self._keep(state)
         for i, scripted in enumerate(self.rules):
-            if self._matches(i, scripted, user_prompt):
+            match = scripted.match
+            n = len(match) - 1
+            # an occurrence lies inside the state (its kept end), starts in
+            # the head, or ends in the tail
+            if (re.search(match, user_prompt) is not None if scripted.regex
+                    else (self._ends[i] is not None
+                          or user_prompt.find(match, 0, max(0, len(head) + n)) >= 0
+                          or user_prompt.find(match, max(0, len(head) + len(state) - n)) >= 0)):
                 index = min(self._uses[i], len(scripted.responses) - 1)
                 self._uses[i] += 1
                 return scripted.responses[index]
