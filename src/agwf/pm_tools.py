@@ -373,12 +373,8 @@ def _split_log_by_predicate(state: str, memory: "EntityMemory") -> str:
     keys = [k.strip() for k in _require_directive(state, "store_as").split(",")]
     if len(keys) != 2 or keys[0] == keys[1] or not all(re.fullmatch(_KEY, k) for k in keys):
         raise ValueError("'store_as:' directive must name two distinct identifier keys")
-    for key in keys:
-        if key in memory:
-            raise ValueError(f"entity key {key!r} already stored")
     matching, rest = split_log(log, predicate)
-    memory.store(keys[0], matching)
-    memory.store(keys[1], rest)
+    memory.store({keys[0]: matching, keys[1]: rest})
     return f"protected={len(matching.traces)} cases, non-protected={len(rest.traces)} cases"
 
 

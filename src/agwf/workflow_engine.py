@@ -88,20 +88,19 @@ class EntityMemory:
         self._items: Mapping[str, EventLog] = MappingProxyType({})
         self.kept: dict[tuple, object] = {}
 
-    def store(self, key: str, value: EventLog) -> None:
-        if not isinstance(value, EventLog):
-            raise TypeError(f"entity {key!r} must be an event log, got {type(value).__name__}")
-        if key in self._items:
-            raise DuplicateKey(f"entity key {key!r} already stored")
-        self._items = MappingProxyType({**self._items, key: value})
+    def store(self, entries: Mapping[str, EventLog]) -> None:
+        """Store every entry, or, when one is refused, none."""
+        for key, value in entries.items():
+            if not isinstance(value, EventLog):
+                raise TypeError(f"entity {key!r} must be an event log, got {type(value).__name__}")
+            if key in self._items:
+                raise DuplicateKey(f"entity key {key!r} already stored")
+        self._items = MappingProxyType({**self._items, **entries})
 
     def load(self, key: str) -> EventLog:
         if key not in self._items:
             raise UnknownEntityKey(f"unknown entity key {key!r}")
         return self._items[key]
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._items
 
     def snapshot(self) -> Mapping[str, EventLog]:
         return self._items

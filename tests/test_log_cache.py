@@ -140,7 +140,7 @@ def test_repeated_discovery_on_one_memory_computes_once_per_log(discoveries, tmp
     log = tmp_path / "log.csv"
     log.write_text(CSV_LOG)
     memory = EntityMemory()
-    memory.store("other", make_log([["a", "b"], ["a", "c"]]))
+    memory.store({"other": make_log([["a", "b"], ["a", "c"]])})
     for state in (f"see {log}", f"top_k: 1\nsee {log}", "see @other", "top_k: 1\n@other"):
         for name in ("dfg_discovery", "variants_discovery"):
             run_tool(name, state, memory)
@@ -149,7 +149,7 @@ def test_repeated_discovery_on_one_memory_computes_once_per_log(discoveries, tmp
     assert memory.snapshot() == {"other": memory.load("other")}
     # another run's memory holding the same log computes again
     fresh = EntityMemory()
-    fresh.store("other", memory.load("other"))
+    fresh.store({"other": memory.load("other")})
     run_tool("dfg_discovery", "see @other", fresh)
     assert discoveries == {"discover_dfg": 3, "discover_variants": 2}
 
@@ -227,7 +227,7 @@ def test_a_log_a_rewind_dropped_lends_its_results_to_no_later_log(discoveries):
     memory = EntityMemory()
     for length in range(2, 12):
         memory.restore({})  # as a rewind drops what the rewound tasks stored
-        memory.store("log", make_log([["a"] * length]))
+        memory.store({"log": make_log([["a"] * length])})
         assert f"a -> a (freq={length - 1}," in run_tool("dfg_discovery", "see @log", memory)
     assert discoveries == {"discover_dfg": 10}
 
@@ -253,7 +253,7 @@ def test_kept_discoveries_render_as_fresh_ones(shapes, calls):
     def memory_of_logs() -> EntityMemory:
         memory = EntityMemory()
         for key, log in logs.items():
-            memory.store(key, log)
+            memory.store({key: log})
         return memory
 
     memory = memory_of_logs()

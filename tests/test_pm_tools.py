@@ -82,14 +82,14 @@ def test_resolve_trailing_punctuation(data_dir):
 def test_resolve_entity_reference():
     memory = EntityMemory()
     stored = make_log([["a"]])
-    memory.store("protected", stored)
+    memory.store({"protected": stored})
     assert resolve_log_reference("use @protected please", memory) is stored
 
 
 def test_resolve_last_occurrence_wins(data_dir):
     memory = EntityMemory()
     stored = make_log([["a"]])
-    memory.store("protected", stored)
+    memory.store({"protected": stored})
     state = f"first {data_dir / 'two_traces.xes'} then @protected"
     assert resolve_log_reference(state, memory) is stored
 
@@ -112,7 +112,7 @@ def test_resolve_unknown_entity():
 def test_resolve_text_entity_is_not_a_log():
     memory = EntityMemory()
     with pytest.raises(TypeError):
-        memory.store("note", "just text")
+        memory.store({"note": "just text"})
     with pytest.raises(UnknownEntityKey):
         resolve_log_reference("use @note", memory)
 
@@ -382,7 +382,7 @@ def test_split_tool_on_fairness_fixture(data_dir):
     memory = EntityMemory()
     out = registry.get("split_log_by_predicate").function(fairness_state(data_dir), memory)
     assert out == "protected=2 cases, non-protected=2 cases"
-    assert "protected" in memory and "non_protected" in memory
+    assert "protected" in memory.snapshot() and "non_protected" in memory.snapshot()
     assert len(memory.load("protected").traces) == 2
 
 
@@ -428,8 +428,8 @@ def test_tool_errors_are_in_band():
 ])
 def test_out_of_range_directive_is_one_tool_error(data_dir, tool, directive, error):
     memory = EntityMemory()
-    memory.store("a", make_log([["x", "y"]]))
-    memory.store("b", make_log([["x", "z"]]))
+    memory.store({"a": make_log([["x", "y"]])})
+    memory.store({"b": make_log([["x", "z"]])})
     state = f"{directive}\ngroups: @a,@b\nsee {data_dir / 'two_traces.xes'}"
     assert builtin_registry().get(tool).function(state, memory) == f"TOOL-ERROR: {error}"
 
@@ -460,7 +460,7 @@ def test_split_tool_rejects_keys_no_reference_can_name(data_dir, store_as):
 def test_split_tool_stores_nothing_when_a_key_is_taken(data_dir):
     memory = EntityMemory()
     taken = make_log([["a"]])
-    memory.store("b", taken)
+    memory.store({"b": taken})
     state = (
         'predicate: gender = "F"\n'
         "store_as: a,b\n"
@@ -473,8 +473,8 @@ def test_split_tool_stores_nothing_when_a_key_is_taken(data_dir):
 
 def test_groups_directive_uses_the_entity_key_grammar():
     memory = EntityMemory()
-    memory.store("grp_é", make_log([["a", "b"]]))
-    memory.store("rest", make_log([["a", "c"]]))
+    memory.store({"grp_é": make_log([["a", "b"]])})
+    memory.store({"rest": make_log([["a", "c"]])})
     out = builtin_registry().get("compare_group_dfgs").function("groups: @grp_é,@rest", memory)
     assert out.startswith("TOOL-ERROR:")
     assert "groups" in out
@@ -486,7 +486,7 @@ def test_stored_keys_are_reachable_by_reference(keys):
     """A key split_log_by_predicate stores is one that @key and groups: name."""
     tools = builtin_registry()
     memory = EntityMemory()
-    memory.store("whole", make_log([["a", "b"], ["a", "c"]], [{"g": "x"}, {"g": "y"}]))
+    memory.store({"whole": make_log([["a", "b"], ["a", "c"]], [{"g": "x"}, {"g": "y"}])})
     state = f'predicate: g = "x"\nstore_as: {keys[0]},{keys[1]}\nsplit @whole'
     out = tools.get("split_log_by_predicate").function(state, memory)
     stored = [key for key in memory.snapshot() if key != "whole"]

@@ -70,23 +70,34 @@ def codes(violations):
 def test_memory_round_trip():
     memory = EntityMemory()
     log = make_log([["a"]])
-    memory.store("protected", log)
+    memory.store({"protected": log})
     assert memory.load("protected") is log
 
 
 def test_memory_write_once():
     memory = EntityMemory()
-    memory.store("k", make_log([["a"]]))
+    memory.store({"k": make_log([["a"]])})
     with pytest.raises(DuplicateKey):
-        memory.store("k", make_log([["b"]]))
+        memory.store({"k": make_log([["b"]])})
+
+
+@pytest.mark.parametrize("second, error", [({"k": make_log([["b"]])}, DuplicateKey),
+                                           ({"c": "text"}, TypeError)])
+def test_memory_stores_all_entries_or_none(second, error):
+    memory = EntityMemory()
+    memory.store({"k": make_log([["a"]])})
+    before = memory.snapshot()
+    with pytest.raises(error):
+        memory.store({"new": make_log([["n"]]), **second})
+    assert memory.snapshot() is before
 
 
 @pytest.mark.parametrize("value", ["text", None, {"a": 1}])
 def test_memory_holds_event_logs_only(value):
     memory = EntityMemory()
     with pytest.raises(TypeError, match="must be an event log"):
-        memory.store("k", value)
-    assert "k" not in memory
+        memory.store({"k": value})
+    assert "k" not in memory.snapshot()
 
 
 def test_memory_unknown_key():
@@ -96,14 +107,14 @@ def test_memory_unknown_key():
 
 def test_a_memory_snapshot_is_read_only_and_kept_by_later_stores():
     memory = EntityMemory()
-    memory.store("a", make_log([["a"]]))
+    memory.store({"a": make_log([["a"]])})
     before = memory.snapshot()
-    memory.store("b", make_log([["b"]]))
+    memory.store({"b": make_log([["b"]])})
     assert list(before) == ["a"] and sorted(memory.snapshot()) == ["a", "b"]
     with pytest.raises(TypeError):
         before["c"] = make_log([["c"]])
     memory.restore(before)  # as a rewind drops what the rewound tasks stored
-    assert "b" not in memory and memory.snapshot() is before
+    assert "b" not in memory.snapshot() and memory.snapshot() is before
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +473,7 @@ def test_one_selection_prompt_serves_each_tool_set_of_a_run(monkeypatch):
 
 def test_execute_passes_memory_to_tools():
     log = make_log([["a"]])
-    writes = Tool("writer", "stores a log", lambda s, m: m.store("kept", log) or "done")
+    writes = Tool("writer", "stores a log", lambda s, m: m.store({"kept": log}) or "done")
     reads = Tool("reader", "loads the log", lambda s, m: m.load("kept").source_name)
     tasks = [plain_task("T1", tool_names=("writer",)), plain_task("T2", tool_names=("reader",))]
     spec = spec_of(tasks, {"T1": set(), "T2": {"T1"}}, "T1", "T2",
