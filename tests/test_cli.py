@@ -361,6 +361,44 @@ def test_abstract_of_a_csv_log_with_a_mutated_row_exits_0_or_2_with_one_error_li
     assert_abstract_exits_0_or_2_with_one_error_line("log.csv", "\n".join(rows).encode() + b"\n")
 
 
+def _retag(old: str, new: str):
+    """A line mutation that replaces old by new on the (at mod their
+    count)-th line holding old."""
+    def mutate(lines, at, to):
+        holding = [i for i, line in enumerate(lines) if old in line]
+        if holding:
+            i = holding[at % len(holding)]
+            lines[i] = lines[i].replace(old, new, 1)
+    return mutate
+
+
+#: name -> a function that mutates an XES log's lines in place, given two
+#: line indexes, at and to
+XES_LINE_MUTATIONS = {
+    "drop": lambda lines, at, to: lines.pop(at),
+    "duplicate": lambda lines, at, to: lines.insert(at, lines[at]),
+    "move": lambda lines, at, to: lines.insert(to, lines.pop(at)),
+    **{f"{old}-to-{new}": _retag(f"<{old} ", f"<{new} ") for old, new in (
+        ("date", "int"), ("date", "string"), ("string", "date"), ("string", "boolean"),
+        ("string", "foo"), ("int", "float"))},
+    "event-to-trace": _retag("<event>", "<trace>"),
+    "trace-to-event": _retag("<trace>", "<event>"),
+    "foreign-prefix": _retag("<string ", '<y:string xmlns:y="urn:other" '),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(sorted(XES_LINE_MUTATIONS)), min_size=1, max_size=3),
+       st.data())
+def test_abstract_of_an_xes_log_with_mutated_lines_exits_0_or_2_with_one_error_line(
+        mutations, data):
+    lines = xes_log_text(20).splitlines()
+    for mutation in mutations:
+        at, to = (data.draw(st.integers(0, len(lines) - 1), label=label) for label in ("at", "to"))
+        XES_LINE_MUTATIONS[mutation](lines, at, to)
+    assert_abstract_exits_0_or_2_with_one_error_line("log.xes", "\n".join(lines).encode() + b"\n")
+
+
 # ---------------------------------------------------------------------------
 # demo
 # ---------------------------------------------------------------------------
