@@ -12,7 +12,7 @@ import sys
 import threading
 import time
 import weakref
-from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -284,117 +284,8 @@ def test_selection_prompt_lists_documentation():
 
 
 # ---------------------------------------------------------------------------
-# HTTP backend against a local stub server
+# HTTP backend without a server
 # ---------------------------------------------------------------------------
-
-class StubHandler(BaseHTTPRequestHandler):
-    script = []  # list of (status, payload-dict-or-text)
-    requests_seen = []
-    delay = 0.0
-    released = threading.Event()  # set at teardown: ends a delay early
-
-    def do_POST(self):
-        length = int(self.headers.get("Content-Length", 0))
-        body = json.loads(self.rfile.read(length)) if length else {}
-        StubHandler.requests_seen.append(
-            {"body": body, "auth": self.headers.get("Authorization")}
-        )
-        if StubHandler.delay:
-            StubHandler.released.wait(StubHandler.delay)
-        status, payload = (
-            StubHandler.script.pop(0) if StubHandler.script else (200, {"choices": []})
-        )
-        data = json.dumps(payload).encode() if isinstance(payload, dict) else payload.encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def stub_server():
-    server = HTTPServer(("127.0.0.1", 0), StubHandler)
-    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
-                              daemon=True)
-    thread.start()
-    StubHandler.script = []
-    StubHandler.requests_seen = []
-    StubHandler.delay = 0.0
-    StubHandler.released = threading.Event()
-    yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
-    # a handler still delaying would hold up shutdown() until its delay ends
-    StubHandler.released.set()
-    server.shutdown()
-    server.server_close()
-
-
-def ok_payload(content):
-    return {"choices": [{"message": {"role": "assistant", "content": content}}]}
-
-
-def test_http_backend_reads_first_choice(stub_server):
-    StubHandler.script = [(200, ok_payload("ok"))]
-    backend = http_chat_backend(stub_server, "secret")
-    profile = AgentProfile(id="a", role_prompt="role", model_ref="m2")
-    assert complete(profile, backend, "hello") == "ok"
-    sent = StubHandler.requests_seen[0]
-    assert sent["auth"] == "Bearer secret"
-    assert sent["body"]["model"] == "m2"  # the model comes from the profile
-    assert sent["body"]["messages"][0] == {"role": "system", "content": "role"}
-    assert sent["body"]["messages"][1] == {"role": "user", "content": "hello"}
-
-
-def test_http_backend_retry_exhaustion(stub_server):
-    StubHandler.script = [(500, {}), (500, {}), (500, {})]
-    backend = http_chat_backend(stub_server)
-    with pytest.raises(TransportError):
-        complete(AGENT, backend, "hello")
-    assert len(StubHandler.requests_seen) == 3
-
-
-def test_http_backend_malformed_response(stub_server):
-    backend = http_chat_backend(stub_server)
-    for payload, message in [({"unexpected": True}, "response has no choices"),
-                             (ok_payload(None), "message content is not text"),
-                             (ok_payload(7), "message content is not text")]:
-        StubHandler.script = [(200, payload)]
-        with pytest.raises(MalformedResponse, match=message):
-            complete(AGENT, backend, "hello")
-
-
-def test_http_backend_non_json_response(stub_server):
-    StubHandler.script = [(200, "this is not json")]
-    backend = http_chat_backend(stub_server)
-    with pytest.raises(MalformedResponse):
-        complete(AGENT, backend, "hello")
-
-
-def test_http_backend_timeout(stub_server, open_backend):
-    StubHandler.delay = 0.6
-    StubHandler.script = [(200, ok_payload("late"))]
-    backend = open_backend(stub_server, "", timeout=0.15)
-    with pytest.raises(BackendTimeout):
-        complete(AGENT, backend, "hello")
-
-
-@pytest.mark.parametrize("status", [400, 401, 403, 404, 422])
-def test_http_backend_rejected_request_is_not_retried(stub_server, status):
-    StubHandler.script = [(status, {}), (200, ok_payload("unreached"))]
-    with pytest.raises(RequestRejected, match=f"HTTP {status}"):
-        complete(AGENT, http_chat_backend(stub_server), "hello")
-    assert len(StubHandler.requests_seen) == 1
-
-
-@pytest.mark.parametrize("status", [429, 500, 502, 503])
-def test_http_backend_transient_status_is_retried(stub_server, status):
-    StubHandler.script = [(status, {}), (200, ok_payload("second"))]
-    assert complete(AGENT, http_chat_backend(stub_server), "hello") == "second"
-    assert len(StubHandler.requests_seen) == 2
-
 
 def test_http_backend_refused_connection_is_retried_then_raised():
     with socket.socket() as probe:
@@ -423,8 +314,12 @@ def test_http_backend_rejects_a_url_it_cannot_post_to(url, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The transport: one keep-alive connection per backend
+# HTTP backend against a local keep-alive stub server
 # ---------------------------------------------------------------------------
+
+def ok_payload(content):
+    return {"choices": [{"message": {"role": "assistant", "content": content}}]}
+
 
 class KeepAliveHandler(BaseHTTPRequestHandler):
     """HTTP/1.1 with keep-alive; the server object carries the script."""
@@ -443,7 +338,8 @@ class KeepAliveHandler(BaseHTTPRequestHandler):
         server = self.server
         body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
         with server.lock:
-            server.seen.append({"path": self.path, "host": self.headers.get("Host"), "body": body})
+            server.seen.append({"path": self.path, "host": self.headers.get("Host"),
+                                "auth": self.headers.get("Authorization"), "body": body})
             if server.answer is not None:
                 user_prompt = json.loads(body)["messages"][1]["content"]
                 status, payload, delay = 200, ok_payload(server.answer(user_prompt)), 0
@@ -532,6 +428,65 @@ def open_backend():
     yield build
     for backend in backends:
         backend.close()
+
+
+def test_http_backend_reads_first_choice(keepalive, open_backend):
+    stub = keepalive()
+    stub.script = [(200, ok_payload("ok"), 0)]
+    backend = open_backend(stub.url, "secret")
+    profile = AgentProfile(id="a", role_prompt="role", model_ref="m2")
+    assert complete(profile, backend, "hello") == "ok"
+    sent = stub.seen[0]
+    assert sent["auth"] == "Bearer secret"
+    body = json.loads(sent["body"])
+    assert body["model"] == "m2"  # the model comes from the profile
+    assert body["messages"][0] == {"role": "system", "content": "role"}
+    assert body["messages"][1] == {"role": "user", "content": "hello"}
+
+
+def test_http_backend_retry_exhaustion(keepalive, open_backend):
+    stub = keepalive()
+    stub.script = [(500, {}, 0), (500, {}, 0), (500, {}, 0)]
+    backend = open_backend(stub.url)
+    with pytest.raises(TransportError):
+        complete(AGENT, backend, "hello")
+    assert len(stub.seen) == 3
+
+
+def test_http_backend_malformed_response(keepalive, open_backend):
+    stub = keepalive()
+    backend = open_backend(stub.url)
+    for payload, message in [({"unexpected": True}, "response has no choices"),
+                             (ok_payload(None), "message content is not text"),
+                             (ok_payload(7), "message content is not text")]:
+        stub.script = [(200, payload, 0)]
+        with pytest.raises(MalformedResponse, match=message):
+            complete(AGENT, backend, "hello")
+
+
+def test_http_backend_non_json_response(keepalive, open_backend):
+    stub = keepalive()
+    stub.script = [(200, b"this is not json", 0)]
+    backend = open_backend(stub.url)
+    with pytest.raises(MalformedResponse):
+        complete(AGENT, backend, "hello")
+
+
+@pytest.mark.parametrize("status", [400, 401, 403, 404, 422])
+def test_http_backend_rejected_request_is_not_retried(keepalive, open_backend, status):
+    stub = keepalive()
+    stub.script = [(status, {}, 0), (200, ok_payload("unreached"), 0)]
+    with pytest.raises(RequestRejected, match=f"HTTP {status}"):
+        complete(AGENT, open_backend(stub.url), "hello")
+    assert len(stub.seen) == 1
+
+
+@pytest.mark.parametrize("status", [429, 500, 502, 503])
+def test_http_backend_transient_status_is_retried(keepalive, open_backend, status):
+    stub = keepalive()
+    stub.script = [(status, {}, 0), (200, ok_payload("second"), 0)]
+    assert complete(AGENT, open_backend(stub.url), "hello") == "second"
+    assert len(stub.seen) == 2
 
 
 def test_http_backend_reuses_one_connection(keepalive, open_backend):
