@@ -14,6 +14,8 @@ import functools
 import hashlib
 import io
 import json
+import os
+import stat
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -334,3 +336,83 @@ def test_the_writer_writes_any_value_as_the_plain_encoder(pair):
     out = io.BytesIO()
     cli._write_json(out, value)
     assert out.getvalue() == json.dumps(plain, indent=2).encode()
+
+
+# ---------------------------------------------------------------------------
+# A transcript written over a file that already exists
+# ---------------------------------------------------------------------------
+
+#: the anomaly demo's transcript is about twice the fairness demo's
+@pytest.mark.parametrize("first, second", [("anomaly", "fairness"), ("fairness", "anomaly")])
+def test_a_transcript_replaces_a_longer_or_a_shorter_one(first, second, tmp_path):
+    output = tmp_path / "t.json"
+    assert_transcript_matches(["demo", first], output)
+    size = output.stat().st_size
+    assert_transcript_matches(["demo", second], output)
+    assert (output.stat().st_size < size) == (first == "anomaly")
+
+
+def test_a_transcript_is_written_through_a_symlink(tmp_path):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_bytes(b"x" * 20_000)
+    link.symlink_to(target)
+    assert_transcript_matches(["demo", "fairness"], link)
+    assert link.is_symlink() and link.readlink() == target
+
+
+def test_a_hard_link_reads_the_new_transcript(tmp_path):
+    output, other = tmp_path / "t.json", tmp_path / "other.json"
+    assert_transcript_matches(["demo", "anomaly"], output)
+    os.link(output, other)
+    inode = output.stat().st_ino
+    assert_transcript_matches(["demo", "fairness"], output)
+    assert output.stat().st_ino == inode
+    assert other.read_bytes() == output.read_bytes()
+
+
+def test_a_transcript_keeps_its_mode_and_a_new_one_follows_the_umask(tmp_path):
+    kept, new = tmp_path / "kept.json", tmp_path / "new.json"
+    kept.write_bytes(b"x" * 20_000)
+    kept.chmod(0o600)
+    umask = os.umask(0o027)
+    try:
+        assert_transcript_matches(["demo", "fairness"], kept)
+        assert_transcript_matches(["demo", "fairness"], new)
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(kept.stat().st_mode) == 0o600
+    assert stat.S_IMODE(new.stat().st_mode) == 0o640
+
+
+def test_a_transcript_can_go_to_a_device(tmp_path):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["demo", "fairness", "--output", os.devnull]) == 0
+
+
+def test_a_write_that_fails_leaves_the_bytes_it_wrote(tmp_path):
+    output = tmp_path / "t.json"
+    output.write_bytes(b"x" * 20_000)
+    record = execute(chain_spec("t1"), "Q", ScriptedBackend([], fallback="r"))
+
+    def failing(out, value):
+        out.write(b'{\n  "task_sequence": ')
+        raise OSError("no space left")
+
+    with mock.patch.object(cli, "_write_json", failing), pytest.raises(OSError, match="no space"):
+        cli._write_transcript(output, record, None)
+    assert output.read_bytes() == b'{\n  "task_sequence": '
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(SPECIAL), max_size=12), min_size=2, max_size=4,
+                unique_by=lambda value: len(json.dumps(value, indent=2))))
+def test_rewrites_of_one_path_leave_exactly_the_last_transcript(values):
+    """Transcripts of different lengths written in turn to one path, then
+    the last one again, which ends where the file already ends."""
+    with tempfile.TemporaryDirectory() as work:
+        output = Path(work) / "t.json"
+        for value in [*values, values[-1]]:
+            with mock.patch.object(cli, "record_to_dict", lambda _: {"value": value}):
+                cli._write_transcript(output, None, None)
+            expected = {"value": value, "aborted": False, "error": None}
+            assert output.read_bytes() == json.dumps(expected, indent=2).encode() + b"\n"
