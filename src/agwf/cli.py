@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 from itertools import accumulate
 from pathlib import Path
@@ -142,13 +143,21 @@ def _write_json(out, value, indent: bytes = b"\n") -> None:
 
 def _write_transcript(path: Path, record: ExecutionRecord, error: str | None) -> None:
     """json.dump of the transcript, indent 2, and a newline: record_to_dict
-    with aborted and error."""
+    with aborted and error. An existing regular file is overwritten in place
+    and cut to length, so symlinks, hard links and its mode hold as with "wb".
+    """
     transcript = record_to_dict(record)
     transcript["aborted"] = error is not None
     transcript["error"] = error
-    with open(path, "wb") as out:
-        _write_json(out, transcript)
-        out.write(b"\n")
+    # no O_TRUNC: on ext4, truncating a file that was truncated and rewritten
+    # waits for that rewrite's writeback
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as out:
+        try:
+            _write_json(out, transcript)
+            out.write(b"\n")
+        finally:
+            if stat.S_ISREG(os.fstat(out.fileno()).st_mode):  # ftruncate fails on a device
+                out.truncate()
 
 
 def _report_record(record: ExecutionRecord) -> int:
