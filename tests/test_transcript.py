@@ -342,7 +342,7 @@ def test_the_writer_writes_any_value_as_the_plain_encoder(pair):
 # A transcript written over a file that already exists
 # ---------------------------------------------------------------------------
 
-#: the anomaly demo's transcript is about twice the fairness demo's
+# the anomaly demo's transcript is about twice the fairness demo's
 @pytest.mark.parametrize("first, second", [("anomaly", "fairness"), ("fairness", "anomaly")])
 def test_a_transcript_replaces_a_longer_or_a_shorter_one(first, second, tmp_path):
     output = tmp_path / "t.json"
@@ -384,7 +384,7 @@ def test_a_transcript_keeps_its_mode_and_a_new_one_follows_the_umask(tmp_path):
     assert stat.S_IMODE(new.stat().st_mode) == 0o640
 
 
-def test_a_transcript_can_go_to_a_device(tmp_path):
+def test_a_transcript_can_go_to_a_device():
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["demo", "fairness", "--output", os.devnull]) == 0
 
