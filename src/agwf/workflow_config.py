@@ -131,13 +131,24 @@ def parse_workflow(data: Any) -> WorkflowSpec:
     )
 
 
+def _object(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object's dict, refusing a key given twice, which json.loads
+    would resolve to its last value."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"duplicate key {key!r}")
+        data[key] = value
+    return data
+
+
 def _read_json(path: str | Path) -> Any:
     """Parse a UTF-8 JSON file; only an unreadable file raises OSError.
 
-    ValueError covers bad UTF-8, bad JSON and an integer literal over
-    ``sys.get_int_max_str_digits()`` digits."""
+    ValueError covers bad UTF-8, bad JSON, a key repeated in one object and
+    an integer literal over ``sys.get_int_max_str_digits()`` digits."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_object)
     except (ValueError, RecursionError) as exc:
         raise WorkflowConfigError(f"{path}: not valid JSON: {exc}") from exc
 

@@ -211,6 +211,7 @@ SOURCE_TASK_NOT_INITIAL = "SourceTaskNotInitial"
 FINAL_TASK_UNREACHABLE = "FinalTaskUnreachable"
 UNKNOWN_TASK = "UnknownTask"
 DUPLICATE_TASK_ID = "DuplicateTaskId"
+DUPLICATE_AGENT_ID = "DuplicateAgentId"
 UNKNOWN_AGENT = "UnknownAgent"
 UNKNOWN_TOOL = "UnknownTool"
 UNKNOWN_TASK_KIND = "UnknownTaskKind"
@@ -288,11 +289,13 @@ def validate(spec: WorkflowSpec) -> list[Violation]:
     ids = [t.id for t in spec.tasks]
     known = set(ids)
 
-    seen: set[str] = set()
-    for task_id in ids:
-        if task_id in seen:
-            out.append(Violation(DUPLICATE_TASK_ID, task_id, "task id appears more than once"))
-        seen.add(task_id)
+    for code, what, found in ((DUPLICATE_TASK_ID, "task", ids),
+                              (DUPLICATE_AGENT_ID, "agent", [a.id for a in spec.agents])):
+        seen: set[str] = set()
+        for found_id in found:
+            if found_id in seen:
+                out.append(Violation(code, found_id, f"{what} id appears more than once"))
+            seen.add(found_id)
 
     for name, ref in (("initial_task", spec.initial_task), ("final_task", spec.final_task)):
         if ref not in known:

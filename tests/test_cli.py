@@ -209,6 +209,48 @@ def test_run_refused_by_validation_exits_1_before_any_request(tmp_path, capsys, 
     assert not output.exists()
 
 
+def test_run_with_two_agents_of_one_id_exits_1_before_any_request(tmp_path, capsys,
+                                                                   monkeypatch):
+    posts = []
+    monkeypatch.setattr("http.client.HTTPConnection.request",
+                        lambda *args, **kwargs: posts.append(args))
+    doc = _workflow({"id": "T1", "instruction": "x"}, final="T1")
+    doc["agents"].append({"id": "a", "role_prompt": "a second role"})
+    workflow = _write_json(tmp_path / "w.json", doc)
+    assert run_cli("validate", workflow) == 1
+    assert capsys.readouterr().out == "DuplicateAgentId: a: agent id appears more than once\n"
+    code = run_cli("run", workflow, "--inquiry", "q", "--http", "http://127.0.0.1:9")
+    assert code == 1
+    assert capsys.readouterr().err == "DuplicateAgentId: a: agent id appears more than once\n"
+    assert posts == []
+
+
+#: a workflow whose task gives "instruction" twice, and a rules file whose
+#: rule gives "response" twice
+REPEATED_KEY_FILES = {
+    "workflow": ('{"schema_version": 1, "agents": [{"id": "a", "role_prompt": "r"}], '
+                 '"tasks": [{"id": "T1", "agent": "a", "instruction": "first", '
+                 '"instruction": "second"}], "initial_task": "T1", "final_task": "T1"}',
+                 "instruction"),
+    "rules": ('[{"match": "x", "response": "first", "response": "second"}]', "response"),
+}
+
+
+@pytest.mark.parametrize("kind", REPEATED_KEY_FILES)
+def test_a_key_repeated_in_one_object_exits_2(kind, tmp_path, capsys):
+    text, key = REPEATED_KEY_FILES[kind]
+    path = tmp_path / f"{kind}.json"
+    path.write_text(text)
+    if kind == "workflow":
+        argv = ["validate", str(path)]
+    else:
+        workflow = _write_json(tmp_path / "w.json", _workflow(
+            {"id": "T1", "instruction": "x"}, final="T1"))
+        argv = ["run", workflow, "--inquiry", "q", "--scripted", str(path)]
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == f"error: {path}: not valid JSON: duplicate key {key!r}\n"
+
+
 def test_run_verbose_notes_each_task(tmp_path, capsys, data_dir):
     route = {"router_task_id": "R"}
     workflow = _write_json(tmp_path / "w.json", _workflow(

@@ -9,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agwf.agents import BackendEmptyResponse, CompletionBackend, ScriptedBackend, rule
+from agwf.agents import (AgentProfile, BackendEmptyResponse, CompletionBackend, ScriptedBackend,
+                         rule)
 from agwf.demos import bundle
 from agwf.pm_tools import Tool, ToolRegistry
 from agwf.task_kinds import EVALUATOR, ROUTER, RouteMissing, RouterGuard
 from agwf.workflow_engine import (
     CYCLE_DETECTED,
+    DUPLICATE_AGENT_ID,
     DUPLICATE_TASK_ID,
     EVALUATOR_CONFIG_MISMATCH,
     EVALUATOR_TARGET_INVALID,
@@ -162,6 +164,13 @@ def test_validate_unknown_references(tasks, prec, initial, final, violation):
     tasks = [plain_task(task_id, kind=kind) for task_id, kind in specs]
     found = validate(spec_of(tasks, prec, initial, final))
     assert [(v.code, v.subject, v.message) for v in found] == [violation]
+
+
+def test_validate_reports_each_repeat_of_an_agent_id():
+    agents = [AgentProfile(agent_id, f"role {j}") for j, agent_id in enumerate("aba")]
+    spec = spec_of([plain_task("T1", agent_id="a")], {}, "T1", "T1", agents=agents)
+    assert [(v.code, v.subject, v.message) for v in validate(spec)] == [
+        (DUPLICATE_AGENT_ID, "a", "agent id appears more than once")]
 
 
 def test_validate_unknown_agent_and_tool():
