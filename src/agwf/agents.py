@@ -78,19 +78,19 @@ def json_escape(text: str) -> bytes:
 
 
 class Prompt(str):
-    """A user prompt whose text is head + state + tail, holding those parts
-    as ``parts``: a backend may reuse what it did with a state it saw
-    before, and any other takes the prompt as the str it is."""
+    """A user prompt whose text is a state followed by its own text, holding
+    those parts as ``parts``: a backend may reuse what it did with a state
+    it saw before, and any other takes the prompt as the str it is."""
 
-    def __new__(cls, head: str, state: str, tail: str):
-        prompt = super().__new__(cls, head + state + tail)
-        prompt.parts = (head, state, tail)
+    def __new__(cls, state: str, text: str):
+        prompt = super().__new__(cls, state + text)
+        prompt.parts = (state, text)
         return prompt
 
 
-def _parts(user_prompt: str) -> tuple[str, str, str]:
-    """A Prompt's head, state and tail; a plain str is all head."""
-    return user_prompt.parts if isinstance(user_prompt, Prompt) else (user_prompt, "", "")
+def _parts(user_prompt: str) -> tuple[str, str]:
+    """A Prompt's state and own text; a plain str is own text on an empty state."""
+    return user_prompt.parts if isinstance(user_prompt, Prompt) else ("", user_prompt)
 
 
 class CompletionBackend:
@@ -166,23 +166,22 @@ class ScriptedBackend(CompletionBackend):
             end, match = self._ends[i], scripted.match
             if not scripted.regex and (end is None or end > shared):
                 # the first occurrence, if any, ends past the shared text
-                at = state.find(match, max(0, shared - len(match) + 1))
+                # (or, for an empty match, at it)
+                at = state.find(match, max(0, shared - len(match)))
                 self._ends[i] = at + len(match) if at >= 0 else None
         self._state = state
 
     def complete(self, role_prompt: str, user_prompt: str, *,
                  model: str = "", temperature: float = 0.0) -> str:
-        head, state, _ = _parts(user_prompt)
+        state, _ = _parts(user_prompt)
         self._keep(state)
         for i, scripted in enumerate(self.rules):
             match = scripted.match
-            n = len(match) - 1
-            # an occurrence lies inside the state (its kept end), starts in
-            # the head, or ends in the tail
+            # an occurrence lies inside the state (its kept end) or ends in
+            # the own text
             if (re.search(match, user_prompt) is not None if scripted.regex
                     else (self._ends[i] is not None
-                          or user_prompt.find(match, 0, max(0, len(head) + n)) >= 0
-                          or user_prompt.find(match, max(0, len(head) + len(state) - n)) >= 0)):
+                          or user_prompt.find(match, max(0, len(state) - len(match) + 1)) >= 0)):
                 index = min(self._uses[i], len(scripted.responses) - 1)
                 self._uses[i] += 1
                 return scripted.responses[index]
@@ -261,12 +260,12 @@ class HttpChatBackend(CompletionBackend):
         import http.client
         import selectors
 
-        head, state, tail = _parts(user_prompt)
+        state, text = _parts(user_prompt)
         body = b"".join((
             b'{"model": ', json.dumps(model).encode(),
             b', "messages": [{"role": "system", "content": ', json.dumps(role_prompt).encode(),
-            b'}, {"role": "user", "content": "', json_escape(head), self._escape_state(state),
-            json_escape(tail), b'"}], "temperature": ', json.dumps(temperature).encode(), b"}"))
+            b'}, {"role": "user", "content": "', self._escape_state(state), json_escape(text),
+            b'"}], "temperature": ', json.dumps(temperature).encode(), b"}"))
         connection = self._connection
         if connection.sock is not None:
             # a selector, unlike select.select, takes any file descriptor
@@ -395,17 +394,14 @@ def complete(profile: AgentProfile, backend: CompletionBackend, user_prompt: str
         return text
 
 
-def selection_prompt(tools: Sequence[Tool]) -> tuple[str, str]:
-    """Head and tail of the tool-selection prompt: the prompt is head,
-    state, tail."""
-    lines = ["Choose exactly one tool to apply to the current state.", "Available tools:"]
-    for tool in tools:
-        lines.append(f"- {tool.name}: {tool.documentation}")
-    lines.append("Current state:\n")
-    return "\n".join(lines), (
-        "\nReply with your reasoning if you want, but the last line of your reply "
-        "must be exactly the name of the chosen tool."
-    )
+def selection_prompt(tools: Sequence[Tool]) -> str:
+    """The tool-selection prompt's own text: the prompt is the state
+    followed by this text, which opens with a blank line."""
+    return "\n".join([
+        "", "", "Choose exactly one tool to apply to the current state.", "Available tools:",
+        *(f"- {tool.name}: {tool.documentation}" for tool in tools),
+        "Reply with your reasoning if you want, but the last line of your reply "
+        "must be exactly the name of the chosen tool."])
 
 
 #: the chosen tool's name, as last_line_match reads it: any non-blank line
@@ -414,19 +410,21 @@ _TOOL_NAME_RE = re.compile(r"(.+)")
 
 def select_tool(profile: AgentProfile, backend: CompletionBackend,
                 prompt: str, tools: Sequence[Tool]) -> Tool:
-    """Send ``prompt``, the head and tail of ``selection_prompt(tools)``
-    around the state, and return the tool the reply names.
+    """Send ``prompt``, the state followed by ``selection_prompt(tools)``,
+    and return the tool the reply names.
 
     The reply's last non-blank line, read by ``last_line_match``, must be
-    a tool name (case-sensitive exact match); one re-ask, listing the
-    names in the given order, is allowed before ToolSelectionFailed.
+    a tool name (case-sensitive exact match); one re-ask, the prompt on
+    the same state with a note listing the names in the given order, is
+    allowed before ToolSelectionFailed.
     """
     by_name = {tool.name: tool for tool in tools}
-    reask = ("\nYour previous reply was not a valid tool name. "
-             f"Answer with exactly one of: {', '.join(by_name)}.")
     for asked in range(2):
-        # the first ask sends prompt itself, which may be a Prompt
-        raw = complete(profile, backend, prompt + reask if asked else prompt)
+        if asked:  # built only now, as it holds another copy of the state
+            state, text = _parts(prompt)
+            prompt = Prompt(state, f"{text}\nYour previous reply was not a valid tool name. "
+                                   f"Answer with exactly one of: {', '.join(by_name)}.")
+        raw = complete(profile, backend, prompt)
         if (name := last_line_match(_TOOL_NAME_RE, raw)) in by_name:
             return by_name[name]
     raise ToolSelectionFailed(

@@ -82,17 +82,15 @@ def record_to_dict(record: ExecutionRecord) -> dict:
     """The transcript of a record but its aborted and error keys.
 
     Each state is an _Escaped slice of one escaped copy of the final state,
-    and each sent prompt is its escaped head, the state its task ran on and
-    its escaped tail; a prompt not sent is "".
+    and each sent prompt is the state its task ran on followed by its
+    escaped own text; a prompt not sent is "".
     """
     states = _escaped_states(record)
     details = {}
     for task_id, state in zip(record.task_sequence, states):
         d = record.details[task_id]
-        prompt, selection = (
-            "" if parts is None
-            else _Escaped((json_escape(parts[0]), state, json_escape(parts[1])))
-            for parts in (d.prompt, d.selection))
+        prompt, selection = ("" if text is None else _Escaped((state, json_escape(text)))
+                             for text in (d.prompt, d.selection))
         details[task_id] = {
             "selected_tool": d.selected_tool,
             "tool_output": d.tool_output,

@@ -155,22 +155,22 @@ class WorkflowSpec:
 class TaskDetail:
     """What one task actually did during an execution.
 
-    Each prompt the task sent is kept as its own text around the state the
-    task ran on, which the record holds: prompt is the (head, tail) pair
-    of the task's prompt, and selection that of the tool-selection prompt,
-    sent only when a tool was chosen among several candidates.  A prompt is
-    head, that state, tail; None means it was not sent.
+    Each prompt the task sent is kept as its own text: a prompt is the
+    state the task ran on, which the record holds, followed by that text.
+    prompt is the own text of the task's prompt, and selection that of the
+    tool-selection prompt, sent only when a tool was chosen among several
+    candidates; None means it was not sent.
     """
 
     selected_tool: str | None = None
     tool_output: str = ""
-    prompt: tuple[str, str] | None = None
+    prompt: str | None = None
     raw_response: str = ""
     retries_used: int = 0
     skipped: bool = False
     score: float | None = None
     low_quality: bool = False
-    selection: tuple[str, str] | None = None
+    selection: str | None = None
 
 
 @dataclass(frozen=True)
@@ -489,7 +489,7 @@ def execute(spec: WorkflowSpec, inquiry: str, backend: CompletionBackend) -> Exe
     route_tokens = _route_tokens(spec)
     memory = EntityMemory()
     # each tool set's selection prompt, shared by every task and run using it
-    selections: dict[tuple[str, ...], tuple[str, str]] = {}
+    selections: dict[tuple[str, ...], str] = {}
 
     # the run history: tasks commit in order, so order[:len(done)] ran;
     # done[i] is order[i]'s detail and the entity memory before it ran,
@@ -533,17 +533,17 @@ def execute(spec: WorkflowSpec, inquiry: str, backend: CompletionBackend) -> Exe
                     if len(tools) > 1:
                         if names not in selections:
                             selections[names] = selection_prompt(tools)
-                        head, tail = detail.selection = selections[names]
-                        tool = select_tool(profile, backend, Prompt(head, sigma, tail), tools)
+                        detail.selection = selections[names]
+                        tool = select_tool(profile, backend, Prompt(sigma, detail.selection), tools)
                     detail.selected_tool = tool.name
                     tool_output = tool.function(sigma, memory)
                     detail.tool_output = tool_output
 
                 # the prompts are held as their own text, joined to the
                 # state only for the call
-                head, tail = detail.prompt = ("", task_kinds.build_prompt(
-                    task, tool_output, route_options=route_tokens.get(task.id, ())))
-                response = complete(profile, backend, Prompt(head, sigma, tail))
+                detail.prompt = task_kinds.build_prompt(
+                    task, tool_output, route_options=route_tokens.get(task.id, ()))
+                response = complete(profile, backend, Prompt(sigma, detail.prompt))
                 detail.raw_response = response
 
                 if task.kind == EVALUATOR:

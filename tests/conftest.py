@@ -34,14 +34,13 @@ class CountingBackend(CompletionBackend):
 
 def joined_prompt(record, task_id, which="prompt"):
     """The text of a task's prompt, or with which="selection" of its
-    tool-selection prompt: the detail's head, the state the task ran on,
-    then the tail; "" if it was not sent."""
-    parts = getattr(record.details[task_id], which)
-    if parts is None:
+    tool-selection prompt: the state the task ran on, then the detail's
+    own text; "" if it was not sent."""
+    text = getattr(record.details[task_id], which)
+    if text is None:
         return ""
-    head, tail = parts
     end = record.state_ends[record.task_sequence.index(task_id)]
-    return head + record.final_state[:end] + tail
+    return record.final_state[:end] + text
 
 
 def plain_task(task_id, agent_id="analyst", **kwargs):

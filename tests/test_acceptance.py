@@ -320,8 +320,7 @@ def test_criterion_8_selection_protocol():
         Tool("dfg_discovery", "graph view", lambda s, m: s),
         Tool("variants_discovery", "path view", lambda s, m: s),
     ]
-    head, tail = selection_prompt(tools)
-    prompt = head + "state" + tail
+    prompt = "state" + selection_prompt(tools)
     backend = ScriptedBackend([rule("Choose exactly one tool", "variants_discovery")])
     assert select_tool(AGENT, backend, prompt, tools).name == "variants_discovery"
 

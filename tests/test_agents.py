@@ -51,8 +51,7 @@ def noop_tool(name):
 def choose(backend, tools, state="state"):
     """select_tool on the tools, sorted by name as the engine passes them."""
     tools = sorted(tools, key=lambda t: t.name)
-    head, tail = selection_prompt(tools)
-    return select_tool(AGENT, backend, head + state + tail, tools)
+    return select_tool(AGENT, backend, state + selection_prompt(tools), tools)
 
 
 # ---------------------------------------------------------------------------
@@ -132,19 +131,19 @@ SCRIPTED_ACTIONS = ("grow",) * 3 + ("cut",) * 3 + ("replace", "plain", "close")
 
 def scripted_runs(rules):
     """The rules, a start state, and calls: (action, text grown or put in
-    place, characters cut, head, tail).
+    place, characters cut, own text).
 
     Texts are made of the pieces of the rules' matches and of "c", which
     no match holds, so that a match is seldom whole in one text and often
-    straddles where a state grew or was cut, or where it meets the head
-    or the tail.
+    straddles where a state grew or was cut, or where it meets the own
+    text.
     """
     pieces = sorted({"c", *(scripted.match[:k] for scripted in rules for k in range(1, 4)),
                      *(scripted.match[k:] for scripted in rules for k in range(1, 4))} - {""})
     texts = st.lists(st.sampled_from(pieces), max_size=2).map("".join)
     grown = st.lists(st.sampled_from(pieces), min_size=1, max_size=2).map("".join)
     calls = st.lists(st.tuples(st.sampled_from(SCRIPTED_ACTIONS), grown, st.integers(1, 3),
-                               texts, texts), min_size=4, max_size=10)
+                               texts), min_size=4, max_size=10)
     return st.tuples(st.just(rules), texts, calls)
 
 
@@ -155,17 +154,19 @@ AB = [rule("ab", "0.0", "0.1", "0.2")]
 @settings(max_examples=80, deadline=None)
 @given(SCRIPTED_RULES.flatmap(scripted_runs))
 # a match across the end of the state the last Prompt held
-@example((AB, "a", [("grow", "", 1, "", ""), ("grow", "b", 1, "", "")]))
+@example((AB, "a", [("grow", "", 1, ""), ("grow", "b", 1, "")]))
 # a match that a rewind cut in two
-@example((AB, "cab", [("grow", "", 1, "", ""), ("cut", "", 1, "", "")]))
-# matches across the head, a short state and the tail, the head and an
-# empty state and the tail, the state and the tail, and the head and the state
+@example((AB, "cab", [("grow", "", 1, ""), ("cut", "", 1, "")]))
+# matches across a short state and the own text, in the own text on an
+# empty state, across them again, and in a state with no own text
 @example(([rule("acb", "1.0"), *AB], "", [
-    ("replace", "c", 1, "a", "b"), ("cut", "", 1, "a", "b"),
-    ("grow", "ca", 1, "", "b"), ("replace", "bc", 1, "a", "")]))
+    ("replace", "ac", 1, "b"), ("cut", "", 2, "acb"),
+    ("grow", "a", 1, "b"), ("replace", "ab", 1, "")]))
 # a plain str between two growing Prompts: the second is scanned afresh
-@example((AB, "a", [("grow", "b", 1, "", ""), ("plain", "", 1, "c", ""),
-                    ("grow", "c", 1, "", "")]))
+@example((AB, "a", [("grow", "b", 1, ""), ("plain", "", 1, "c"), ("grow", "c", 1, "")]))
+# an empty match, in a state that grew from empty, was cut back to it and grew
+@example(([rule("", "0.0", "0.1", "0.2")], "", [
+    ("grow", "c", 1, ""), ("cut", "", 1, ""), ("grow", "c", 1, ""), ("grow", "c", 1, "")]))
 def test_scripted_answers_are_those_of_the_whole_prompt(run):
     """Calls on one backend: Prompts on a state that grew, was cut back (a
     rewind) or was replaced, plain str prompts between them, and close().
@@ -175,7 +176,7 @@ def test_scripted_answers_are_those_of_the_whole_prompt(run):
     tables = [rules, *([scripted] for scripted in rules)]
     backends = [ScriptedBackend(table, fallback="none") for table in tables]
     expected = [WholePromptRules(table, "none") for table in tables]
-    for action, text, cut, head, tail in calls:
+    for action, text, cut, own_text in calls:
         if action == "close":
             for backend in backends:
                 backend.close()
@@ -186,9 +187,9 @@ def test_scripted_answers_are_those_of_the_whole_prompt(run):
             state = state[:max(0, len(state) - cut)]
         elif action == "replace":
             state = text
-        prompt = head + state + tail if action == "plain" else Prompt(head, state, tail)
+        prompt = state + own_text if action == "plain" else Prompt(state, own_text)
         assert [backend.complete("", prompt) for backend in backends] \
-            == [whole.answer(head + state + tail) for whole in expected]
+            == [whole.answer(state + own_text) for whole in expected]
 
 
 def test_a_scripted_rule_needs_a_response():
@@ -735,6 +736,31 @@ def test_request_bodies_of_runs_are_the_plain_encoding(keepalive, open_backend):
     assert_plain_bodies(stub, backend)
 
 
+def test_a_reasked_selection_escapes_no_state_twice(keepalive, open_backend, monkeypatch):
+    """t0; t1's first selection reply names no tool, so it is re-asked and
+    picks beta.  Over the run, the backend escapes each character of the
+    last state it was sent once."""
+    stub = keepalive()
+    scripted = ScriptedBackend([rule("Choose exactly one tool", "no tool", "beta")],
+                               fallback=f"noted {ESCAPES}")
+    stub.answer = lambda user_prompt: scripted.complete("", user_prompt)
+    escaped, states = [], []
+    real = HttpChatBackend._escape_state
+
+    def counting(self, state):
+        kept, kept_length = self._escaped_state, len(self._state)
+        escape = real(self, state)
+        # the kept escape grew in place by the added text, or was replaced
+        escaped.append(len(state) - (kept_length if escape is kept else 0))
+        states.append(state)
+        return escape
+
+    monkeypatch.setattr(HttpChatBackend, "_escape_state", counting)
+    record = execute(tool_chain(), ESCAPES, open_backend(stub.url))
+    assert record.details["t1"].selected_tool == "beta" and len(stub.seen) == 4
+    assert sum(escaped) == len(states[-1])
+
+
 @pytest.fixture
 def stub_and_backend(keepalive, open_backend):
     """A keep-alive stub and a backend on it, shared by a property's examples."""
@@ -749,7 +775,7 @@ TEXTS = st.lists(st.sampled_from(ESCAPED) | st.text(max_size=3), max_size=4).map
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(role_prompt=TEXTS, model=TEXTS, temperature=st.floats(0, 2), state=TEXTS,
        calls=st.lists(st.tuples(st.sampled_from(("append", "rewind", "plain")),
-                                TEXTS, TEXTS, TEXTS), min_size=1, max_size=6))
+                                TEXTS, TEXTS), min_size=1, max_size=6))
 def test_request_bodies_of_drawn_prompts_are_the_plain_encoding(
         stub_and_backend, role_prompt, model, temperature, state, calls):
     """Calls on one backend, each a Prompt on a state that grew, was cut
@@ -758,21 +784,21 @@ def test_request_bodies_of_drawn_prompts_are_the_plain_encoding(
     stub, http = stub_and_backend
     stub.seen.clear()
     backend = CallRecorder(http)
-    for action, head, text, tail in calls:
+    for action, text, own_text in calls:
         if action == "append":
             state += text
         elif action == "rewind":
             state = state[:len(state) // 2] + text
-        prompt = head + state + tail if action == "plain" else Prompt(head, state, tail)
+        prompt = state + own_text if action == "plain" else Prompt(state, own_text)
         backend.complete(role_prompt, prompt, model=model, temperature=temperature)
     assert_plain_bodies(stub, backend)
 
 
 def test_a_prompt_is_the_str_of_its_parts():
-    prompt = Prompt("head ", "state", " tail")
-    assert prompt == "head state tail" and type(str(prompt)) is str
-    assert prompt.parts == ("head ", "state", " tail")
-    assert ScriptedBackend([rule("d s", "hit")]).complete("", prompt) == "hit"
+    prompt = Prompt("state", " text")
+    assert prompt == "state text" and type(str(prompt)) is str
+    assert prompt.parts == ("state", " text")
+    assert ScriptedBackend([rule("e t", "hit")]).complete("", prompt) == "hit"
 
 
 # ---------------------------------------------------------------------------
@@ -852,7 +878,7 @@ def test_execute_keeps_no_prompt_from_one_task_to_the_next():
                             fallback="noted")
     record = execute(tool_chain(graded=True), "Q", backend)
     assert record.details["t1"].selected_tool == "beta"
-    assert backend.alive == [0] * 7
+    assert backend.alive == [0] * 8
     assert all(ref() is None for ref in backend.sent)
 
 

@@ -146,9 +146,8 @@ TOOLS = [Tool(name, f"docs for {name}", lambda s, m: s) for name in ("a", "b")]
 
 def choose_tool(reply: str) -> str:
     """The name of the tool that ``reply``, given to the ask and the re-ask, chooses."""
-    head, tail = selection_prompt(TOOLS)
     backend = ScriptedBackend([rule("Choose", reply)])
-    return select_tool(AGENT, backend, head + "state" + tail, TOOLS).name
+    return select_tool(AGENT, backend, "state" + selection_prompt(TOOLS), TOOLS).name
 
 
 #: protocol -> (its label, its reader, a value, what the value reads as)

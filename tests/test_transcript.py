@@ -253,11 +253,10 @@ def test_the_record_gives_the_prompts_each_task_sent():
         prompt("t0"), selection("t1"), selection("t1"), prompt("t1"), prompt("t2")]
     assert sent[5].startswith(selection("t1") + "\nYour previous reply")
     assert sent[2].startswith(states[1] + "\n\n") and "alpha saw" in sent[2]
-    # each prompt starts with the state its task ran on, and the selection
-    # prompt holds it after its head
+    # each prompt starts with the state its task ran on
     for tid, state in zip(record.task_sequence, states):
         assert prompt(tid).startswith(state + "\n\n")
-    assert f"Current state:\n{states[1]}\nReply with" in selection("t1")
+    assert selection("t1").startswith(states[1] + "\n\nChoose exactly one tool")
     assert selection("t0") == selection("t2") == ""
 
 
