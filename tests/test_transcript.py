@@ -15,6 +15,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import stat
 import tempfile
 import tracemalloc
@@ -26,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agwf import cli
-from agwf.agents import ScriptedBackend, rule
+from agwf.agents import Prompt, ScriptedBackend, rule
 from agwf.demos import BUNDLE_NAMES, bundle
 from agwf.pm_tools import Tool, ToolRegistry
 from agwf.task_kinds import EVALUATOR
@@ -258,6 +259,69 @@ def test_the_record_gives_the_prompts_each_task_sent():
         assert prompt(tid).startswith(state + "\n\n")
     assert selection("t1").startswith(states[1] + "\n\nChoose exactly one tool")
     assert selection("t0") == selection("t2") == ""
+
+
+#: the note a selection re-ask adds to the selection prompt's own text
+REASK = "\nYour previous reply was not a valid tool name. Answer with exactly one of: alpha, beta."
+
+
+@st.composite
+def tool_workflows(draw):
+    """routed_workflows() with some non-router tasks choosing between alpha
+    and beta, plus the replies of every task and the selection replies in
+    turn: each selection names a tool at once, after one re-ask, or never,
+    which aborts the run."""
+    spec, replies, routers = draw(routed_workflows())
+    tasks = tuple([dataclasses.replace(task, tool_names=("alpha", "beta"))
+                   if task.id not in routers and draw(st.booleans()) else task
+                   for task in spec.tasks])
+    selections = draw(st.lists(st.sampled_from((["beta"], ["no tool", "alpha"],
+                                                ["no tool", "no tool"])), min_size=1, max_size=4))
+    return (dataclasses.replace(spec, tasks=tasks, registry=TWO_TOOLS), replies,
+            [reply for selection in selections for reply in selection])
+
+
+@settings(max_examples=60, deadline=None)
+@given(tool_workflows())
+def test_every_call_is_its_state_then_a_recorded_text(workflow):
+    """Each task's last attempt sent its selection prompt, if any, maybe
+    that prompt's re-ask, then its prompt, each a Prompt on the state the
+    task ran on; the transcript writer writes the record as the plain
+    encoder does."""
+    spec, replies, selections = workflow
+    backend = RecordingBackend([*scripted(replies).rules,
+                                rule("Choose exactly one tool", *selections)])
+    try:
+        record, error = execute(spec, ESCAPES, backend), None
+    except ExecutionAborted as exc:
+        record, error = exc.record, str(exc)
+    assert all(type(call) is Prompt for call in backend.sent)
+    # an attempt sends its selection calls, if any, then its prompt, which
+    # names its task; a task's last attempt is the last one naming it
+    attempts, selecting = {}, []
+    for call in backend.sent:
+        _, text = call.parts
+        if "Choose exactly one tool" in text:
+            selecting.append(call)
+        else:
+            attempts[re.search(r"Task: carry out step (\S+)\n", text)[1]] = [*selecting, call]
+            selecting = []
+    assert not selecting or "named no valid tool twice" in error
+    for tid, end in zip(record.task_sequence, record.state_ends):
+        detail, state = record.details[tid], record.final_state[:end]
+        if detail.skipped:
+            assert detail.prompt is detail.selection is None
+            continue
+        expected = [(state, detail.prompt)]
+        if detail.selection is not None:
+            reasked = len(attempts[tid]) == 3
+            expected[:0] = [(state, detail.selection)] + [(state, detail.selection + REASK)] * reasked
+        assert [call.parts for call in attempts[tid]] == expected
+    transcript = cli.record_to_dict(record)
+    transcript.update(aborted=error is not None, error=error)
+    out = io.BytesIO()
+    cli._write_json(out, transcript)
+    assert out.getvalue() == json.dumps(mirror(record, error), indent=2).encode()
 
 
 # ---------------------------------------------------------------------------
