@@ -288,9 +288,10 @@ def validate(spec: WorkflowSpec) -> list[Violation]:
     out: list[Violation] = []
     ids = [t.id for t in spec.tasks]
     known = set(ids)
+    agent_ids = [a.id for a in spec.agents]
 
     for code, what, found in ((DUPLICATE_TASK_ID, "task", ids),
-                              (DUPLICATE_AGENT_ID, "agent", [a.id for a in spec.agents])):
+                              (DUPLICATE_AGENT_ID, "agent", agent_ids)):
         seen: set[str] = set()
         for found_id in found:
             if found_id in seen:
@@ -304,7 +305,6 @@ def validate(spec: WorkflowSpec) -> list[Violation]:
         for pred in sorted(task.prec - known):
             out.append(Violation(UNKNOWN_TASK, pred, f"prec of {task.id!r} names a task that does not exist"))
 
-    agent_ids = {a.id for a in spec.agents}
     for task in spec.tasks:
         if task.kind not in TASK_KINDS:
             out.append(Violation(UNKNOWN_TASK_KIND, task.id, f"unknown kind {task.kind!r}"))

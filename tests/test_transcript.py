@@ -314,8 +314,8 @@ def test_every_call_is_its_state_then_a_recorded_text(workflow):
             continue
         expected = [(state, detail.prompt)]
         if detail.selection is not None:
-            reasked = len(attempts[tid]) == 3
-            expected[:0] = [(state, detail.selection)] + [(state, detail.selection + REASK)] * reasked
+            reasks = [(state, detail.selection + REASK)] * (len(attempts[tid]) == 3)
+            expected[:0] = [(state, detail.selection), *reasks]
         assert [call.parts for call in attempts[tid]] == expected
     transcript = cli.record_to_dict(record)
     transcript.update(aborted=error is not None, error=error)
