@@ -150,6 +150,14 @@ def test_bad_json_file_reports_path(tmp_path):
     assert "broken.json" in str(err.value)
 
 
+def test_a_byte_order_mark_is_named(tmp_path):
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xef\xbb\xbf{}")
+    with pytest.raises(WorkflowConfigError, match=r"^.*bom\.json: not valid JSON: Unexpected "
+                       r"UTF-8 BOM \(decode using utf-8-sig\): line 1 column 1 \(char 0\)$"):
+        load_workflow(path)
+
+
 @pytest.mark.parametrize("key", ["prec", "callbacks"])
 def test_a_list_of_text_names_its_first_bad_element(key):
     doc = minimal_doc()
