@@ -373,6 +373,46 @@ def test_a_long_run_holds_no_separate_states(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# One copy of the state: no layer copies it per call, nor escapes it twice
+# ---------------------------------------------------------------------------
+
+#: a 50-task chain whose 20 KB replies escape as they are, so the final
+#: state is about 1 MB and its escape as long
+LONG_CHAIN = chain_spec(*(f"t{j:02d}" for j in range(50)))
+
+
+def long_chain_backend() -> ScriptedBackend:
+    return ScriptedBackend([], fallback="r" * 20_000)
+
+
+def traced_peak(call) -> tuple[object, int]:
+    """call()'s result and its tracemalloc peak above what was traced at its start."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_execute_makes_no_per_call_copy_of_the_state():
+    """The record's final state, and the next state as append_state builds
+    it: no prompt holds a joined copy of the state beside them."""
+    record, peak = traced_peak(lambda: execute(LONG_CHAIN, "Q", long_chain_backend()))
+    final = len(record.final_state)
+    assert final > 1_000_000
+    assert peak <= 2.5 * final
+
+
+def test_the_writer_holds_one_escaped_copy_of_the_final_state():
+    record = execute(LONG_CHAIN, "Q", long_chain_backend())
+    _, peak = traced_peak(lambda: cli._write_transcript(os.devnull, record, None))
+    final = len(record.final_state)
+    assert peak <= 1.5 * final
+
+
+# ---------------------------------------------------------------------------
 # The writer writes any value as the plain encoder does
 # ---------------------------------------------------------------------------
 
