@@ -77,18 +77,26 @@ def json_escape(text: str) -> bytes:
     return json.dumps(text)[1:-1].encode("ascii")
 
 
-class Prompt(str):
-    """A user prompt whose text is a state followed by its own text, holding
-    those parts as ``parts``: a backend may reuse what it did with a state
-    it saw before, and any other takes the prompt as the str it is."""
+class Prompt:
+    """A user prompt: a state followed by its own text, held as those two
+    parts, ``parts``, and never joined here, so a backend may reuse what it
+    did with a state it saw before.  str() of it is the joined text, and
+    len() its length in characters."""
 
-    def __new__(cls, state: str, text: str):
-        prompt = super().__new__(cls, state + text)
-        prompt.parts = (state, text)
-        return prompt
+    __slots__ = ("parts", "__weakref__")
+
+    def __init__(self, state: str, text: str):
+        self.parts = (state, text)
+
+    def __len__(self) -> int:
+        state, text = self.parts
+        return len(state) + len(text)
+
+    def __str__(self) -> str:
+        return "".join(self.parts)
 
 
-def _parts(user_prompt: str) -> tuple[str, str]:
+def _parts(user_prompt: Prompt | str) -> tuple[str, str]:
     """A Prompt's state and own text; a plain str is own text on an empty state."""
     return user_prompt.parts if isinstance(user_prompt, Prompt) else ("", user_prompt)
 
@@ -96,16 +104,20 @@ def _parts(user_prompt: str) -> tuple[str, str]:
 class CompletionBackend:
     """Completion contract.
 
-    complete() returns the reply text or raises an AgentError whose type
-    says what went wrong: TransportError for a failure worth another
-    attempt (complete() below makes TRANSPORT_RETRIES more), and, never
-    retried, BackendTimeout when no reply came within the backend's time
-    budget, RequestRejected when the endpoint refused the request, and
-    MalformedResponse when the reply carries no text.  Empty text
-    surfaces as BackendEmptyResponse through complete() below.
+    complete() is sent a role prompt and a user prompt: a Prompt, or a
+    plain str, which is own text on an empty state.  str(user_prompt) is
+    the text to answer; a backend that reuses what it did with a state
+    reads the Prompt's parts instead.  complete() returns the reply text or
+    raises an AgentError whose type says what went wrong: TransportError
+    for a failure worth another attempt (complete() below makes
+    TRANSPORT_RETRIES more), and, never retried, BackendTimeout when no
+    reply came within the backend's time budget, RequestRejected when the
+    endpoint refused the request, and MalformedResponse when the reply
+    carries no text.  Empty text surfaces as BackendEmptyResponse through
+    complete() below.
     """
 
-    def complete(self, role_prompt: str, user_prompt: str, *,
+    def complete(self, role_prompt: str, user_prompt: Prompt | str, *,
                  model: str = "", temperature: float = 0.0) -> str:
         raise NotImplementedError
 
@@ -144,7 +156,7 @@ class ScriptedBackend(CompletionBackend):
     nowhere), so a state that extends the kept one is searched only where
     it grew, and a state cut back to a prefix of it (an evaluator rewind)
     is not searched at all; close() drops them.  A regex is matched on the
-    whole prompt.
+    joined prompt, built only when a regex rule is tried.
     """
 
     def __init__(self, rules: Iterable[ScriptedRule], fallback: str = ""):
@@ -171,17 +183,24 @@ class ScriptedBackend(CompletionBackend):
                 self._ends[i] = at + len(match) if at >= 0 else None
         self._state = state
 
-    def complete(self, role_prompt: str, user_prompt: str, *,
+    def complete(self, role_prompt: str, user_prompt: Prompt | str, *,
                  model: str = "", temperature: float = 0.0) -> str:
-        state, _ = _parts(user_prompt)
+        state, text = _parts(user_prompt)
         self._keep(state)
+        joined = None
         for i, scripted in enumerate(self.rules):
             match = scripted.match
-            # an occurrence lies inside the state (its kept end) or ends in
-            # the own text
-            if (re.search(match, user_prompt) is not None if scripted.regex
-                    else (self._ends[i] is not None
-                          or user_prompt.find(match, max(0, len(state) - len(match) + 1)) >= 0)):
+            if scripted.regex:
+                if joined is None:
+                    joined = state + text
+                found = re.search(match, joined) is not None
+            else:
+                # an occurrence lies inside the state (its kept end) or ends
+                # in the own text, so starts there or in the state's last
+                # len(match) - 1 characters
+                found = (self._ends[i] is not None
+                         or match in state[max(0, len(state) - len(match) + 1):] + text)
+            if found:
                 index = min(self._uses[i], len(scripted.responses) - 1)
                 self._uses[i] += 1
                 return scripted.responses[index]
@@ -255,7 +274,7 @@ class HttpChatBackend(CompletionBackend):
         self._state = state
         return self._escaped_state
 
-    def complete(self, role_prompt: str, user_prompt: str, *,
+    def complete(self, role_prompt: str, user_prompt: Prompt | str, *,
                  model: str = "", temperature: float = 0.0) -> str:
         import http.client
         import selectors
@@ -367,11 +386,13 @@ def http_chat_backend(endpoint_url: str, api_key: str = "",
 TRANSPORT_RETRIES = 2
 
 
-def complete(profile: AgentProfile, backend: CompletionBackend, user_prompt: str) -> str:
+def complete(profile: AgentProfile, backend: CompletionBackend,
+             user_prompt: Prompt | str) -> str:
     """Run one completion for the profile's role.
 
     A TransportError is retried up to TRANSPORT_RETRIES times; every other
-    error, and an empty reply, surfaces at once.
+    error, and an empty reply, surfaces at once.  An empty prompt, one of
+    no characters, is a ValueError.
     """
     if not user_prompt:
         raise ValueError("user_prompt must be non-empty")
@@ -409,7 +430,7 @@ _TOOL_NAME_RE = re.compile(r"(.+)")
 
 
 def select_tool(profile: AgentProfile, backend: CompletionBackend,
-                prompt: str, tools: Sequence[Tool]) -> Tool:
+                prompt: Prompt | str, tools: Sequence[Tool]) -> Tool:
     """Send ``prompt``, the state followed by ``selection_prompt(tools)``,
     and return the tool the reply names.
 
@@ -420,7 +441,7 @@ def select_tool(profile: AgentProfile, backend: CompletionBackend,
     """
     by_name = {tool.name: tool for tool in tools}
     for asked in range(2):
-        if asked:  # built only now, as it holds another copy of the state
+        if asked:  # built only when the first reply names no tool
             state, text = _parts(prompt)
             prompt = Prompt(state, f"{text}\nYour previous reply was not a valid tool name. "
                                    f"Answer with exactly one of: {', '.join(by_name)}.")

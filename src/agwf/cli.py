@@ -13,7 +13,6 @@ import json
 import os
 import stat
 import sys
-from itertools import accumulate
 from pathlib import Path
 
 from . import demos
@@ -60,8 +59,9 @@ def _make_backend(args) -> CompletionBackend:
 
 
 class _Escaped(tuple):
-    """A transcript string held as pieces of its JSON-escaped text, without
-    the quotes; _write_json writes the pieces between quotes."""
+    """A transcript string held as pieces: bytes of its JSON-escaped text,
+    without the quotes, or a str that _write_json escapes as it writes it;
+    _write_json writes the pieces between quotes."""
 
 
 def _escaped_states(record: ExecutionRecord) -> list[memoryview]:
@@ -69,27 +69,30 @@ def _escaped_states(record: ExecutionRecord) -> list[memoryview]:
     escaped copy of the final state.
 
     JSON escaping maps each code point on its own, so escaping the final
-    state one appended segment at a time gives its escaped text, and at
-    each segment's end the escaped end of a state.
+    state one appended segment at a time, into one growing buffer, gives
+    its escaped text, and at each segment's end the escaped end of a state.
     """
+    escaped, escaped_ends = bytearray(), []
     ends = record.state_ends
-    pieces = [json_escape(record.final_state[start:end]) for start, end in zip((0, *ends), ends)]
-    text = memoryview(b"".join(pieces))
-    return [text[:end] for end in accumulate(map(len, pieces))]
+    for start, end in zip((0, *ends), ends):
+        escaped += json_escape(record.final_state[start:end])
+        escaped_ends.append(len(escaped))
+    text = memoryview(escaped)
+    return [text[:end] for end in escaped_ends]
 
 
 def record_to_dict(record: ExecutionRecord) -> dict:
     """The transcript of a record but its aborted and error keys.
 
     Each state is an _Escaped slice of one escaped copy of the final state,
-    and each sent prompt is the state its task ran on followed by its
-    escaped own text; a prompt not sent is "".
+    and each sent prompt is the state its task ran on followed by its own
+    text, escaped as it is written; a prompt not sent is "".
     """
     states = _escaped_states(record)
     details = {}
     for task_id, state in zip(record.task_sequence, states):
         d = record.details[task_id]
-        prompt, selection = ("" if text is None else _Escaped((state, json_escape(text)))
+        prompt, selection = ("" if text is None else _Escaped((state, text))
                              for text in (d.prompt, d.selection))
         details[task_id] = {
             "selected_tool": d.selected_tool,
@@ -123,7 +126,10 @@ def _write_json(out, value, indent: bytes = b"\n") -> None:
     writes it, byte for byte, with an _Escaped leaf as the string it
     escapes; indent is the newline and indentation of value's own line."""
     if isinstance(value, _Escaped):
-        out.writelines((b'"', *value, b'"'))
+        out.write(b'"')
+        for piece in value:
+            out.write(json_escape(piece) if isinstance(piece, str) else piece)
+        out.write(b'"')
     elif isinstance(value, (dict, list)) and value:
         is_dict = isinstance(value, dict)
         inner = indent + b"  "

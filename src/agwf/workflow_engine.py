@@ -539,8 +539,8 @@ def execute(spec: WorkflowSpec, inquiry: str, backend: CompletionBackend) -> Exe
                     tool_output = tool.function(sigma, memory)
                     detail.tool_output = tool_output
 
-                # the prompts are held as their own text, joined to the
-                # state only for the call
+                # the prompts are held as their own text; a Prompt pairs
+                # it with the state for the call, without joining them
                 detail.prompt = task_kinds.build_prompt(
                     task, tool_output, route_options=route_tokens.get(task.id, ()))
                 response = complete(profile, backend, Prompt(sigma, detail.prompt))

@@ -192,6 +192,14 @@ def test_scripted_answers_are_those_of_the_whole_prompt(run):
             == [whole.answer(state + own_text) for whole in expected]
 
 
+def test_a_match_may_start_before_a_state_shorter_than_it():
+    """An occurrence ending in the own text may start anywhere in a state
+    shorter than the match, at its first character too."""
+    for state in ("", "a", "ab", "abc"):
+        backend = ScriptedBackend([rule("abcd", "hit")], fallback="none")
+        assert backend.complete("", Prompt(state, "abcd"[len(state):])) == "hit"
+
+
 def test_a_scripted_rule_needs_a_response():
     with pytest.raises(ValueError, match="^'responses' must not be empty$"):
         rule("x")
@@ -200,6 +208,14 @@ def test_a_scripted_rule_needs_a_response():
 def test_complete_rejects_empty_prompt():
     with pytest.raises(ValueError):
         complete(AGENT, ScriptedBackend([], fallback="x"), "")
+
+
+def test_complete_rejects_a_prompt_of_no_characters():
+    with pytest.raises(ValueError):
+        complete(AGENT, ScriptedBackend([], fallback="x"), Prompt("", ""))
+    # a prompt with characters in either part is sent
+    for prompt in (Prompt("s", ""), Prompt("", "t")):
+        assert complete(AGENT, ScriptedBackend([], fallback="x"), prompt) == "x"
 
 
 class FlakyBackend(CompletionBackend):
@@ -795,10 +811,28 @@ def test_request_bodies_of_drawn_prompts_are_the_plain_encoding(
 
 
 def test_a_prompt_is_the_str_of_its_parts():
+    """A Prompt is not a str, so no call copies its state: str() joins
+    the parts, and len() counts their characters."""
     prompt = Prompt("state", " text")
-    assert prompt == "state text" and type(str(prompt)) is str
+    assert not isinstance(prompt, str)
+    assert str(prompt) == "state text" and type(str(prompt)) is str
+    assert len(prompt) == len("state text")
     assert prompt.parts == ("state", " text")
     assert ScriptedBackend([rule("e t", "hit")]).complete("", prompt) == "hit"
+
+
+@pytest.mark.parametrize("state, text", [("", ""), ("", "t"), ("é😀", ""), ("s\n", '"t"')])
+def test_len_and_str_of_a_prompt_are_those_of_its_joined_text(state, text):
+    prompt = Prompt(state, text)
+    assert (len(prompt), str(prompt)) == (len(state + text), state + text)
+    assert bool(prompt) == bool(state + text)
+
+
+def test_a_plain_str_prompt_is_own_text_on_an_empty_state():
+    backend = ScriptedBackend([rule("e t", "hit"), rule("^only", "anchored", regex=True)])
+    assert complete(AGENT, backend, "state text") == "hit"
+    assert complete(AGENT, backend, "only own text") == "anchored"
+    assert complete(AGENT, backend, Prompt("state", " text")) == "hit"
 
 
 # ---------------------------------------------------------------------------

@@ -246,7 +246,7 @@ def test_the_record_gives_the_prompts_each_task_sent():
     states = record.states
     assert record.task_sequence == ("t0", "t1", "t2")
     assert record.details["t1"].selected_tool == "beta"
-    sent = backend.sent
+    sent = [str(call) for call in backend.sent]
     assert len(sent) == 8
     # the rewind dropped t1's and t2's first prompts; the re-ask adds a
     # note to the selection prompt

@@ -440,8 +440,8 @@ def test_selection_prompt_is_built_once_per_two_tool_task(monkeypatch):
 
     class Recording(CompletionBackend):
         def complete(self, role_prompt, user_prompt, *, model="", temperature=0.0):
-            sent.append(user_prompt)
-            return "beta" if "Choose exactly one tool" in user_prompt else "done"
+            sent.append(str(user_prompt))
+            return "beta" if "Choose exactly one tool" in sent[-1] else "done"
 
     tools = [Tool(name, f"docs for {name}", lambda s, m: "out") for name in ("beta", "alpha")]
     task = plain_task("T", tool_names=("beta", "alpha", "beta"))
