@@ -18,6 +18,7 @@ Each parse keeps one string object per distinct activity name.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import operator
 import re
@@ -124,11 +125,21 @@ class DfgEdgeStats:
 
 @dataclass(frozen=True)
 class Dfg:
-    """Directly-follows graph: edge frequencies/durations plus endpoints."""
+    """Directly-follows graph: edge frequencies/durations plus endpoints.
+
+    Its maps are not changed after it is built, so what is derived from
+    them, such as ranked_edges, is computed once per DFG.
+    """
 
     edges: dict[tuple[str, str], DfgEdgeStats] = field(default_factory=dict)
     start_activities: dict[str, int] = field(default_factory=dict)
     end_activities: dict[str, int] = field(default_factory=dict)
+
+    @functools.cached_property
+    def ranked_edges(self) -> tuple[tuple[str, str], ...]:
+        """The edge keys, strongest first: by (-frequency, edge)."""
+        edges = self.edges
+        return tuple(sorted(edges, key=lambda edge: (-edges[edge].frequency, edge)))
 
 
 @dataclass(frozen=True)

@@ -289,10 +289,11 @@ def abstract_dfg(dfg: Dfg, top_k: int) -> str:
     """
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
-    ordered = sorted(dfg.edges.items(), key=lambda kv: (-kv[1].frequency, kv[0]))
-    shown = ordered[:top_k]
-    lines = [f"DFG (top {len(shown)} edges of {len(ordered)}):"]
-    for (source, target), stats in shown:
+    ranked = dfg.ranked_edges
+    shown = ranked[:top_k]
+    lines = [f"DFG (top {len(shown)} edges of {len(ranked)}):"]
+    for source, target in shown:
+        stats = dfg.edges[source, target]
         lines.append(
             f"{source} -> {target} "
             f"(freq={stats.frequency}, avg_dur={stats.mean_duration_seconds:.1f}s)"

@@ -270,6 +270,27 @@ def test_abstract_dfg_rejects_bad_top_k():
         abstract_dfg(one_edge_dfg(), 0)
 
 
+#: DFGs over few activities whose edges often tie on frequency
+tied_dfgs = st.dictionaries(
+    st.tuples(st.sampled_from("abcd"), st.sampled_from("abcd")),
+    st.builds(DfgEdgeStats, st.integers(1, 3), st.floats(0, 1e4)), max_size=16,
+).map(lambda edges: Dfg(edges=edges, start_activities={"a": 1}, end_activities={"d": 1}))
+
+
+@given(tied_dfgs)
+@settings(max_examples=100, deadline=None)
+def test_abstract_dfg_renders_as_a_plain_sort_at_every_top_k(dfg):
+    """Edges ranked once per DFG render, at every top_k, as those sorted
+    afresh by (-frequency, edge) on each call."""
+    ordered = sorted(dfg.edges.items(), key=lambda kv: (-kv[1].frequency, kv[0]))
+    for top_k in range(1, len(ordered) + 2):
+        shown = ordered[:top_k]
+        expected = [f"DFG (top {len(shown)} edges of {len(ordered)}):",
+                    *(f"{a} -> {b} (freq={stats.frequency}, avg_dur={stats.mean_duration_seconds:.1f}s)"
+                      for (a, b), stats in shown)]
+        assert abstract_dfg(dfg, top_k).splitlines()[:-2] == expected
+
+
 def test_abstract_variants_formats():
     variants = (Variant(("a", "b"), 2), Variant(("a", "c"), 1))
     assert abstract_variants(variants, 15) == (
