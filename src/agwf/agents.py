@@ -89,8 +89,7 @@ class Prompt:
         self.parts = (state, text)
 
     def __len__(self) -> int:
-        state, text = self.parts
-        return len(state) + len(text)
+        return sum(map(len, self.parts))
 
     def __str__(self) -> str:
         return "".join(self.parts)
@@ -191,8 +190,7 @@ class ScriptedBackend(CompletionBackend):
         for i, scripted in enumerate(self.rules):
             match = scripted.match
             if scripted.regex:
-                if joined is None:
-                    joined = state + text
+                joined = state + text if joined is None else joined
                 found = re.search(match, joined) is not None
             else:
                 # an occurrence lies inside the state (its kept end) or ends
@@ -386,8 +384,7 @@ def http_chat_backend(endpoint_url: str, api_key: str = "",
 TRANSPORT_RETRIES = 2
 
 
-def complete(profile: AgentProfile, backend: CompletionBackend,
-             user_prompt: Prompt | str) -> str:
+def complete(profile: AgentProfile, backend: CompletionBackend, user_prompt: Prompt | str) -> str:
     """Run one completion for the profile's role.
 
     A TransportError is retried up to TRANSPORT_RETRIES times; every other

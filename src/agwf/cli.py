@@ -126,10 +126,8 @@ def _write_json(out, value, indent: bytes = b"\n") -> None:
     writes it, byte for byte, with an _Escaped leaf as the string it
     escapes; indent is the newline and indentation of value's own line."""
     if isinstance(value, _Escaped):
-        out.write(b'"')
-        for piece in value:
-            out.write(json_escape(piece) if isinstance(piece, str) else piece)
-        out.write(b'"')
+        out.writelines((b'"', *(json_escape(piece) if isinstance(piece, str) else piece
+                                for piece in value), b'"'))
     elif isinstance(value, (dict, list)) and value:
         is_dict = isinstance(value, dict)
         inner = indent + b"  "
