@@ -206,13 +206,9 @@ def test_a_scripted_rule_needs_a_response():
 
 
 def test_complete_rejects_empty_prompt():
-    with pytest.raises(ValueError):
-        complete(AGENT, ScriptedBackend([], fallback="x"), "")
-
-
-def test_complete_rejects_a_prompt_of_no_characters():
-    with pytest.raises(ValueError):
-        complete(AGENT, ScriptedBackend([], fallback="x"), Prompt("", ""))
+    for empty in ("", Prompt("", "")):
+        with pytest.raises(ValueError):
+            complete(AGENT, ScriptedBackend([], fallback="x"), empty)
     # a prompt with characters in either part is sent
     for prompt in (Prompt("s", ""), Prompt("", "t")):
         assert complete(AGENT, ScriptedBackend([], fallback="x"), prompt) == "x"
@@ -814,18 +810,13 @@ def test_a_prompt_is_the_str_of_its_parts():
     """A Prompt is not a str, so no call copies its state: str() joins
     the parts, and len() counts their characters."""
     prompt = Prompt("state", " text")
-    assert not isinstance(prompt, str)
-    assert str(prompt) == "state text" and type(str(prompt)) is str
-    assert len(prompt) == len("state text")
+    assert not isinstance(prompt, str) and type(str(prompt)) is str
     assert prompt.parts == ("state", " text")
     assert ScriptedBackend([rule("e t", "hit")]).complete("", prompt) == "hit"
-
-
-@pytest.mark.parametrize("state, text", [("", ""), ("", "t"), ("é😀", ""), ("s\n", '"t"')])
-def test_len_and_str_of_a_prompt_are_those_of_its_joined_text(state, text):
-    prompt = Prompt(state, text)
-    assert (len(prompt), str(prompt)) == (len(state + text), state + text)
-    assert bool(prompt) == bool(state + text)
+    for state, text in [("state", " text"), ("", ""), ("", "t"), ("é😀", ""), ("s\n", '"t"')]:
+        joined = state + text
+        assert (len(Prompt(state, text)), str(Prompt(state, text)), bool(Prompt(state, text))) \
+            == (len(joined), joined, bool(joined))
 
 
 def test_a_plain_str_prompt_is_own_text_on_an_empty_state():
