@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from agwf import agents
 from agwf.agents import (
     AgentProfile,
     BackendEmptyResponse,
@@ -771,6 +772,37 @@ def test_a_reasked_selection_escapes_no_state_twice(keepalive, open_backend, mon
     record = execute(tool_chain(), ESCAPES, open_backend(stub.url))
     assert record.details["t1"].selected_tool == "beta" and len(stub.seen) == 4
     assert sum(escaped) == len(states[-1])
+
+
+def test_a_rewind_escapes_only_the_text_it_removed(keepalive, open_backend, monkeypatch):
+    """t0; t1 picks alpha; t2 scores low and rewinds to t1, which picks
+    beta; t2 passes.  The backend escapes each text added to the state
+    once, the text the rewind cut off once more, to learn the length of its
+    escape, and each own text."""
+    stub = keepalive()
+    scripted = ScriptedBackend([rule("Choose exactly one tool", "alpha", "beta"),
+                                rule("carry out step t2", "SCORE: 2.0", "SCORE: 9.0")],
+                               fallback=f"noted {ESCAPES}")
+    stub.answer = lambda user_prompt: scripted.complete("", user_prompt)
+    escaped, real = [], agents.json_escape
+    monkeypatch.setattr(agents, "json_escape", lambda text: escaped.append(len(text)) or real(text))
+    prompts = []
+    http = open_backend(stub.url)
+
+    class Keeping(CompletionBackend):
+        def complete(self, role_prompt, user_prompt, **kwargs):
+            prompts.append(user_prompt.parts)
+            return http.complete(role_prompt, user_prompt, **kwargs)
+
+    # a long inquiry, so that escaping the rewound state afresh shows
+    record = execute(tool_chain(graded=True), ESCAPES * 20, Keeping())
+    assert record.details["t1"].retries_used == 1 and len(stub.seen) == 7
+    states = [state for state, _ in prompts]
+    removed = sum(len(before) - len(after) for before, after in zip(states, states[1:])
+                  if len(after) < len(before))
+    assert removed > 0
+    # the added text is the last state sent and the text cut off
+    assert sum(escaped) <= len(states[-1]) + 2 * removed + sum(len(text) for _, text in prompts)
 
 
 @pytest.fixture
