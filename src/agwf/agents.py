@@ -219,8 +219,12 @@ class HttpChatBackend(CompletionBackend):
 
     The backend keeps the state of the last prompt it sent (a plain str's
     is empty) and that state's JSON escape, so a request on a state that
-    extends it escapes only what was added; close() drops them.  The body
-    is, byte for byte, what json.dumps makes of the request.
+    extends it escapes only what was added, and one on a state cut back to
+    a prefix of it (an evaluator rewind) only what was cut off.  It keeps
+    each agent's request head, the body up to the user prompt, encoded,
+    and a selector watching the connection's socket for a hang-up; close()
+    drops them all.  The body is, byte for byte, what json.dumps makes of
+    the request.
     """
 
     def __init__(self, endpoint_url: str, api_key: str = "", timeout: float = 60.0):
@@ -257,40 +261,72 @@ class HttpChatBackend(CompletionBackend):
             self._connection = http.client.HTTPConnection(*address, timeout=timeout)
             if proxy:  # a proxy takes the absolute URI
                 self._target = f"http://{parts.netloc.rpartition('@')[2]}{self._target}"
-        self._state, self._escaped_state = "", bytearray()
+        self._selector = None
+        self.close()
 
     def close(self) -> None:
         self._connection.close()
+        if self._selector is not None:
+            self._selector.close()
+        # the socket the selector watches, and the selector
+        self._watched = self._selector = None
+        self._heads = {}  # (model, role prompt) -> the body up to the user prompt
         self._state, self._escaped_state = "", bytearray()
 
     def _escape_state(self, state: str) -> bytearray:
-        """The state's JSON escape, extending the kept one when the state
-        extends the kept state, and kept in its place."""
-        if not state.startswith(self._state):  # rewound, or another run's
-            self._state, self._escaped_state = "", bytearray()
-        self._escaped_state += json_escape(state[len(self._state):])
+        """The state's JSON escape, made from the kept one and kept in its
+        place.  JSON escapes each code point on its own, so a state that
+        extends the kept state adds the escape of what it adds, and one cut
+        back to a prefix of it loses the escape of what was cut off."""
+        kept = self._state
+        if state.startswith(kept):
+            self._escaped_state += json_escape(state[len(kept):])
+        elif kept.startswith(state):  # an evaluator rewind
+            del self._escaped_state[len(self._escaped_state)
+                                    - len(json_escape(kept[len(state):])):]
+        else:  # another run's, or the state after a plain str
+            self._escaped_state = bytearray(json_escape(state))
         self._state = state
         return self._escaped_state
+
+    def _head(self, model: str, role_prompt: str) -> bytes:
+        """The body up to the user prompt's text, encoded once per agent."""
+        head = self._heads.get((model, role_prompt))
+        if head is None:
+            head = self._heads[model, role_prompt] = b"".join((
+                b'{"model": ', json.dumps(model).encode(),
+                b', "messages": [{"role": "system", "content": ',
+                json.dumps(role_prompt).encode(), b'}, {"role": "user", "content": "'))
+        return head
+
+    def _hung_up(self) -> bool:
+        """Whether the idle connection has something to read, which means
+        the server hung up.  The selector is made when the socket changes."""
+        import selectors
+
+        sock = self._connection.sock
+        if sock is not self._watched:
+            if self._selector is not None:
+                self._selector.close()
+            # a selector, unlike select.select, takes any file descriptor
+            self._selector = selectors.DefaultSelector()
+            self._selector.register(sock, selectors.EVENT_READ)
+            self._watched = sock
+        return bool(self._selector.select(0))
 
     def complete(self, role_prompt: str, user_prompt: Prompt | str, *,
                  model: str = "", temperature: float = 0.0) -> str:
         import http.client
-        import selectors
 
         state, text = _parts(user_prompt)
+        # the temperature is encoded each time: 0, 0.0, -0.0 and False are
+        # equal, but json.dumps writes each its own way
         body = b"".join((
-            b'{"model": ', json.dumps(model).encode(),
-            b', "messages": [{"role": "system", "content": ', json.dumps(role_prompt).encode(),
-            b'}, {"role": "user", "content": "', self._escape_state(state), json_escape(text),
+            self._head(model, role_prompt), self._escape_state(state), json_escape(text),
             b'"}], "temperature": ', json.dumps(temperature).encode(), b"}"))
         connection = self._connection
-        if connection.sock is not None:
-            # a selector, unlike select.select, takes any file descriptor
-            with selectors.DefaultSelector() as selector:
-                selector.register(connection.sock, selectors.EVENT_READ)
-                if selector.select(0):
-                    # an idle connection with something to read was hung up by the server
-                    connection.close()
+        if connection.sock is not None and self._hung_up():
+            connection.close()
         reused = connection.sock is not None
         try:
             try:

@@ -618,6 +618,25 @@ def test_http_backend_resends_once_when_the_idle_check_misses_a_hang_up(
     assert backend.calls == 10
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd to list")
+def test_no_selector_outlives_its_connection(keepalive):
+    """Three hang-ups, each found by the idle check and followed by a new
+    connection, and close(): the process holds the file descriptors it
+    held before the backend was built."""
+    stub = keepalive()
+    stub.hang_up = True
+    before = set(os.listdir("/proc/self/fd"))
+    backend = CountingBackend(http_chat_backend(stub.url))
+    assert [complete(AGENT, backend, "hello") for _ in range(4)] == ["ok"] * 4
+    assert backend.calls == 4 and stub.connections == 4
+    backend.inner.close()
+    # the stub closes its end of each connection on a thread of its own
+    deadline = time.monotonic() + 5
+    while set(os.listdir("/proc/self/fd")) != before and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert set(os.listdir("/proc/self/fd")) == before
+
+
 HIGH_FD = 1500  # above FD_SETSIZE (1024), which select.select cannot watch
 
 
@@ -763,8 +782,9 @@ def test_a_reasked_selection_escapes_no_state_twice(keepalive, open_backend, mon
     def counting(self, state):
         kept, kept_length = self._escaped_state, len(self._state)
         escape = real(self, state)
-        # the kept escape grew in place by the added text, or was replaced
-        escaped.append(len(state) - (kept_length if escape is kept else 0))
+        # the kept escape grew in place by the added text, was cut back in
+        # place, escaping no state, or was replaced
+        escaped.append(max(len(state) - kept_length, 0) if escape is kept else len(state))
         states.append(state)
         return escape
 
@@ -813,28 +833,34 @@ def stub_and_backend(keepalive, open_backend):
 
 
 TEXTS = st.lists(st.sampled_from(ESCAPED) | st.text(max_size=3), max_size=4).map("".join)
+#: temperatures that compare equal but that json.dumps writes differently
+TEMPERATURES = st.sampled_from((0, 0.0, -0.0, False, 1, 1.0)) | st.floats(0, 2)
 
 
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(role_prompt=TEXTS, model=TEXTS, temperature=st.floats(0, 2), state=TEXTS,
-       calls=st.lists(st.tuples(st.sampled_from(("append", "rewind", "plain")),
-                                TEXTS, TEXTS), min_size=1, max_size=6))
+@given(role_prompts=st.tuples(TEXTS, TEXTS), model=TEXTS, state=TEXTS,
+       calls=st.lists(st.tuples(st.sampled_from(("append", "cut", "rewind", "plain")),
+                                TEXTS, st.integers(0, 8), TEXTS, TEMPERATURES),
+                      min_size=1, max_size=6))
 def test_request_bodies_of_drawn_prompts_are_the_plain_encoding(
-        stub_and_backend, role_prompt, model, temperature, state, calls):
-    """Calls on one backend, each a Prompt on a state that grew, was cut
-    back or stayed, or a plain str, after which the next Prompt's state is
-    escaped whole."""
+        stub_and_backend, role_prompts, model, state, calls):
+    """Calls on one backend by two agents in turn, each a Prompt on a state
+    that grew, was cut back to a prefix (an evaluator rewind), was cut back
+    and grew, or stayed, or a plain str, after which the next Prompt's state
+    is escaped whole."""
     stub, http = stub_and_backend
     stub.seen.clear()
     backend = CallRecorder(http)
-    for action, text, own_text in calls:
+    for index, (action, text, cut, own_text, temperature) in enumerate(calls):
         if action == "append":
             state += text
+        elif action == "cut":
+            state = state[:cut]
         elif action == "rewind":
             state = state[:len(state) // 2] + text
         prompt = state + own_text if action == "plain" else Prompt(state, own_text)
-        backend.complete(role_prompt, prompt, model=model, temperature=temperature)
+        backend.complete(role_prompts[index % 2], prompt, model=model, temperature=temperature)
     assert_plain_bodies(stub, backend)
 
 
@@ -863,11 +889,17 @@ def test_a_plain_str_prompt_is_own_text_on_an_empty_state():
 # ---------------------------------------------------------------------------
 
 def held_text(backend, text):
-    """The names of the backend's attributes whose text holds text."""
+    """The names of the backend's attributes whose text, or the text of
+    whose dict's keys or values, holds text."""
     escaped = json.dumps(text)[1:-1].encode()
-    return sorted(name for name, value in vars(backend).items()
-                  if isinstance(value, str) and text in value
-                  or isinstance(value, (bytes, bytearray)) and escaped in value)
+
+    def holds(value):
+        if isinstance(value, (dict, tuple)):
+            return any(map(holds, [*value, *value.values()] if isinstance(value, dict) else value))
+        return (isinstance(value, str) and text in value
+                or isinstance(value, (bytes, bytearray)) and escaped in value)
+
+    return sorted(name for name, value in vars(backend).items() if holds(value))
 
 
 def test_a_closed_backend_holds_no_text_of_its_run(keepalive):
@@ -875,12 +907,14 @@ def test_a_closed_backend_holds_no_text_of_its_run(keepalive):
     scripted = ScriptedBackend([rule("Choose exactly one tool", "beta")], fallback="noted")
     stub.answer = lambda user_prompt: scripted.complete("", user_prompt)
     backend = http_chat_backend(stub.url)
-    inquiry = f"inquiry 7f3a {ESCAPES}"
-    execute(tool_chain(), inquiry, backend)
+    inquiry, role = f"inquiry 7f3a {ESCAPES}", f"role 5c1e {ESCAPES}"
+    profile = AgentProfile(id="analyst", role_prompt=role, model_ref="m 5c1e")
+    execute(dataclasses.replace(tool_chain(), agents=(profile,)), inquiry, backend)
     assert held_text(backend, inquiry)  # the kept state, and its escape
+    assert held_text(backend, role) == held_text(backend, "m 5c1e") == ["_heads"]
     backend.close()
-    assert held_text(backend, inquiry) == []
-    assert held_text(backend, "noted") == []
+    for text in (inquiry, "noted", role, "m 5c1e"):
+        assert held_text(backend, text) == []
 
 
 def test_a_closed_scripted_backend_holds_no_text_of_its_run():
