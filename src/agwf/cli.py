@@ -121,14 +121,20 @@ def record_to_dict(record: ExecutionRecord) -> dict:
     }
 
 
-def _write_json(out, value, indent: bytes = b"\n") -> None:
+#: what json.dumps writes for each constant
+_CONSTANTS = {None: b"null", True: b"true", False: b"false"}
+
+
+def _write_json(out, value, indent: bytes = b"\n", keys: dict | None = None) -> None:
     """Write value to the binary file out as json.dump(value, indent=2)
     writes it, byte for byte, with an _Escaped leaf as the string it
-    escapes; indent is the newline and indentation of value's own line."""
+    escapes; indent is the newline and indentation of value's own line, and
+    keys maps each str dict key written so far to its encoding and colon."""
     if isinstance(value, _Escaped):
         out.writelines((b'"', *(json_escape(piece) if isinstance(piece, str) else piece
                                 for piece in value), b'"'))
     elif isinstance(value, (dict, list)) and value:
+        keys = {} if keys is None else keys
         is_dict = isinstance(value, dict)
         inner = indent + b"  "
         out.write(b"{" if is_dict else b"[")
@@ -136,9 +142,13 @@ def _write_json(out, value, indent: bytes = b"\n") -> None:
             out.write(b"," + inner if index else inner)
             if is_dict:
                 key, item = item
-                out.write(json.dumps(key).encode() + b": ")
-            _write_json(out, item, inner)
+                if (encoded := keys.get(key)) is None:
+                    encoded = keys[key] = json.dumps(key).encode() + b": "
+                out.write(encoded)
+            _write_json(out, item, inner, keys)
         out.write(indent + (b"}" if is_dict else b"]"))
+    elif value is None or value is True or value is False:  # 0 == False: not by value
+        out.write(_CONSTANTS[value])
     else:
         out.write(json.dumps(value).encode())
 
