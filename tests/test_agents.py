@@ -926,14 +926,20 @@ def test_a_closed_scripted_backend_holds_no_text_of_its_run():
     assert held_text(backend, inquiry) == []
 
 
-def test_a_plain_prompt_leaves_the_backend_holding_no_text_of_the_run(keepalive, open_backend):
+def test_a_plain_prompt_leaves_the_backend_holding_no_text_of_the_run(
+        keepalive, open_backend, monkeypatch):
+    """The plain prompt's empty state shares no text with the kept state,
+    so the backend escapes none of the kept state to drop it."""
     stub = keepalive()
     scripted = ScriptedBackend([rule("Choose exactly one tool", "beta")], fallback="noted")
     stub.answer = lambda user_prompt: scripted.complete("", user_prompt)
     backend = open_backend(stub.url)
     inquiry = f"inquiry 7f3a {ESCAPES}"
     execute(tool_chain(), inquiry, backend)
+    escaped, real = [], agents.json_escape
+    monkeypatch.setattr(agents, "json_escape", lambda text: escaped.append(len(text)) or real(text))
     assert complete(AGENT, backend, "hello") == "noted"
+    assert sum(escaped) == len("hello")
     assert held_text(backend, inquiry) == []
 
 
