@@ -100,6 +100,14 @@ def _parts(user_prompt: Prompt | str) -> tuple[str, str]:
     return user_prompt.parts if isinstance(user_prompt, Prompt) else ("", user_prompt)
 
 
+def _shared(kept: str, state: str) -> int:
+    """The length of the text both states begin with, as a backend sees
+    it: all of ``kept`` when ``state`` extends it, all of ``state`` when it
+    was cut back to a prefix of ``kept`` (an evaluator rewind), else 0."""
+    return (len(kept) if state.startswith(kept)
+            else len(state) if kept.startswith(state) else 0)
+
+
 class CompletionBackend:
     """Completion contract.
 
@@ -152,9 +160,8 @@ class ScriptedBackend(CompletionBackend):
     A rule's answer is that of matching the whole prompt.  The backend
     keeps the last state it saw, a plain str's being empty, and per
     substring rule where the rule's first occurrence in it ends (None if
-    nowhere), so a state that extends the kept one is searched only where
-    it grew, and a state cut back to a prefix of it (an evaluator rewind)
-    is not searched at all; close() drops them.  A regex is matched on the
+    nowhere), so a state is searched only past the text it shares with
+    the kept one (see _shared); close() drops them.  A regex is matched on the
     joined prompt, built only when a regex rule is tried.
     """
 
@@ -169,10 +176,7 @@ class ScriptedBackend(CompletionBackend):
 
     def _keep(self, state: str) -> None:
         """Make state the kept state, with each substring rule's end in it."""
-        kept = self._state
-        # the length of the text both begin with; state is a prefix after a rewind
-        shared = (len(kept) if state.startswith(kept)
-                  else len(state) if kept.startswith(state) else 0)
+        shared = _shared(self._state, state)
         for i, scripted in enumerate(self.rules):
             end, match = self._ends[i], scripted.match
             if not scripted.regex and (end is None or end > shared):
@@ -218,13 +222,12 @@ class HttpChatBackend(CompletionBackend):
     request sent once more, within the same complete().
 
     The backend keeps the state of the last prompt it sent (a plain str's
-    is empty) and that state's JSON escape, so a request on a state that
-    extends it escapes only what was added, and one on a state cut back to
-    a prefix of it (an evaluator rewind) only what was cut off.  It keeps
-    each agent's request head, the body up to the user prompt, encoded,
-    and a selector watching the connection's socket for a hang-up; close()
-    drops them all.  The body is, byte for byte, what json.dumps makes of
-    the request.
+    is empty) and that state's JSON escape.  A request escapes only the
+    text its state does not share with the kept one (see _shared), and the
+    kept text it does not share, to learn how much escape to cut off.  It
+    also keeps a selector watching the connection's socket for a hang-up;
+    close() drops them all.  The body is, byte for byte, what json.dumps
+    makes of the request.
     """
 
     def __init__(self, endpoint_url: str, api_key: str = "", timeout: float = 60.0):
@@ -270,34 +273,22 @@ class HttpChatBackend(CompletionBackend):
             self._selector.close()
         # the socket the selector watches, and the selector
         self._watched = self._selector = None
-        self._heads = {}  # (model, role prompt) -> the body up to the user prompt
         self._state, self._escaped_state = "", bytearray()
 
     def _escape_state(self, state: str) -> bytearray:
         """The state's JSON escape, made from the kept one and kept in its
-        place.  JSON escapes each code point on its own, so a state that
-        extends the kept state adds the escape of what it adds, and one cut
-        back to a prefix of it loses the escape of what was cut off."""
-        kept = self._state
-        if state.startswith(kept):
-            self._escaped_state += json_escape(state[len(kept):])
-        elif kept.startswith(state):  # an evaluator rewind
-            del self._escaped_state[len(self._escaped_state)
-                                    - len(json_escape(kept[len(state):])):]
-        else:  # another run's, or the state after a plain str
-            self._escaped_state = bytearray(json_escape(state))
+        place.  JSON escapes each code point on its own, so the kept escape
+        loses the escape of the kept text past the shared text and gains
+        that of the state's."""
+        kept, escaped = self._state, self._escaped_state
+        shared = _shared(kept, state)
+        if shared:
+            del escaped[len(escaped) - len(json_escape(kept[shared:])):]
+        else:
+            escaped.clear()
+        escaped += json_escape(state[shared:])
         self._state = state
-        return self._escaped_state
-
-    def _head(self, model: str, role_prompt: str) -> bytes:
-        """The body up to the user prompt's text, encoded once per agent."""
-        head = self._heads.get((model, role_prompt))
-        if head is None:
-            head = self._heads[model, role_prompt] = b"".join((
-                b'{"model": ', json.dumps(model).encode(),
-                b', "messages": [{"role": "system", "content": ',
-                json.dumps(role_prompt).encode(), b'}, {"role": "user", "content": "'))
-        return head
+        return escaped
 
     def _hung_up(self) -> bool:
         """Whether the idle connection has something to read, which means
@@ -322,7 +313,9 @@ class HttpChatBackend(CompletionBackend):
         # the temperature is encoded each time: 0, 0.0, -0.0 and False are
         # equal, but json.dumps writes each its own way
         body = b"".join((
-            self._head(model, role_prompt), self._escape_state(state), json_escape(text),
+            b'{"model": ', json.dumps(model).encode(),
+            b', "messages": [{"role": "system", "content": ', json.dumps(role_prompt).encode(),
+            b'}, {"role": "user", "content": "', self._escape_state(state), json_escape(text),
             b'"}], "temperature": ', json.dumps(temperature).encode(), b"}"))
         connection = self._connection
         if connection.sock is not None and self._hung_up():

@@ -782,9 +782,10 @@ def test_a_reasked_selection_escapes_no_state_twice(keepalive, open_backend, mon
     def counting(self, state):
         kept, kept_length = self._escaped_state, len(self._state)
         escape = real(self, state)
-        # the kept escape grew in place by the added text, was cut back in
-        # place, escaping no state, or was replaced
-        escaped.append(max(len(state) - kept_length, 0) if escape is kept else len(state))
+        # the kept escape grew in place by the added text, or was cut back
+        # in place, escaping no state
+        assert escape is kept
+        escaped.append(max(len(state) - kept_length, 0))
         states.append(state)
         return escape
 
@@ -911,7 +912,7 @@ def test_a_closed_backend_holds_no_text_of_its_run(keepalive):
     profile = AgentProfile(id="analyst", role_prompt=role, model_ref="m 5c1e")
     execute(dataclasses.replace(tool_chain(), agents=(profile,)), inquiry, backend)
     assert held_text(backend, inquiry)  # the kept state, and its escape
-    assert held_text(backend, role) == held_text(backend, "m 5c1e") == ["_heads"]
+    assert held_text(backend, role) == held_text(backend, "m 5c1e") == []
     backend.close()
     for text in (inquiry, "noted", role, "m 5c1e"):
         assert held_text(backend, text) == []
