@@ -161,8 +161,8 @@ class ScriptedBackend(CompletionBackend):
     keeps the last state it saw, a plain str's being empty, and per
     substring rule where the rule's first occurrence in it ends (None if
     nowhere), so a state is searched only past the text it shares with
-    the kept one (see _shared); close() drops them.  A regex is matched on the
-    joined prompt, built only when a regex rule is tried.
+    the kept one (see _shared); close() drops them.  A regex is matched on
+    the joined prompt, built only when a regex rule is tried.
     """
 
     def __init__(self, rules: Iterable[ScriptedRule], fallback: str = ""):
