@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 from urllib.parse import SplitResult, quote, urlsplit
@@ -210,16 +211,21 @@ class ScriptedBackend(CompletionBackend):
 
 
 class HttpChatBackend(CompletionBackend):
-    """OpenAI-compatible chat completions over HTTP with bearer auth.
+    """OpenAI-compatible chat completions over HTTP/1.1 with bearer auth.
 
     The endpoint must be an http(s) URL with a host and, if it names a
-    port, one from 1 to 65535; anything else raises ValueError before a
-    request is made.  The proxy comes from the http_proxy/https_proxy/
-    no_proxy environment variables, read here, once.  The backend keeps
-    one connection and reuses it for every complete(), so it serves one
-    run at a time; close() releases it.  A reused connection that turns
-    out to be hung up when the request is sent is replaced, and the
-    request sent once more, within the same complete().
+    port, one from 1 to 65535, and the api_key must hold no line break;
+    anything else raises ValueError before a request is made.  The proxy
+    comes from the http_proxy/https_proxy/no_proxy environment variables,
+    read here, once.  The backend keeps one connection and reuses it for
+    every complete(), so it serves one run at a time; close() releases it.
+    http.client opens the connection (TLS, a proxy's CONNECT tunnel); the
+    backend sends each request in one write, its head as http.client
+    writes it, built here up to the Content-Length value, and reads the
+    reply itself (see _read_reply).  ``timeout`` bounds the whole
+    exchange, from the connect to the last byte of the reply.  A reused
+    connection found hung up before any byte of the reply arrives is
+    replaced, and the request sent once more, within the same complete().
 
     The backend keeps the state of the last prompt it sent (a plain str's
     is empty) and that state's JSON escape.  A request escapes only the
@@ -236,15 +242,14 @@ class HttpChatBackend(CompletionBackend):
         from urllib.request import getproxies, proxy_bypass
 
         parts, port = _http_address(endpoint_url, ("http", "https"), "endpoint")
+        if "\r" in api_key or "\n" in api_key:
+            raise ValueError("api_key must not hold a line break")
         self.endpoint_url = endpoint_url
         self.timeout = timeout
         target = parts.path or "/"
         if parts.query:
             target += "?" + parts.query
-        self._target = quote(target, safe=_URL_SAFE)
-        self._headers = {"Content-Type": "application/json"}
-        if api_key:
-            self._headers["Authorization"] = f"Bearer {api_key}"
+        target = quote(target, safe=_URL_SAFE).encode("ascii")
         host = parts.hostname
         proxy = getproxies().get(parts.scheme)
         if proxy and proxy_bypass(host):
@@ -262,8 +267,18 @@ class HttpChatBackend(CompletionBackend):
                 self._connection.set_tunnel(host, port)
         else:
             self._connection = http.client.HTTPConnection(*address, timeout=timeout)
-            if proxy:  # a proxy takes the absolute URI
-                self._target = f"http://{parts.netloc.rpartition('@')[2]}{self._target}"
+        if proxy and parts.scheme == "http":
+            # a proxy takes the absolute URI, and Host is its authority
+            authority = _host_bytes(parts.netloc.rpartition("@")[2])
+            target = b"http://" + authority + target
+        else:  # an IPv6 address in brackets and without its zone
+            authority = _host_bytes(f"[{host.partition('%')[0]}]" if ":" in host else host)
+            if port != self._connection.default_port:
+                authority += b":%d" % port
+        self._head = (b"POST %s HTTP/1.1\r\nHost: %s\r\nAccept-Encoding: identity\r\n"
+                      b"Content-Length: " % (target, authority))
+        self._head_end = b"\r\nContent-Type: application/json\r\n%s\r\n" % (
+            b"Authorization: Bearer %s\r\n" % api_key.encode("latin-1") if api_key else b"")
         self._selector = None
         self.close()
 
@@ -305,6 +320,23 @@ class HttpChatBackend(CompletionBackend):
             self._watched = sock
         return bool(self._selector.select(0))
 
+    def _exchange(self, request: bytes, deadline: float) -> tuple[int, bytearray]:
+        """Send the request on the connection, opened first if it is
+        closed, and read the reply's status and body by the deadline.  The
+        connection is closed after a reply that leaves it unfit for
+        another request."""
+        connection = self._connection
+        if connection.sock is None:
+            connection.timeout = _remaining(deadline)
+            connection.connect()
+        sock = connection.sock
+        sock.settimeout(_remaining(deadline))
+        sock.sendall(request)
+        status, data, reusable = _read_reply(sock, deadline)
+        if not reusable:
+            connection.close()
+        return status, data
+
     def complete(self, role_prompt: str, user_prompt: Prompt | str, *,
                  model: str = "", temperature: float = 0.0) -> str:
         import http.client
@@ -312,47 +344,39 @@ class HttpChatBackend(CompletionBackend):
         state, text = _parts(user_prompt)
         # the temperature is encoded each time: 0, 0.0, -0.0 and False are
         # equal, but json.dumps writes each its own way
-        body = b"".join((
-            b'{"model": ', json.dumps(model).encode(),
-            b', "messages": [{"role": "system", "content": ', json.dumps(role_prompt).encode(),
-            b'}, {"role": "user", "content": "', self._escape_state(state), json_escape(text),
-            b'"}], "temperature": ', json.dumps(temperature).encode(), b"}"))
+        body = (b'{"model": ', json.dumps(model).encode(),
+                b', "messages": [{"role": "system", "content": ', json.dumps(role_prompt).encode(),
+                b'}, {"role": "user", "content": "', self._escape_state(state), json_escape(text),
+                b'"}], "temperature": ', json.dumps(temperature).encode(), b"}")
+        request = b"".join((self._head, b"%d" % sum(map(len, body)), self._head_end, *body))
+        deadline = time.monotonic() + self.timeout
         connection = self._connection
         if connection.sock is not None and self._hung_up():
             connection.close()
         reused = connection.sock is not None
         try:
             try:
-                connection.request("POST", self._target, body, self._headers)
-                response = connection.getresponse()
-            except (ConnectionResetError, BrokenPipeError):  # RemoteDisconnected too
+                status, data = self._exchange(request, deadline)
+            except (ConnectionResetError, BrokenPipeError):
                 if not reused:
                     raise
                 # a hang-up the idle check missed: send once more on a
                 # fresh connection
                 connection.close()
-                connection.request("POST", self._target, body, self._headers)
-                response = connection.getresponse()
-            # read to the end whatever the status, so the connection stays usable
-            data = bytearray()
-            while piece := response.read(_READ_BYTES):
-                data += piece
-                if len(data) > MAX_REPLY_BYTES:
-                    connection.close()
-                    raise MalformedResponse(
-                        f"response body is longer than {MAX_REPLY_BYTES} bytes")
-            if response.length:  # the connection closed short of the Content-Length
-                raise http.client.IncompleteRead(bytes(data), response.length)
+                status, data = self._exchange(request, deadline)
         except TimeoutError as exc:
             # closed so that the late reply is never read as the next one
             connection.close()
             raise BackendTimeout(
                 f"no response from {self.endpoint_url} within {self.timeout}s"
             ) from exc
+        # HTTPException: a proxy's malformed reply to CONNECT
         except (OSError, http.client.HTTPException) as exc:
             connection.close()
             raise TransportError(f"request to {self.endpoint_url} failed: {exc}") from exc
-        status = response.status
+        except AgentError:  # a reply framed wrong, cut short or too long
+            connection.close()
+            raise
         if status == 429 or status >= 500:
             raise TransportError(f"HTTP {status} from {self.endpoint_url}")
         if not 200 <= status < 300:
@@ -377,9 +401,160 @@ _URL_SAFE = "!#$%&'()*+,/:;=?@[]~"
 
 #: the longest reply body read, in bytes; a longer one is a MalformedResponse
 MAX_REPLY_BYTES = 8 << 20
-#: a reply body is read in pieces of at most this many bytes, as a read of n
+#: a reply is read in pieces of at most this many bytes, as a read of n
 #: bytes may allocate n before it reads
 _READ_BYTES = 1 << 16
+#: the longest reply head (status line and header fields), chunk-size line
+#: or trailer section read, in bytes, as http.client caps a line
+_MAX_HEAD_BYTES = 1 << 16
+#: an empty line, which ends a head; a line may end in CRLF or LF alone
+_EMPTY_LINE = re.compile(rb"\r?\n\r?\n")
+_LINE_END = re.compile(rb"\n")
+_CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]{1,16}")
+
+
+def _host_bytes(name: str) -> bytes:
+    """A host as http.client writes it in a request: ASCII, else IDNA."""
+    try:
+        return name.encode("ascii")
+    except UnicodeEncodeError:
+        return name.encode("idna")
+
+
+def _remaining(deadline: float) -> float:
+    """The seconds left until the deadline, a time.monotonic() value;
+    TimeoutError when none are."""
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise TimeoutError("the deadline passed")
+    return left
+
+
+def _over_cap() -> MalformedResponse:
+    return MalformedResponse(f"response body is longer than {MAX_REPLY_BYTES} bytes")
+
+
+class _Wire:
+    """A reply read off a socket into one bytearray, ``data``, each read
+    bounded by the time left until the deadline."""
+
+    __slots__ = ("sock", "deadline", "data")
+
+    def __init__(self, sock, deadline: float):
+        self.sock, self.deadline, self.data = sock, deadline, bytearray()
+
+    def read(self) -> bool:
+        """Read up to _READ_BYTES onto data; False at the end of the stream."""
+        self.sock.settimeout(_remaining(self.deadline))
+        piece = self.sock.recv(_READ_BYTES)
+        self.data += piece
+        return bool(piece)
+
+    def read_more(self) -> None:
+        if not self.read():
+            raise TransportError("the connection closed inside the reply")
+
+    def need(self, size: int) -> None:
+        """Read until data holds size bytes."""
+        while len(self.data) < size:
+            self.read_more()
+
+    def find(self, pattern: re.Pattern, at: int) -> re.Match:
+        """The first match of pattern in data from ``at`` on, read until
+        there is one within _MAX_HEAD_BYTES of ``at``."""
+        data, start = self.data, at
+        while not (found := pattern.search(data, start)):
+            if len(data) - at > _MAX_HEAD_BYTES:
+                raise TransportError(f"no line end within {_MAX_HEAD_BYTES} bytes of the reply")
+            start = max(at, len(data) - 3)  # a match may begin in the last bytes searched
+            self.read_more()
+        return found
+
+
+def _read_reply(sock, deadline: float) -> tuple[int, bytearray, bool]:
+    """Read one reply off the socket by the deadline: its status, its body
+    and whether the connection may carry another request.
+
+    1xx replies are skipped.  The body is framed as RFC 9112 section 6.3
+    says: 204 and 304 have none; else chunked encoding frames it when it is
+    the last transfer coding, else Content-Length, unless there is a
+    transfer coding, else the connection closing.  The connection may not
+    carry another request after "Connection: close", a reply of a version
+    other than HTTP/1.1, a body framed by the close, or bytes past the
+    reply.  The server's closing the connection before any byte of the
+    reply is a ConnectionResetError; a reply cut short or framed wrong, or
+    a head over _MAX_HEAD_BYTES, is a TransportError; and a body over
+    MAX_REPLY_BYTES is a MalformedResponse.
+    """
+    wire = _Wire(sock, deadline)
+    data, start = wire.data, 0
+    if not wire.read():
+        raise ConnectionResetError("the connection closed before the reply")
+    status = 100
+    while status < 200:
+        end = wire.find(_EMPTY_LINE, start)
+        status_line, *fields = bytes(data[start:end.start()]).split(b"\n")
+        start = end.end()
+        words = status_line.split(None, 2)
+        code = words[1] if len(words) > 1 and words[0].startswith(b"HTTP/") else b""
+        status = int(code) if len(code) == 3 and code.isdigit() else 0
+        if status < 100:
+            raise TransportError(f"bad status line {status_line[:80]!r}")
+    reusable = words[0] == b"HTTP/1.1"
+    lengths, codings = set(), []
+    for field in fields:
+        name, _, value = field.partition(b":")
+        name = name.strip().lower()
+        if name == b"content-length":
+            lengths.update(length.strip() for length in value.split(b","))
+        elif name == b"transfer-encoding":
+            codings += (coding.strip().lower() for coding in value.split(b","))
+        elif name == b"connection":
+            reusable = reusable and b"close" not in [
+                token.strip().lower() for token in value.split(b",")]
+    if status in (204, 304):
+        body_end = end = start
+    elif codings and codings[-1] == b"chunked":
+        body_end = at = start
+        while True:
+            eol = wire.find(_LINE_END, at).start()
+            size = data[at:eol].partition(b";")[0].strip()
+            if not _CHUNK_SIZE.fullmatch(size):
+                raise TransportError(f"bad chunk size {bytes(size[:80])!r}")
+            size, at = int(size, 16), eol + 1
+            if not size:
+                break
+            if body_end - start + size > MAX_REPLY_BYTES:
+                raise _over_cap()
+            wire.need(at + size)
+            # the chunk's data joins the body, in place of the chunk's line
+            data[body_end:at + size] = data[at:at + size]
+            body_end += size
+            eol = wire.find(_LINE_END, body_end).start()
+            if data[body_end:eol].strip():
+                raise TransportError("a chunk is longer than its size")
+            at = eol + 1
+        # trailer fields, if any, then an empty line; the last chunk's
+        # line ends at at - 1
+        end = wire.find(_EMPTY_LINE, at - 1).end()
+    elif lengths and not codings:
+        length = lengths.pop()
+        if lengths or not length.isdigit():
+            raise TransportError("bad Content-Length in the reply")
+        if len(length) > 18 or int(length) > MAX_REPLY_BYTES:
+            raise _over_cap()
+        body_end = end = start + int(length)
+        wire.need(end)
+    else:  # the connection's closing ends the body
+        while wire.read():
+            if len(data) - start > MAX_REPLY_BYTES:
+                raise _over_cap()
+        body_end = end = len(data)
+        reusable = False
+    reusable = reusable and len(data) == end
+    del data[body_end:]
+    del data[:start]
+    return status, data, reusable
 
 
 def _http_address(url: str, schemes: tuple[str, ...], what: str) -> tuple[SplitResult, int]:
