@@ -32,6 +32,22 @@ class CountingBackend(CompletionBackend):
         )
 
 
+@pytest.fixture
+def connects(monkeypatch):
+    """The (host, port) of each connection an HTTP backend tries to open;
+    every attempt is refused.  Each request opens a connection first, or
+    finds one open, so an empty list means no request was sent."""
+    tried = []
+
+    def refuse(connection):
+        tried.append((connection.host, connection.port))
+        raise ConnectionRefusedError("refused")
+
+    # HTTPSConnection.connect calls this one first
+    monkeypatch.setattr("http.client.HTTPConnection.connect", refuse)
+    return tried
+
+
 def joined_prompt(record, task_id, which="prompt"):
     """The text of a task's prompt, or with which="selection" of its
     tool-selection prompt: the state the task ran on, then the detail's

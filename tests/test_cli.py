@@ -186,10 +186,17 @@ def test_run_verbose_notes_the_tasks_of_an_aborted_run(tmp_path, capsys):
     assert notes == ["[task] T1: -"]
 
 
-def test_run_refused_by_validation_exits_1_before_any_request(tmp_path, capsys, monkeypatch):
-    posts = []
-    monkeypatch.setattr("http.client.HTTPConnection.request",
-                        lambda *args, **kwargs: posts.append(args))
+def test_run_with_http_tries_to_connect(tmp_path, capsys, connects):
+    """The control for the tests below: the spy sees each attempt of a run
+    that does send a request."""
+    workflow = _write_json(tmp_path / "w.json", _workflow(
+        {"id": "T1", "instruction": "x"}, final="T1"))
+    assert run_cli("run", workflow, "--inquiry", "q", "--http", "http://127.0.0.1:9") == 1
+    assert "refused" in capsys.readouterr().err
+    assert len(connects) == 3  # the first attempt and two retries
+
+
+def test_run_refused_by_validation_exits_1_before_any_request(tmp_path, capsys, connects):
     workflow = _write_json(tmp_path / "w.json", _workflow(
         {"id": "T1", "instruction": "x"},
         {"id": "T2", "instruction": "x", "prec": ["T3"]},
@@ -205,15 +212,11 @@ def test_run_refused_by_validation_exits_1_before_any_request(tmp_path, capsys, 
         "CycleDetected: T2, T3: precedence relation contains a cycle",
         "FinalTaskUnreachable: T1: task has no path to the final task",
     ]
-    assert posts == []
+    assert connects == []
     assert not output.exists()
 
 
-def test_run_with_two_agents_of_one_id_exits_1_before_any_request(tmp_path, capsys,
-                                                                   monkeypatch):
-    posts = []
-    monkeypatch.setattr("http.client.HTTPConnection.request",
-                        lambda *args, **kwargs: posts.append(args))
+def test_run_with_two_agents_of_one_id_exits_1_before_any_request(tmp_path, capsys, connects):
     doc = _workflow({"id": "T1", "instruction": "x"}, final="T1")
     doc["agents"].append({"id": "a", "role_prompt": "a second role"})
     workflow = _write_json(tmp_path / "w.json", doc)
@@ -222,7 +225,7 @@ def test_run_with_two_agents_of_one_id_exits_1_before_any_request(tmp_path, caps
     code = run_cli("run", workflow, "--inquiry", "q", "--http", "http://127.0.0.1:9")
     assert code == 1
     assert capsys.readouterr().err == "DuplicateAgentId: a: agent id appears more than once\n"
-    assert posts == []
+    assert connects == []
 
 
 #: a workflow whose task gives "instruction" twice, and a rules file whose
@@ -606,16 +609,13 @@ HOSTILE = {
 
 
 @pytest.mark.parametrize("case", HOSTILE)
-def test_hostile_input_exits_2_with_one_error_line(case, tmp_path, capsys, monkeypatch):
-    posts = []
-    monkeypatch.setattr("http.client.HTTPConnection.request",
-                        lambda *args, **kwargs: posts.append(args))
+def test_hostile_input_exits_2_with_one_error_line(case, tmp_path, capsys, connects):
     assert run_cli(*HOSTILE[case](tmp_path)) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
-    assert posts == []
+    assert connects == []
     expected = {f"workflow-{case}": line for case, (_, line) in WORKFLOW_CONFIG_ERRORS.items()}
     expected.update((case, line) for case, (_, line) in RULES_CONFIG_ERRORS.items())
     expected.update(
