@@ -461,10 +461,10 @@ class _Wire:
 
     def find(self, pattern: re.Pattern, at: int) -> re.Match:
         """The first match of pattern in data from ``at`` on, read until
-        there is one within _MAX_HEAD_BYTES of ``at``."""
-        data, start = self.data, at
-        while not (found := pattern.search(data, start)):
-            if len(data) - at > _MAX_HEAD_BYTES:
+        there is one; it must end within _MAX_HEAD_BYTES of ``at``."""
+        data, start, limit = self.data, at, at + _MAX_HEAD_BYTES
+        while not (found := pattern.search(data, start, limit)):
+            if len(data) >= limit:
                 raise TransportError(f"no line end within {_MAX_HEAD_BYTES} bytes of the reply")
             start = max(at, len(data) - 3)  # a match may begin in the last bytes searched
             self.read_more()

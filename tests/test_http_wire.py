@@ -3,15 +3,17 @@ replies byte for byte as scripted: trickled, cut short or framed wrong."""
 
 from __future__ import annotations
 
+import http.client
 import json
 import re
+import socket
 import socketserver
 import threading
 import time
 
 import pytest
 
-from agwf.agents import BackendTimeout, HttpChatBackend
+from agwf.agents import BackendTimeout, HttpChatBackend, TransportError
 
 #: a reply body of 46 bytes
 BODY = json.dumps({"choices": [{"message": {"content": "oka"}}]}).encode()
@@ -46,6 +48,8 @@ class RawHandler(socketserver.BaseRequestHandler):
 
     def handle(self):
         server, conn, data = self.server, self.request, b""
+        with server.lock:
+            server.connections += 1
         try:
             while True:
                 while b"\r\n\r\n" not in data:
@@ -74,6 +78,7 @@ class RawServer(socketserver.ThreadingTCPServer):
     def __init__(self):
         super().__init__(("127.0.0.1", 0), RawHandler)
         self.lock = threading.Lock()
+        self.connections = 0
         self.requests = []  # the bytes of each request received
         self.script = []  # replies: each sends to a connection and says whether to keep it
         self.url = f"http://127.0.0.1:{self.server_address[1]}/v1/chat/completions"
@@ -125,3 +130,145 @@ def test_the_timeout_bounds_the_whole_exchange(backend_on):
         backend.complete("role", "hello")
     assert time.monotonic() - started < 0.5 + 0.25
     assert backend.complete("role", "hello") == "oka"
+
+
+def chunked(*pieces, trailer=b""):
+    """A keep-alive reply head and its body in chunks of the pieces."""
+    return (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+            + b"".join(b"%x\r\n%s\r\n" % (len(piece), piece) for piece in pieces)
+            + b"0\r\n" + trailer + b"\r\n")
+
+
+#: replies that the backend reads, and whether it keeps the connection after them
+READ = {
+    "1xx replies first": (b"HTTP/1.1 100 Continue\r\n\r\n"
+                          b"HTTP/1.1 103 Early Hints\r\nLink: </x>\r\n\r\n" + OK, True),
+    "chunked": (chunked(BODY[:10], BODY[10:]), True),
+    "chunk extensions": (chunked(BODY).replace(b"2e\r\n", b"2E ; name=value\r\n"), True),
+    "trailer fields": (chunked(BODY, trailer=b"X-Checksum: 1\r\nX-Other: 2\r\n"), True),
+    "lines ending in LF alone": (OK.replace(b"\r\n", b"\n"), True),
+    "two equal Content-Lengths": (OK.replace(b"Content-Length: 46", b"Content-Length: 46, 46"),
+                                  True),
+    "Connection: close": (OK.replace(b"\r\n\r\n", b"\r\nConnection: close\r\n\r\n"), False),
+    "HTTP/1.0": (OK.replace(b"HTTP/1.1", b"HTTP/1.0"), False),
+    "bytes past the body": (OK + b"HTTP/1.1 200 OK\r\n", False),
+}
+
+
+@pytest.mark.parametrize("case", READ)
+def test_replies_the_backend_reads(backend_on, case):
+    """Each reply is read, and the connection kept only when it may carry
+    the next request."""
+    reply, kept = READ[case]
+    stub, backend = backend_on(0.2)
+    stub.script = [send(reply)]
+    assert backend.complete("role", "hello") == "oka"
+    assert backend.complete("role", "hello") == "oka"
+    assert stub.connections == (1 if kept else 2)
+
+
+def test_a_body_the_close_ends_is_read(backend_on):
+    stub, backend = backend_on(0.2)
+    stub.script = [send(HEAD.replace(b"Content-Length: 46\r\n", b"") + BODY, keep=False)]
+    assert backend.complete("role", "hello") == "oka"
+    assert backend.complete("role", "hello") == "oka"
+    assert stub.connections == 2
+
+
+#: replies framed wrong or cut short, each followed by a kept connection
+#: unless it says otherwise
+HOSTILE = {
+    "Content-Length not a number": send(HEAD.replace(b": 46", b": 4x") + BODY),
+    "two Content-Lengths that differ": send(
+        HEAD.replace(b"\r\n\r\n", b"\r\nContent-Length: 47\r\n\r\n") + BODY),
+    "a bad chunk-size line": send(chunked(BODY).replace(b"2e\r\n", b"2x\r\n")),
+    "a chunk longer than its size": send(chunked(BODY).replace(b"2e\r\n", b"2d\r\n")),
+    "a head over 64 KiB": send(HEAD.replace(b"\r\n\r\n", b"\r\nX-Pad: " + b"a" * (1 << 16)
+                                             + b"\r\n\r\n") + BODY),
+    "a bad status line": send(OK.replace(b"HTTP/1.1 200", b"HTTP/1.1 2x0")),
+    "a close inside the head": send(HEAD[:30], keep=False),
+    "a close inside a Content-Length body": send(OK[:-10], keep=False),
+    "a close inside a chunked body": send(chunked(BODY)[:-20], keep=False),
+    "a close inside a chunk-size line": send(
+        chunked(BODY[:10], BODY[10:]).partition(b"\r\n24\r\n")[0] + b"\r\n2", keep=False),
+}
+
+
+@pytest.mark.parametrize("case", HOSTILE)
+def test_a_reply_framed_wrong_is_a_transport_error(backend_on, case):
+    """Each ends at once, well within the timeout, in a TransportError, and
+    the next call succeeds on a new connection."""
+    stub, backend = backend_on(0.2)
+    stub.script = [HOSTILE[case]]
+    started = time.monotonic()
+    with pytest.raises(TransportError) as error:
+        backend.complete("role", "hello")
+    assert time.monotonic() - started < 0.15
+    assert not isinstance(error.value.__cause__, TimeoutError)
+    assert backend.complete("role", "hello") == "oka"
+    assert stub.connections == 2
+
+
+# ---------------------------------------------------------------------------
+# The request bytes: those that http.client.HTTPConnection.request sends
+# ---------------------------------------------------------------------------
+
+#: endpoint, proxy, and the host, port and request target that the proxy,
+#: or else the endpoint, takes
+ENDPOINTS = [
+    ("http://endpoint.example/v1/chat/completions", "",
+     "endpoint.example", 80, "/v1/chat/completions"),
+    ("http://Endpoint.example:80/v1", "", "endpoint.example", 80, "/v1"),
+    ("http://endpoint.example:8080/v1/chat?model=a%20b", "",
+     "endpoint.example", 8080, "/v1/chat?model=a%20b"),
+    ("http://[::1]/v1", "", "::1", 80, "/v1"),
+    ("http://[::1]:8080/v1", "", "::1", 8080, "/v1"),
+    ("http://caf\u00e9.example/v1", "", "caf\u00e9.example", 80, "/v1"),
+    ("http://user:pw@endpoint.example:8080/v1?k=1", "http://proxy.example:3128",
+     "proxy.example", 3128, "http://endpoint.example:8080/v1?k=1"),
+    ("http://endpoint.example/v1", "proxy.example:3128",
+     "proxy.example", 3128, "http://endpoint.example/v1"),
+]
+
+
+@pytest.mark.parametrize("api_key", ["", "sk-0123"])
+@pytest.mark.parametrize("url, proxy, host, port, target", ENDPOINTS)
+def test_a_request_is_the_bytes_http_client_sends(raw_stub, monkeypatch,
+                                                  url, proxy, host, port, target, api_key):
+    """Every connection goes to the stub, whatever address it is for."""
+    stub = raw_stub()
+    connect, addresses = socket.create_connection, []
+
+    def to_the_stub(address, *args, **kwargs):
+        addresses.append(address[:2])
+        return connect(stub.server_address, *args, **kwargs)
+
+    monkeypatch.setattr(socket, "create_connection", to_the_stub)
+    if proxy:
+        monkeypatch.setenv("HTTP_PROXY", proxy)
+    backend = HttpChatBackend(url, api_key)
+    try:
+        assert backend.complete("role", "hello \u00e9", model="m", temperature=0.5) == "oka"
+    finally:
+        backend.close()
+    body = json.dumps({"model": "m", "messages": [{"role": "system", "content": "role"},
+                                                  {"role": "user", "content": "hello \u00e9"}],
+                       "temperature": 0.5}).encode()
+    headers = {"Content-Type": "application/json"}
+    if api_key:
+        headers["Authorization"] = f"Bearer {api_key}"
+    reference = http.client.HTTPConnection(host, port)
+    try:
+        reference.request("POST", target, body, headers)
+        reference.getresponse().read()
+    finally:
+        reference.close()
+    assert addresses == [(host, port)] * 2
+    assert stub.requests[0] == stub.requests[1]
+
+
+@pytest.mark.parametrize("api_key", ["sk-\n", "sk-\r", "\u20ac"])
+def test_an_api_key_that_cannot_be_a_header_is_refused_before_any_request(api_key, connects):
+    with pytest.raises(ValueError):
+        HttpChatBackend("http://127.0.0.1:9/v1", api_key)
+    assert connects == []
