@@ -7,6 +7,7 @@ import re
 import resource
 import selectors
 import socket
+import ssl
 import subprocess
 import sys
 import threading
@@ -41,7 +42,7 @@ from agwf.agents import (
 from agwf.pm_tools import Tool
 from agwf.workflow_engine import ExecutionAborted, execute
 
-from conftest import AGENT, CountingBackend
+from conftest import AGENT, DATA_DIR, CountingBackend
 from test_transcript import ESCAPES, SPECIAL, tool_chain
 
 
@@ -386,8 +387,12 @@ class KeepAliveHandler(BaseHTTPRequestHandler):
 class KeepAliveServer(ThreadingHTTPServer):
     daemon_threads = True
 
-    def __init__(self):
+    def __init__(self, tls=False):
         super().__init__(("127.0.0.1", 0), KeepAliveHandler)
+        if tls:  # each connection's handshake is made as it is accepted
+            context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+            context.load_cert_chain(DATA_DIR / "tls_cert.pem", DATA_DIR / "tls_key.pem")
+            self.socket = context.wrap_socket(self.socket, server_side=True)
         self.lock = threading.Lock()
         self.connections = 0
         self.seen = []
@@ -396,7 +401,7 @@ class KeepAliveServer(ThreadingHTTPServer):
         self.missing_bytes = 0  # announced in Content-Length but never sent
         self.hang_up = False  # close the connection after each reply
         self.chunked = False  # send bodies chunked, with no Content-Length
-        self.url = f"http://127.0.0.1:{self.server_port}/v1/chat/completions"
+        self.url = f"{'https' if tls else 'http'}://127.0.0.1:{self.server_port}/v1/chat/completions"
 
     def handle_error(self, request, client_address):
         pass  # a late reply to a client that gave up is expected here
@@ -410,8 +415,8 @@ def keepalive(monkeypatch):
         monkeypatch.delenv(name.upper(), raising=False)
     servers = []
 
-    def start():
-        server = KeepAliveServer()
+    def start(tls=False):
+        server = KeepAliveServer(tls)
         threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
                          daemon=True).start()
         servers.append(server)
@@ -563,6 +568,29 @@ def test_http_backend_reply_over_the_cap_is_malformed(keepalive, open_backend, c
         complete(AGENT, backend, "hello")
     assert complete(AGENT, backend, "hello") == "at the cap"
     assert stub.connections == 2  # the longer reply's connection was closed
+
+
+def test_http_backend_speaks_tls_on_one_connection(keepalive, open_backend, monkeypatch):
+    """The stub's certificate, for 127.0.0.1, is the only one trusted.  It
+    was made with: openssl req -x509 -newkey ec -pkeyopt
+    ec_paramgen_curve:prime256v1 -nodes -days 36500 -subj /CN=127.0.0.1
+    -addext subjectAltName=IP:127.0.0.1 -addext
+    basicConstraints=critical,CA:TRUE -addext
+    keyUsage=critical,digitalSignature,keyCertSign -addext
+    extendedKeyUsage=serverAuth -keyout tls_key.pem -out tls_cert.pem"""
+    monkeypatch.setenv("SSL_CERT_FILE", str(DATA_DIR / "tls_cert.pem"))
+    stub = keepalive(tls=True)
+    stub.script = [(200, ok_payload("r0"), 0), (200, ok_payload("r1"), 0),
+                   (200, padded_reply("over", MAX_REPLY_BYTES + 1), 0),
+                   (200, ok_payload("after"), 0)]
+    backend = open_backend(stub.url)
+    assert [complete(AGENT, backend, "hello") for _ in range(2)] == ["r0", "r1"]
+    assert stub.connections == 1
+    stub.chunked = True  # so that the reply over the cap is read up to it
+    with pytest.raises(MalformedResponse, match=f"longer than {MAX_REPLY_BYTES} bytes"):
+        complete(AGENT, backend, "hello")
+    assert complete(AGENT, backend, "hello") == "after"
+    assert stub.connections == 2
 
 
 def test_http_backend_late_reply_is_not_read_as_the_next(keepalive, open_backend):
