@@ -269,10 +269,10 @@ class HttpChatBackend(CompletionBackend):
             self._connection = http.client.HTTPConnection(*address, timeout=timeout)
         if proxy and parts.scheme == "http":
             # a proxy takes the absolute URI, and Host is its authority
-            authority = _host_bytes(parts.netloc.rpartition("@")[2])
+            authority = parts.netloc.rpartition("@")[2].encode("idna")
             target = b"http://" + authority + target
         else:  # an IPv6 address in brackets and without its zone
-            authority = _host_bytes(f"[{host.partition('%')[0]}]" if ":" in host else host)
+            authority = (f"[{host.partition('%')[0]}]" if ":" in host else host).encode("idna")
             if port != self._connection.default_port:
                 authority += b":%d" % port
         self._head = (b"POST %s HTTP/1.1\r\nHost: %s\r\nAccept-Encoding: identity\r\n"
@@ -407,18 +407,13 @@ _READ_BYTES = 1 << 16
 #: the longest reply head (status line and header fields), chunk-size line
 #: or trailer section read, in bytes, as http.client caps a line
 _MAX_HEAD_BYTES = 1 << 16
-#: an empty line, which ends a head; a line may end in CRLF or LF alone
+_TOO_LONG = f"response body is longer than {MAX_REPLY_BYTES} bytes"
+#: an empty line, which ends a head; a line may end in CRLF or in LF alone
 _EMPTY_LINE = re.compile(rb"\r?\n\r?\n")
 _LINE_END = re.compile(rb"\n")
-_CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]{1,16}")
-
-
-def _host_bytes(name: str) -> bytes:
-    """A host as http.client writes it in a request: ASCII, else IDNA."""
-    try:
-        return name.encode("ascii")
-    except UnicodeEncodeError:
-        return name.encode("idna")
+_STATUS_LINE = re.compile(rb"(HTTP/\S+) +([1-9]\d\d)\b")
+_FIELD = re.compile(rb"^([^:\s]+)[ \t]*:(.*)$", re.M)
+_CHUNK_SIZE_LINE = re.compile(rb"([0-9A-Fa-f]{1,16})[ \t]*(?:;.*)?\r?\n")
 
 
 def _remaining(deadline: float) -> float:
@@ -430,125 +425,90 @@ def _remaining(deadline: float) -> float:
     return left
 
 
-def _over_cap() -> MalformedResponse:
-    return MalformedResponse(f"response body is longer than {MAX_REPLY_BYTES} bytes")
+def _read_reply(sock, deadline: float) -> tuple[int, bytearray, bool]:
+    """Read one reply off the socket by the deadline, into one bytearray:
+    its status, its body and whether the connection may carry another
+    request.
 
+    1xx replies are skipped.  The body is framed as RFC 9112 section 6.3
+    says: 204 and 304 have none; a body whose last transfer coding is
+    chunked is framed by it, one with another transfer coding by the
+    connection's closing, else by Content-Length, or else by the closing.
+    The connection may not carry another request after "Connection:
+    close", a version other than HTTP/1.1, a body framed by the closing, or
+    bytes past the reply.  The connection closing before any of the reply
+    is a ConnectionResetError; a reply cut short or framed wrong, or a
+    head over _MAX_HEAD_BYTES, a TransportError; a body over
+    MAX_REPLY_BYTES a MalformedResponse.
+    """
+    data = bytearray()
 
-class _Wire:
-    """A reply read off a socket into one bytearray, ``data``, each read
-    bounded by the time left until the deadline."""
-
-    __slots__ = ("sock", "deadline", "data")
-
-    def __init__(self, sock, deadline: float):
-        self.sock, self.deadline, self.data = sock, deadline, bytearray()
-
-    def read(self) -> bool:
+    def read() -> bool:
         """Read up to _READ_BYTES onto data; False at the end of the stream."""
-        self.sock.settimeout(_remaining(self.deadline))
-        piece = self.sock.recv(_READ_BYTES)
-        self.data += piece
+        sock.settimeout(_remaining(deadline))
+        piece = sock.recv(_READ_BYTES)
+        data.extend(piece)
         return bool(piece)
 
-    def read_more(self) -> None:
-        if not self.read():
-            raise TransportError("the connection closed inside the reply")
+    def need(size: int) -> None:
+        while len(data) < size:
+            if not read():
+                raise TransportError("the connection closed inside the reply")
 
-    def need(self, size: int) -> None:
-        """Read until data holds size bytes."""
-        while len(self.data) < size:
-            self.read_more()
-
-    def find(self, pattern: re.Pattern, at: int) -> re.Match:
-        """The first match of pattern in data from ``at`` on, read until
-        there is one; it must end within _MAX_HEAD_BYTES of ``at``."""
-        data, start, limit = self.data, at, at + _MAX_HEAD_BYTES
+    def find(pattern: re.Pattern, at: int) -> re.Match:
+        """The first match from ``at`` on, ending within _MAX_HEAD_BYTES of it."""
+        start, limit = at, at + _MAX_HEAD_BYTES
         while not (found := pattern.search(data, start, limit)):
             if len(data) >= limit:
                 raise TransportError(f"no line end within {_MAX_HEAD_BYTES} bytes of the reply")
-            start = max(at, len(data) - 3)  # a match may begin in the last bytes searched
-            self.read_more()
+            start = max(at, len(data) - 3)  # a match may begin in the bytes searched
+            need(len(data) + 1)
         return found
 
-
-def _read_reply(sock, deadline: float) -> tuple[int, bytearray, bool]:
-    """Read one reply off the socket by the deadline: its status, its body
-    and whether the connection may carry another request.
-
-    1xx replies are skipped.  The body is framed as RFC 9112 section 6.3
-    says: 204 and 304 have none; else chunked encoding frames it when it is
-    the last transfer coding, else Content-Length, unless there is a
-    transfer coding, else the connection closing.  The connection may not
-    carry another request after "Connection: close", a reply of a version
-    other than HTTP/1.1, a body framed by the close, or bytes past the
-    reply.  The server's closing the connection before any byte of the
-    reply is a ConnectionResetError; a reply cut short or framed wrong, or
-    a head over _MAX_HEAD_BYTES, is a TransportError; and a body over
-    MAX_REPLY_BYTES is a MalformedResponse.
-    """
-    wire = _Wire(sock, deadline)
-    data, start = wire.data, 0
-    if not wire.read():
+    if not read():
         raise ConnectionResetError("the connection closed before the reply")
-    status = 100
+    start, status = 0, 100
     while status < 200:
-        end = wire.find(_EMPTY_LINE, start)
-        status_line, *fields = bytes(data[start:end.start()]).split(b"\n")
-        start = end.end()
-        words = status_line.split(None, 2)
-        code = words[1] if len(words) > 1 and words[0].startswith(b"HTTP/") else b""
-        status = int(code) if len(code) == 3 and code.isdigit() else 0
-        if status < 100:
-            raise TransportError(f"bad status line {status_line[:80]!r}")
-    reusable = words[0] == b"HTTP/1.1"
-    lengths, codings = set(), []
-    for field in fields:
-        name, _, value = field.partition(b":")
-        name = name.strip().lower()
-        if name == b"content-length":
-            lengths.update(length.strip() for length in value.split(b","))
-        elif name == b"transfer-encoding":
-            codings += (coding.strip().lower() for coding in value.split(b","))
-        elif name == b"connection":
-            reusable = reusable and b"close" not in [
-                token.strip().lower() for token in value.split(b",")]
+        head, start = start, find(_EMPTY_LINE, start).end()
+        if not (status_line := _STATUS_LINE.match(data, head, start)):
+            raise TransportError(f"bad status line {bytes(data[head:head + 80])!r}")
+        status = int(status_line[2])
+    fields = {}
+    for name, value in _FIELD.findall(data, head, start):
+        fields.setdefault(name.lower(), []).extend(v.strip().lower() for v in value.split(b","))
+    codings, lengths = fields.get(b"transfer-encoding"), set(fields.get(b"content-length", ()))
+    reusable = status_line[1] == b"HTTP/1.1" and b"close" not in fields.get(b"connection", ())
     if status in (204, 304):
         body_end = end = start
     elif codings and codings[-1] == b"chunked":
         body_end = at = start
         while True:
-            eol = wire.find(_LINE_END, at).start()
-            size = data[at:eol].partition(b";")[0].strip()
-            if not _CHUNK_SIZE.fullmatch(size):
-                raise TransportError(f"bad chunk size {bytes(size[:80])!r}")
-            size, at = int(size, 16), eol + 1
+            if not (line := _CHUNK_SIZE_LINE.match(data, at, find(_LINE_END, at).end())):
+                raise TransportError(f"bad chunk-size line {bytes(data[at:at + 80])!r}")
+            size, at = int(line[1], 16), line.end()
             if not size:
                 break
             if body_end - start + size > MAX_REPLY_BYTES:
-                raise _over_cap()
-            wire.need(at + size)
-            # the chunk's data joins the body, in place of the chunk's line
-            data[body_end:at + size] = data[at:at + size]
-            body_end += size
-            eol = wire.find(_LINE_END, body_end).start()
-            if data[body_end:eol].strip():
-                raise TransportError("a chunk is longer than its size")
-            at = eol + 1
-        # trailer fields, if any, then an empty line; the last chunk's
-        # line ends at at - 1
-        end = wire.find(_EMPTY_LINE, at - 1).end()
+                raise MalformedResponse(_TOO_LONG)
+            need(at + size + 2)
+            if data[at + size:at + size + 2] != b"\r\n":
+                raise TransportError("a chunk does not end where its size says")
+            # the chunk's data joins the body, in place of its size line
+            data[body_end:at + size + 2] = data[at:at + size]
+            body_end = at = body_end + size
+        # trailer fields, if any, and an empty line; the size line ends at at - 1
+        end = find(_EMPTY_LINE, at - 1).end()
     elif lengths and not codings:
-        length = lengths.pop()
-        if lengths or not length.isdigit():
+        if len(lengths) > 1 or not (length := lengths.pop()).isdigit():
             raise TransportError("bad Content-Length in the reply")
         if len(length) > 18 or int(length) > MAX_REPLY_BYTES:
-            raise _over_cap()
+            raise MalformedResponse(_TOO_LONG)
         body_end = end = start + int(length)
-        wire.need(end)
-    else:  # the connection's closing ends the body
-        while wire.read():
+        need(end)
+    else:
+        while read():
             if len(data) - start > MAX_REPLY_BYTES:
-                raise _over_cap()
+                raise MalformedResponse(_TOO_LONG)
         body_end = end = len(data)
         reusable = False
     reusable = reusable and len(data) == end
