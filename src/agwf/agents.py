@@ -15,6 +15,7 @@ import math
 import re
 import time
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Sequence
 from urllib.parse import SplitResult, quote, urlsplit
 
@@ -408,12 +409,16 @@ _READ_BYTES = 1 << 16
 #: or trailer section read, in bytes, as http.client caps a line
 _MAX_HEAD_BYTES = 1 << 16
 _TOO_LONG = f"response body is longer than {MAX_REPLY_BYTES} bytes"
-#: an empty line, which ends a head; a line may end in CRLF or in LF alone
-_EMPTY_LINE = re.compile(rb"\r?\n\r?\n")
-_LINE_END = re.compile(rb"\n")
-_STATUS_LINE = re.compile(rb"(HTTP/\S+) +([1-9]\d\d)\b")
-_FIELD = re.compile(rb"^([^:\s]+)[ \t]*:(.*)$", re.M)
-_CHUNK_SIZE_LINE = re.compile(rb"([0-9A-Fa-f]{1,16})[ \t]*(?:;.*)?\r?\n")
+
+
+@cache
+def _reply_patterns() -> tuple[re.Pattern, ...]:
+    """Those of _read_reply, compiled when the first reply is read: an
+    empty line, which ends a head (a line may end in CRLF or in LF alone),
+    a line end, a status line, a header field and a chunk-size line."""
+    return (re.compile(rb"\r?\n\r?\n"), re.compile(rb"\n"),
+            re.compile(rb"(HTTP/\S+) +([1-9]\d\d)\b"), re.compile(rb"^([^:\s]+)[ \t]*:(.*)$", re.M),
+            re.compile(rb"([0-9A-Fa-f]{1,16})[ \t]*(?:;.*)?\r?\n"))
 
 
 def _remaining(deadline: float) -> float:
@@ -441,6 +446,7 @@ def _read_reply(sock, deadline: float) -> tuple[int, bytearray, bool]:
     head over _MAX_HEAD_BYTES, a TransportError; a body over
     MAX_REPLY_BYTES a MalformedResponse.
     """
+    empty_line_re, line_end_re, status_re, field_re, chunk_size_re = _reply_patterns()
     data = bytearray()
 
     def read() -> bool:
@@ -469,12 +475,12 @@ def _read_reply(sock, deadline: float) -> tuple[int, bytearray, bool]:
         raise ConnectionResetError("the connection closed before the reply")
     start, status = 0, 100
     while status < 200:
-        head, start = start, find(_EMPTY_LINE, start).end()
-        if not (status_line := _STATUS_LINE.match(data, head, start)):
+        head, start = start, find(empty_line_re, start).end()
+        if not (status_line := status_re.match(data, head, start)):
             raise TransportError(f"bad status line {bytes(data[head:head + 80])!r}")
         status = int(status_line[2])
     fields = {}
-    for name, value in _FIELD.findall(data, head, start):
+    for name, value in field_re.findall(data, head, start):
         fields.setdefault(name.lower(), []).extend(v.strip().lower() for v in value.split(b","))
     codings, lengths = fields.get(b"transfer-encoding"), set(fields.get(b"content-length", ()))
     reusable = status_line[1] == b"HTTP/1.1" and b"close" not in fields.get(b"connection", ())
@@ -483,7 +489,7 @@ def _read_reply(sock, deadline: float) -> tuple[int, bytearray, bool]:
     elif codings and codings[-1] == b"chunked":
         body_end = at = start
         while True:
-            if not (line := _CHUNK_SIZE_LINE.match(data, at, find(_LINE_END, at).end())):
+            if not (line := chunk_size_re.match(data, at, find(line_end_re, at).end())):
                 raise TransportError(f"bad chunk-size line {bytes(data[at:at + 80])!r}")
             size, at = int(line[1], 16), line.end()
             if not size:
@@ -497,7 +503,7 @@ def _read_reply(sock, deadline: float) -> tuple[int, bytearray, bool]:
             data[body_end:at + size + 2] = data[at:at + size]
             body_end = at = body_end + size
         # trailer fields, if any, and an empty line; the size line ends at at - 1
-        end = find(_EMPTY_LINE, at - 1).end()
+        end = find(empty_line_re, at - 1).end()
     elif lengths and not codings:
         if len(lengths) > 1 or not (length := lengths.pop()).isdigit():
             raise TransportError("bad Content-Length in the reply")

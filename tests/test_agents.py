@@ -401,7 +401,8 @@ class KeepAliveServer(ThreadingHTTPServer):
         self.missing_bytes = 0  # announced in Content-Length but never sent
         self.hang_up = False  # close the connection after each reply
         self.chunked = False  # send bodies chunked, with no Content-Length
-        self.url = f"{'https' if tls else 'http'}://127.0.0.1:{self.server_port}/v1/chat/completions"
+        scheme = "https" if tls else "http"
+        self.url = f"{scheme}://127.0.0.1:{self.server_port}/v1/chat/completions"
 
     def handle_error(self, request, client_address):
         pass  # a late reply to a client that gave up is expected here
