@@ -322,10 +322,8 @@ class HttpChatBackend(CompletionBackend):
         return bool(self._selector.select(0))
 
     def _exchange(self, request: bytes, deadline: float) -> tuple[int, bytearray]:
-        """Send the request on the connection, opened first if it is
-        closed, and read the reply's status and body by the deadline.  The
-        connection is closed after a reply that leaves it unfit for
-        another request."""
+        """Send the request, opening the connection if it is closed, and
+        read the reply's status and body, both by the deadline."""
         connection = self._connection
         if connection.sock is None:
             connection.timeout = _remaining(deadline)
@@ -431,21 +429,12 @@ def _remaining(deadline: float) -> float:
 
 
 def _read_reply(sock, deadline: float) -> tuple[int, bytearray, bool]:
-    """Read one reply off the socket by the deadline, into one bytearray:
-    its status, its body and whether the connection may carry another
-    request.
-
-    1xx replies are skipped.  The body is framed as RFC 9112 section 6.3
-    says: 204 and 304 have none; a body whose last transfer coding is
-    chunked is framed by it, one with another transfer coding by the
-    connection's closing, else by Content-Length, or else by the closing.
-    The connection may not carry another request after "Connection:
-    close", a version other than HTTP/1.1, a body framed by the closing, or
-    bytes past the reply.  The connection closing before any of the reply
-    is a ConnectionResetError; a reply cut short or framed wrong, or a
-    head over _MAX_HEAD_BYTES, a TransportError; a body over
-    MAX_REPLY_BYTES a MalformedResponse.
-    """
+    """Read one reply, skipping 1xx ones, into one bytearray by the
+    deadline: its status, its body, framed as RFC 9112 section 6.3 says,
+    and whether the connection may carry another request.  A close before
+    any byte of it is a ConnectionResetError; a reply cut short or framed
+    wrong, or a head over _MAX_HEAD_BYTES, a TransportError; a body over
+    MAX_REPLY_BYTES a MalformedResponse."""
     empty_line_re, line_end_re, status_re, field_re, chunk_size_re = _reply_patterns()
     data = bytearray()
 
@@ -456,7 +445,7 @@ def _read_reply(sock, deadline: float) -> tuple[int, bytearray, bool]:
         data.extend(piece)
         return bool(piece)
 
-    def need(size: int) -> None:
+    def need(size: int) -> None:  # read until data holds size bytes
         while len(data) < size:
             if not read():
                 raise TransportError("the connection closed inside the reply")
