@@ -32,6 +32,22 @@ class CountingBackend(CompletionBackend):
         )
 
 
+def tls_server_context():
+    """A TLS server context with the self-signed certificate for 127.0.0.1
+    in tests/data, which a client trusts through SSL_CERT_FILE.  It was
+    made with: openssl req -x509 -newkey ec -pkeyopt
+    ec_paramgen_curve:prime256v1 -nodes -days 36500 -subj /CN=127.0.0.1
+    -addext subjectAltName=IP:127.0.0.1 -addext
+    basicConstraints=critical,CA:TRUE -addext
+    keyUsage=critical,digitalSignature,keyCertSign -addext
+    extendedKeyUsage=serverAuth -keyout tls_key.pem -out tls_cert.pem"""
+    import ssl
+
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(DATA_DIR / "tls_cert.pem", DATA_DIR / "tls_key.pem")
+    return context
+
+
 @pytest.fixture
 def connects(monkeypatch):
     """The (host, port) of each connection an HTTP backend tries to open;

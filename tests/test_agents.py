@@ -7,7 +7,6 @@ import re
 import resource
 import selectors
 import socket
-import ssl
 import subprocess
 import sys
 import threading
@@ -42,7 +41,7 @@ from agwf.agents import (
 from agwf.pm_tools import Tool
 from agwf.workflow_engine import ExecutionAborted, execute
 
-from conftest import AGENT, DATA_DIR, CountingBackend
+from conftest import AGENT, DATA_DIR, CountingBackend, tls_server_context
 from test_transcript import ESCAPES, SPECIAL, tool_chain
 
 
@@ -390,9 +389,7 @@ class KeepAliveServer(ThreadingHTTPServer):
     def __init__(self, tls=False):
         super().__init__(("127.0.0.1", 0), KeepAliveHandler)
         if tls:  # each connection's handshake is made as it is accepted
-            context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
-            context.load_cert_chain(DATA_DIR / "tls_cert.pem", DATA_DIR / "tls_key.pem")
-            self.socket = context.wrap_socket(self.socket, server_side=True)
+            self.socket = tls_server_context().wrap_socket(self.socket, server_side=True)
         self.lock = threading.Lock()
         self.connections = 0
         self.seen = []
@@ -572,13 +569,7 @@ def test_http_backend_reply_over_the_cap_is_malformed(keepalive, open_backend, c
 
 
 def test_http_backend_speaks_tls_on_one_connection(keepalive, open_backend, monkeypatch):
-    """The stub's certificate, for 127.0.0.1, is the only one trusted.  It
-    was made with: openssl req -x509 -newkey ec -pkeyopt
-    ec_paramgen_curve:prime256v1 -nodes -days 36500 -subj /CN=127.0.0.1
-    -addext subjectAltName=IP:127.0.0.1 -addext
-    basicConstraints=critical,CA:TRUE -addext
-    keyUsage=critical,digitalSignature,keyCertSign -addext
-    extendedKeyUsage=serverAuth -keyout tls_key.pem -out tls_cert.pem"""
+    """The stub's certificate, for 127.0.0.1, is the only one trusted."""
     monkeypatch.setenv("SSL_CERT_FILE", str(DATA_DIR / "tls_cert.pem"))
     stub = keepalive(tls=True)
     stub.script = [(200, ok_payload("r0"), 0), (200, ok_payload("r1"), 0),

@@ -1,4 +1,4 @@
-"""The HTTP backend against a server on plain sockets, which writes its
+"""The HTTP backend against a server on raw sockets, which writes its
 replies byte for byte as scripted: trickled, cut short or framed wrong."""
 
 from __future__ import annotations
@@ -8,12 +8,15 @@ import json
 import re
 import socket
 import socketserver
+import ssl
 import threading
 import time
 
 import pytest
 
 from agwf.agents import BackendTimeout, HttpChatBackend, TransportError
+
+from conftest import DATA_DIR, tls_server_context
 
 #: a reply body of 46 bytes
 BODY = json.dumps({"choices": [{"message": {"content": "oka"}}]}).encode()
@@ -75,8 +78,10 @@ class RawHandler(socketserver.BaseRequestHandler):
 class RawServer(socketserver.ThreadingTCPServer):
     daemon_threads = True
 
-    def __init__(self):
+    def __init__(self, tls=False):
         super().__init__(("127.0.0.1", 0), RawHandler)
+        if tls:
+            self.socket = tls_server_context().wrap_socket(self.socket, server_side=True)
         self.lock = threading.Lock()
         self.connections = 0
         self.requests = []  # the bytes of each request received
@@ -92,8 +97,8 @@ def raw_stub(monkeypatch):
         monkeypatch.delenv(name.upper(), raising=False)
     servers = []
 
-    def start():
-        server = RawServer()
+    def start(tls=False):
+        server = RawServer(tls)
         threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
                          daemon=True).start()
         servers.append(server)
@@ -141,17 +146,20 @@ def chunked(*pieces, trailer=b""):
 
 #: replies that the backend reads, and whether it keeps the connection after them
 READ = {
-    "1xx replies first": (b"HTTP/1.1 100 Continue\r\n\r\n"
-                          b"HTTP/1.1 103 Early Hints\r\nLink: </x>\r\n\r\n" + OK, True),
-    "chunked": (chunked(BODY[:10], BODY[10:]), True),
-    "chunk extensions": (chunked(BODY).replace(b"2e\r\n", b"2E ; name=value\r\n"), True),
-    "trailer fields": (chunked(BODY, trailer=b"X-Checksum: 1\r\nX-Other: 2\r\n"), True),
-    "lines ending in LF alone": (OK.replace(b"\r\n", b"\n"), True),
-    "two equal Content-Lengths": (OK.replace(b"Content-Length: 46", b"Content-Length: 46, 46"),
-                                  True),
-    "Connection: close": (OK.replace(b"\r\n\r\n", b"\r\nConnection: close\r\n\r\n"), False),
-    "HTTP/1.0": (OK.replace(b"HTTP/1.1", b"HTTP/1.0"), False),
-    "bytes past the body": (OK + b"HTTP/1.1 200 OK\r\n", False),
+    "1xx replies first": (send(b"HTTP/1.1 100 Continue\r\n\r\n"
+                               b"HTTP/1.1 103 Early Hints\r\nLink: </x>\r\n\r\n" + OK), True),
+    "chunked": (send(chunked(BODY[:10], BODY[10:])), True),
+    "chunk extensions": (send(chunked(BODY).replace(b"2e\r\n", b"2E ; name=value\r\n")), True),
+    "trailer fields": (send(chunked(BODY, trailer=b"X-Checksum: 1\r\nX-Other: 2\r\n")), True),
+    "lines ending in LF alone": (send(OK.replace(b"\r\n", b"\n")), True),
+    "two equal Content-Lengths": (
+        send(OK.replace(b"Content-Length: 46", b"Content-Length: 46, 46")), True),
+    "Connection: close": (
+        send(OK.replace(b"\r\n\r\n", b"\r\nConnection: close\r\n\r\n")), False),
+    "HTTP/1.0": (send(OK.replace(b"HTTP/1.1", b"HTTP/1.0")), False),
+    "bytes past the body": (send(OK + b"HTTP/1.1 200 OK\r\n"), False),
+    "a body the close ends": (
+        send(HEAD.replace(b"Content-Length: 46\r\n", b"") + BODY, keep=False), False),
 }
 
 
@@ -161,18 +169,10 @@ def test_replies_the_backend_reads(backend_on, case):
     the next request."""
     reply, kept = READ[case]
     stub, backend = backend_on(0.2)
-    stub.script = [send(reply)]
+    stub.script = [reply]
     assert backend.complete("role", "hello") == "oka"
     assert backend.complete("role", "hello") == "oka"
     assert stub.connections == (1 if kept else 2)
-
-
-def test_a_body_the_close_ends_is_read(backend_on):
-    stub, backend = backend_on(0.2)
-    stub.script = [send(HEAD.replace(b"Content-Length: 46\r\n", b"") + BODY, keep=False)]
-    assert backend.complete("role", "hello") == "oka"
-    assert backend.complete("role", "hello") == "oka"
-    assert stub.connections == 2
 
 
 #: replies framed wrong or cut short, each followed by a kept connection
@@ -228,6 +228,9 @@ ENDPOINTS = [
      "proxy.example", 3128, "http://endpoint.example:8080/v1?k=1"),
     ("http://endpoint.example/v1", "proxy.example:3128",
      "proxy.example", 3128, "http://endpoint.example/v1"),
+    # TLS to the stub, whose certificate is for 127.0.0.1
+    ("https://127.0.0.1/v1", "", "127.0.0.1", 443, "/v1"),
+    ("https://127.0.0.1:8443/v1", "", "127.0.0.1", 8443, "/v1"),
 ]
 
 
@@ -236,7 +239,9 @@ ENDPOINTS = [
 def test_a_request_is_the_bytes_http_client_sends(raw_stub, monkeypatch,
                                                   url, proxy, host, port, target, api_key):
     """Every connection goes to the stub, whatever address it is for."""
-    stub = raw_stub()
+    tls = url.startswith("https")
+    stub = raw_stub(tls)
+    monkeypatch.setenv("SSL_CERT_FILE", str(DATA_DIR / "tls_cert.pem"))
     connect, addresses = socket.create_connection, []
 
     def to_the_stub(address, *args, **kwargs):
@@ -257,7 +262,8 @@ def test_a_request_is_the_bytes_http_client_sends(raw_stub, monkeypatch,
     headers = {"Content-Type": "application/json"}
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
-    reference = http.client.HTTPConnection(host, port)
+    reference = (http.client.HTTPSConnection(host, port, context=ssl.create_default_context())
+                 if tls else http.client.HTTPConnection(host, port))
     try:
         reference.request("POST", target, body, headers)
         reference.getresponse().read()
