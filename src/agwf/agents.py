@@ -215,25 +215,27 @@ class HttpChatBackend(CompletionBackend):
     """OpenAI-compatible chat completions over HTTP/1.1 with bearer auth.
 
     The endpoint must be an http(s) URL with a host and, if it names a
-    port, one from 1 to 65535, and the api_key must hold no line break;
-    anything else raises ValueError before a request is made.  The proxy
-    comes from the http_proxy/https_proxy/no_proxy environment variables,
-    read here, once.  The backend keeps one connection and reuses it for
-    every complete(), so it serves one run at a time; close() releases it.
-    http.client opens the connection (TLS, a proxy's CONNECT tunnel); the
-    backend sends each request in one write, its head as http.client
-    writes it, built here up to the Content-Length value, and reads the
-    reply itself (see _read_reply).  ``timeout`` bounds the whole
-    exchange, from the connect to the last byte of the reply.  A reused
-    connection found hung up before any byte of the reply arrives is
-    replaced, and the request sent once more, within the same complete().
+    port, one from 1 to 65535, and the api_key latin-1 text with no line
+    break; anything else raises ValueError before a request is made, its
+    message opening with "endpoint", "api_key" or the proxy's variable.
+    The proxy comes from the http_proxy/https_proxy/no_proxy environment
+    variables, read here, once.  The backend keeps one connection and
+    reuses it for every complete(), so it serves one run at a time;
+    close() releases it.  http.client opens the connection (TLS, a
+    proxy's CONNECT tunnel); the backend sends each request in one write,
+    its head as http.client writes it, built here up to the Content-Length
+    value, and reads the reply itself (see _read_reply).  ``timeout``
+    bounds the whole exchange, from the connect to the last byte of the
+    reply.  A kept connection that one read finds hung up (see _hung_up)
+    is replaced before the request.  complete() connects, sends and reads
+    in one loop, which closes the connection on a failure and, when a
+    reused one resets before any byte of the reply, sends once more.
 
     The backend keeps the state of the last prompt it sent (a plain str's
     is empty) and that state's JSON escape.  A request escapes only the
     text its state does not share with the kept one (see _shared), and the
-    kept text it does not share, to learn how much escape to cut off.  It
-    also keeps a selector watching the connection's socket for a hang-up;
-    close() drops them all.  The body is, byte for byte, what json.dumps
+    kept text it does not share, to learn how much escape to cut off;
+    close() drops them.  The body is, byte for byte, what json.dumps
     makes of the request.
     """
 
@@ -243,8 +245,8 @@ class HttpChatBackend(CompletionBackend):
         from urllib.request import getproxies, proxy_bypass
 
         parts, port = _http_address(endpoint_url, ("http", "https"), "endpoint")
-        if "\r" in api_key or "\n" in api_key:
-            raise ValueError("api_key must not hold a line break")
+        if "\r" in api_key or "\n" in api_key or max(api_key, default="") > "\xff":
+            raise ValueError("api_key must be latin-1 text with no line break")
         self.endpoint_url = endpoint_url
         self.timeout = timeout
         target = parts.path or "/"
@@ -257,7 +259,8 @@ class HttpChatBackend(CompletionBackend):
             proxy = None
         if proxy:
             proxy_parts, proxy_port = _http_address(
-                proxy if "://" in proxy else "http://" + proxy, ("http",), f"{parts.scheme} proxy")
+                proxy if "://" in proxy else "http://" + proxy, ("http",),
+                f"{parts.scheme}_proxy (or {parts.scheme.upper()}_PROXY)")
             address = (proxy_parts.hostname, proxy_port)
         else:
             address = (host, port)
@@ -280,15 +283,10 @@ class HttpChatBackend(CompletionBackend):
                       b"Content-Length: " % (target, authority))
         self._head_end = b"\r\nContent-Type: application/json\r\n%s\r\n" % (
             b"Authorization: Bearer %s\r\n" % api_key.encode("latin-1") if api_key else b"")
-        self._selector = None
         self.close()
 
     def close(self) -> None:
         self._connection.close()
-        if self._selector is not None:
-            self._selector.close()
-        # the socket the selector watches, and the selector
-        self._watched = self._selector = None
         self._state, self._escaped_state = "", bytearray()
 
     def _escape_state(self, state: str) -> bytearray:
@@ -306,36 +304,6 @@ class HttpChatBackend(CompletionBackend):
         self._state = state
         return escaped
 
-    def _hung_up(self) -> bool:
-        """Whether the idle connection has something to read, which means
-        the server hung up.  The selector is made when the socket changes."""
-        import selectors
-
-        sock = self._connection.sock
-        if sock is not self._watched:
-            if self._selector is not None:
-                self._selector.close()
-            # a selector, unlike select.select, takes any file descriptor
-            self._selector = selectors.DefaultSelector()
-            self._selector.register(sock, selectors.EVENT_READ)
-            self._watched = sock
-        return bool(self._selector.select(0))
-
-    def _exchange(self, request: bytes, deadline: float) -> tuple[int, bytearray]:
-        """Send the request, opening the connection if it is closed, and
-        read the reply's status and body, both by the deadline."""
-        connection = self._connection
-        if connection.sock is None:
-            connection.timeout = _remaining(deadline)
-            connection.connect()
-        sock = connection.sock
-        sock.settimeout(_remaining(deadline))
-        sock.sendall(request)
-        status, data, reusable = _read_reply(sock, deadline)
-        if not reusable:
-            connection.close()
-        return status, data
-
     def complete(self, role_prompt: str, user_prompt: Prompt | str, *,
                  model: str = "", temperature: float = 0.0) -> str:
         import http.client
@@ -350,32 +318,34 @@ class HttpChatBackend(CompletionBackend):
         request = b"".join((self._head, b"%d" % sum(map(len, body)), self._head_end, *body))
         deadline = time.monotonic() + self.timeout
         connection = self._connection
-        if connection.sock is not None and self._hung_up():
+        if connection.sock is not None and _hung_up(connection.sock):
             connection.close()
-        reused = connection.sock is not None
-        try:
+        while True:
+            fresh = connection.sock is None
             try:
-                status, data = self._exchange(request, deadline)
-            except (ConnectionResetError, BrokenPipeError):
-                if not reused:
-                    raise
-                # a hang-up the idle check missed: send once more on a
-                # fresh connection
+                if fresh:
+                    connection.timeout = _remaining(deadline)
+                    connection.connect()
+                sock = connection.sock
+                sock.settimeout(_remaining(deadline))
+                sock.sendall(request)
+                status, data, reusable = _read_reply(sock, deadline)
+                break
+            # HTTPException: a proxy's malformed reply to CONNECT; AgentError:
+            # a reply framed wrong, cut short or too long
+            except (OSError, http.client.HTTPException, AgentError) as exc:
+                # closed so that a late reply is never read as the next one
                 connection.close()
-                status, data = self._exchange(request, deadline)
-        except TimeoutError as exc:
-            # closed so that the late reply is never read as the next one
+                if not fresh and isinstance(exc, (ConnectionResetError, BrokenPipeError)):
+                    continue  # a hang-up the idle check missed: send once more
+                if isinstance(exc, TimeoutError):
+                    raise BackendTimeout(f"no response from {self.endpoint_url} "
+                                         f"within {self.timeout}s") from exc
+                if isinstance(exc, AgentError):
+                    raise
+                raise TransportError(f"request to {self.endpoint_url} failed: {exc}") from exc
+        if not reusable:
             connection.close()
-            raise BackendTimeout(
-                f"no response from {self.endpoint_url} within {self.timeout}s"
-            ) from exc
-        # HTTPException: a proxy's malformed reply to CONNECT
-        except (OSError, http.client.HTTPException) as exc:
-            connection.close()
-            raise TransportError(f"request to {self.endpoint_url} failed: {exc}") from exc
-        except AgentError:  # a reply framed wrong, cut short or too long
-            connection.close()
-            raise
         if status == 429 or status >= 500:
             raise TransportError(f"HTTP {status} from {self.endpoint_url}")
         if not 200 <= status < 300:
@@ -426,6 +396,22 @@ def _remaining(deadline: float) -> float:
     if left <= 0:
         raise TimeoutError("the deadline passed")
     return left
+
+
+def _hung_up(sock) -> bool:
+    """Whether the server hung up the idle connection: a read at timeout 0
+    finds nothing (BlockingIOError, or SSLWantReadError on an SSLSocket)
+    unless a byte (a 408, say), the end of the stream or a reset is there."""
+    import ssl
+
+    sock.settimeout(0)
+    try:
+        sock.recv(1)
+    except (BlockingIOError, ssl.SSLWantReadError):
+        return False
+    except OSError:
+        pass
+    return True
 
 
 def _read_reply(sock, deadline: float) -> tuple[int, bytearray, bool]:
@@ -516,7 +502,10 @@ def _http_address(url: str, schemes: tuple[str, ...], what: str) -> tuple[SplitR
     """The split URL and its port; ValueError unless it can be connected to."""
     try:
         parts = urlsplit(url)
-        valid = parts.scheme in schemes and bool(parts.hostname)
+        host = parts.hostname
+        # http.client refuses a space or control character; IDNA a bad label
+        valid = (parts.scheme in schemes and bool(host) and host.isprintable()
+                 and " " not in host and bool(host.encode("idna")))
     except ValueError:  # e.g. an unclosed [ around an IPv6 host
         valid = False
     if not valid:

@@ -55,7 +55,10 @@ def _make_backend(args) -> CompletionBackend:
     try:
         return http_chat_backend(endpoint, os.environ.get("AGWF_API_KEY", ""))
     except ValueError as exc:
-        raise UsageError(f"--http (or AGWF_ENDPOINT): {exc}") from exc
+        # the message opens with what is wrong, and a proxy's with its variable
+        source = {"endpoint": "--http (or AGWF_ENDPOINT)", "api_key": "AGWF_API_KEY"}.get(
+            str(exc).partition(" ")[0])
+        raise UsageError(f"{source}: {exc}" if source else str(exc)) from exc
 
 
 class _Escaped(tuple):

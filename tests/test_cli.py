@@ -626,6 +626,39 @@ def test_hostile_input_exits_2_with_one_error_line(case, tmp_path, capsys, conne
         assert lines[0] == f"error: {expected[case]}"
 
 
+#: case -> (--http value, environment, the error line it must print)
+BAD_HTTP_SETTINGS = {
+    "endpoint": ("foo", {}, "--http (or AGWF_ENDPOINT): endpoint must be an http or https "
+                            "URL with a host; got 'foo'"),
+    "endpoint-host-with-a-space": (
+        "http://a b/v1", {}, "--http (or AGWF_ENDPOINT): endpoint must be an http or https "
+                             "URL with a host; got 'http://a b/v1'"),
+    "api-key": ("http://127.0.0.1:9/v1", {"AGWF_API_KEY": "a\nb"},
+                "AGWF_API_KEY: api_key must be latin-1 text with no line break"),
+    "api-key-not-latin-1": ("http://127.0.0.1:9/v1", {"AGWF_API_KEY": "\u20ac"},
+                            "AGWF_API_KEY: api_key must be latin-1 text with no line break"),
+    "proxy": ("http://127.0.0.1:9/v1", {"http_proxy": "ftp://x"},
+              "http_proxy (or HTTP_PROXY) must be an http URL with a host; got 'ftp://x'"),
+    "proxy-host-with-an-empty-label": (
+        "http://127.0.0.1:9/v1", {"HTTP_PROXY": "a..b:3128"},
+        "http_proxy (or HTTP_PROXY) must be an http URL with a host; got 'http://a..b:3128'"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_HTTP_SETTINGS)
+def test_a_bad_http_setting_is_named_by_its_source(case, monkeypatch, capsys, connects):
+    url, environment, line = BAD_HTTP_SETTINGS[case]
+    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy", "AGWF_API_KEY"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    for name, value in environment.items():
+        monkeypatch.setenv(name, value)
+    assert run_cli("demo", "rca", "--http", url) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {line}\n")
+    assert connects == []
+
+
 # ---------------------------------------------------------------------------
 # Mutated workflow and rules files
 # ---------------------------------------------------------------------------

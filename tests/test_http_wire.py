@@ -75,15 +75,34 @@ class RawHandler(socketserver.BaseRequestHandler):
             pass
 
 
+class TunnelHandler(RawHandler):
+    """A proxy that answers a CONNECT request with 200 and then is the
+    server inside the tunnel, over TLS."""
+
+    def handle(self):
+        data = b""
+        while b"\r\n\r\n" not in data:
+            if not (piece := self.request.recv(1 << 16)):
+                return
+            data += piece
+        with self.server.lock:
+            self.server.tunnels.append(data)
+        self.request.sendall(b"HTTP/1.1 200 Connection established\r\n\r\n")
+        self.request = tls_server_context().wrap_socket(self.request, server_side=True)
+        with self.request:
+            super().handle()
+
+
 class RawServer(socketserver.ThreadingTCPServer):
     daemon_threads = True
 
-    def __init__(self, tls=False):
-        super().__init__(("127.0.0.1", 0), RawHandler)
+    def __init__(self, tls=False, tunnel=False):
+        super().__init__(("127.0.0.1", 0), TunnelHandler if tunnel else RawHandler)
         if tls:
             self.socket = tls_server_context().wrap_socket(self.socket, server_side=True)
         self.lock = threading.Lock()
         self.connections = 0
+        self.tunnels = []  # the bytes of each CONNECT request received
         self.requests = []  # the bytes of each request received
         self.script = []  # replies: each sends to a connection and says whether to keep it
         self.url = f"http://127.0.0.1:{self.server_address[1]}/v1/chat/completions"
@@ -97,8 +116,8 @@ def raw_stub(monkeypatch):
         monkeypatch.delenv(name.upper(), raising=False)
     servers = []
 
-    def start(tls=False):
-        server = RawServer(tls)
+    def start(tls=False, tunnel=False):
+        server = RawServer(tls, tunnel)
         threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
                          daemon=True).start()
         servers.append(server)
@@ -135,6 +154,28 @@ def test_the_timeout_bounds_the_whole_exchange(backend_on):
         backend.complete("role", "hello")
     assert time.monotonic() - started < 0.5 + 0.25
     assert backend.complete("role", "hello") == "oka"
+
+
+def test_a_408_on_the_idle_connection_is_not_read_as_the_reply(backend_on):
+    """RFC 9110 section 15.5.9: a server may send 408 on an idle
+    connection before it closes it.  The idle check finds it, and the next
+    request goes out on a new connection."""
+    stub, backend = backend_on(0.5)
+    timed_out = threading.Event()
+
+    def reply_then_time_out(conn):
+        conn.sendall(OK)
+        time.sleep(0.05)
+        conn.sendall(b"HTTP/1.1 408 Request Timeout\r\nConnection: close\r\n"
+                     b"Content-Length: 0\r\n\r\n")
+        timed_out.set()
+        return False
+
+    stub.script = [reply_then_time_out]
+    assert backend.complete("role", "hello") == "oka"
+    assert timed_out.wait(5)
+    assert backend.complete("role", "hello") == "oka"
+    assert stub.connections == 2 and len(stub.requests) == 2
 
 
 def chunked(*pieces, trailer=b""):
@@ -271,6 +312,38 @@ def test_a_request_is_the_bytes_http_client_sends(raw_stub, monkeypatch,
         reference.close()
     assert addresses == [(host, port)] * 2
     assert stub.requests[0] == stub.requests[1]
+
+
+@pytest.mark.parametrize("url, port", [("https://127.0.0.1/v1", 443),
+                                       ("https://127.0.0.1:8443/v1", 8443)])
+def test_a_tunnelled_request_is_the_bytes_http_client_sends(raw_stub, monkeypatch, url, port):
+    """An https endpoint behind a proxy: the CONNECT request and the request
+    inside the tunnel are those of HTTPSConnection with set_tunnel, and two
+    completions share one tunnel, so the idle check reads an SSLSocket in
+    it."""
+    proxy = raw_stub(tunnel=True)
+    monkeypatch.setenv("SSL_CERT_FILE", str(DATA_DIR / "tls_cert.pem"))
+    monkeypatch.setenv("HTTPS_PROXY", f"http://127.0.0.1:{proxy.server_address[1]}")
+    backend = HttpChatBackend(url, "sk-0123")
+    try:
+        assert [backend.complete("role", "hello", model="m") for _ in range(2)] == ["oka"] * 2
+    finally:
+        backend.close()
+    assert proxy.connections == 1
+    body = json.dumps({"model": "m", "messages": [{"role": "system", "content": "role"},
+                                                  {"role": "user", "content": "hello"}],
+                       "temperature": 0.0}).encode()
+    reference = http.client.HTTPSConnection(*proxy.server_address,
+                                            context=ssl.create_default_context())
+    reference.set_tunnel("127.0.0.1", port)
+    try:
+        reference.request("POST", "/v1", body, {"Content-Type": "application/json",
+                                                "Authorization": "Bearer sk-0123"})
+        reference.getresponse().read()
+    finally:
+        reference.close()
+    assert len(proxy.tunnels) == 2 and proxy.tunnels[0] == proxy.tunnels[1]
+    assert len(proxy.requests) == 3 and proxy.requests[0] == proxy.requests[1] == proxy.requests[2]
 
 
 @pytest.mark.parametrize("api_key", ["sk-\n", "sk-\r", "\u20ac"])
