@@ -32,6 +32,20 @@ class CountingBackend(CompletionBackend):
         )
 
 
+class InterruptedBackend(CompletionBackend):
+    """Answers "done" twice, then raises KeyboardInterrupt, as a Ctrl-C
+    during the third call would."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def complete(self, role_prompt, user_prompt, *, model="", temperature=0.0):
+        self.calls += 1
+        if self.calls == 3:
+            raise KeyboardInterrupt
+        return "done"
+
+
 def tls_server_context():
     """A TLS server context with the self-signed certificate for 127.0.0.1
     in tests/data, which a client trusts through SSL_CERT_FILE.  It was

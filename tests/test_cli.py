@@ -23,7 +23,7 @@ from agwf.pm_tools import abstract_dfg
 from agwf.workflow_config import load_workflow
 from agwf.workflow_engine import linearize
 
-from conftest import csv_log_text, xes_log_text
+from conftest import InterruptedBackend, csv_log_text, xes_log_text
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -170,6 +170,30 @@ def test_run_aborted_mid_run_exits_1_with_partial_transcript(tmp_path, capsys):
     assert transcript["error"] == lines[0].removeprefix("execution aborted: ")
     assert transcript["task_sequence"] == ["T1"]
     assert list(transcript["details"]) == transcript["task_sequence"]
+
+
+def test_run_interrupted_mid_run_exits_1_with_partial_transcript(tmp_path, capsys, monkeypatch):
+    """A Ctrl-C during the third call keeps the two replies already paid for."""
+    workflow = _write_json(tmp_path / "w.json", _workflow(
+        {"id": "T1", "instruction": "x"},
+        {"id": "T2", "instruction": "x", "prec": ["T1"]},
+        {"id": "T3", "instruction": "x", "prec": ["T2"]}, final="T3"))
+    rules = _write_json(tmp_path / "r.json", [])
+    monkeypatch.setattr(cli, "load_scripted_rules", lambda path: InterruptedBackend())
+    output = tmp_path / "t.json"
+    try:
+        code = run_cli("run", workflow, "--inquiry", "q", "--scripted", rules,
+                       "--output", str(output))
+    except KeyboardInterrupt:  # caught here, so that it does not end the session
+        pytest.fail("the KeyboardInterrupt escaped the run")
+    assert code == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "execution aborted: task 'T3' aborted the execution: KeyboardInterrupt\n")
+    transcript = json.loads(output.read_text())
+    assert transcript["aborted"] is True
+    assert transcript["task_sequence"] == ["T1", "T2"]
+    assert [transcript["details"][task]["raw_response"] for task in ("T1", "T2")] == ["done"] * 2
 
 
 def test_run_verbose_notes_the_tasks_of_an_aborted_run(tmp_path, capsys):

@@ -3,6 +3,7 @@ replies byte for byte as scripted: trickled, cut short or framed wrong."""
 
 from __future__ import annotations
 
+import contextlib
 import http.client
 import json
 import re
@@ -14,9 +15,9 @@ import time
 
 import pytest
 
-from agwf.agents import BackendTimeout, HttpChatBackend, TransportError
+from agwf.agents import BackendTimeout, HttpChatBackend, TransportError, complete
 
-from conftest import DATA_DIR, tls_server_context
+from conftest import AGENT, DATA_DIR, CountingBackend, tls_server_context
 
 #: a reply body of 46 bytes
 BODY = json.dumps({"choices": [{"message": {"content": "oka"}}]}).encode()
@@ -75,20 +76,29 @@ class RawHandler(socketserver.BaseRequestHandler):
             pass
 
 
+#: a proxy's reply to CONNECT that opens the tunnel
+ESTABLISHED = b"HTTP/1.1 200 Connection established\r\n\r\n"
+
+
 class TunnelHandler(RawHandler):
-    """A proxy that answers a CONNECT request with 200 and then is the
-    server inside the tunnel, over TLS."""
+    """A proxy that answers a CONNECT request with the server's
+    ``answer_connect`` and, if that says so, is then the server inside the
+    tunnel, over TLS."""
 
     def handle(self):
         data = b""
-        while b"\r\n\r\n" not in data:
-            if not (piece := self.request.recv(1 << 16)):
+        try:
+            while b"\r\n\r\n" not in data:
+                if not (piece := self.request.recv(1 << 16)):
+                    return
+                data += piece
+            with self.server.lock:
+                self.server.tunnels.append(data)
+            if not self.server.answer_connect(self.request):
                 return
-            data += piece
-        with self.server.lock:
-            self.server.tunnels.append(data)
-        self.request.sendall(b"HTTP/1.1 200 Connection established\r\n\r\n")
-        self.request = tls_server_context().wrap_socket(self.request, server_side=True)
+            self.request = tls_server_context().wrap_socket(self.request, server_side=True)
+        except OSError:  # the client gave up on the tunnel
+            return
         with self.request:
             super().handle()
 
@@ -105,6 +115,8 @@ class RawServer(socketserver.ThreadingTCPServer):
         self.tunnels = []  # the bytes of each CONNECT request received
         self.requests = []  # the bytes of each request received
         self.script = []  # replies: each sends to a connection and says whether to keep it
+        # the answer to a CONNECT request: sends it and says whether to open the tunnel
+        self.answer_connect = send(ESTABLISHED)
         self.url = f"http://127.0.0.1:{self.server_address[1]}/v1/chat/completions"
 
 
@@ -344,6 +356,75 @@ def test_a_tunnelled_request_is_the_bytes_http_client_sends(raw_stub, monkeypatc
         reference.close()
     assert len(proxy.tunnels) == 2 and proxy.tunnels[0] == proxy.tunnels[1]
     assert len(proxy.requests) == 3 and proxy.requests[0] == proxy.requests[1] == proxy.requests[2]
+
+
+@pytest.fixture
+def tunnelled(raw_stub, monkeypatch):
+    """A proxy stub, and a backend for an https endpoint behind it with the
+    given timeout; closed when the test ends."""
+    backends = []
+
+    def build(timeout):
+        proxy = raw_stub(tunnel=True)
+        monkeypatch.setenv("SSL_CERT_FILE", str(DATA_DIR / "tls_cert.pem"))
+        monkeypatch.setenv("HTTPS_PROXY", f"http://127.0.0.1:{proxy.server_address[1]}")
+        backends.append(HttpChatBackend("https://127.0.0.1/v1", timeout=timeout))
+        return proxy, backends[-1]
+
+    yield build
+    for backend in backends:
+        backend.close()
+
+
+def test_the_timeout_bounds_a_trickled_reply_to_connect(tunnelled):
+    """The proxy's reply to CONNECT, a byte every 0.1 s, would take 3.9 s;
+    the call ends at its 0.5 s timeout."""
+    proxy, backend = tunnelled(0.5)
+    proxy.answer_connect = trickle(b"", ESTABLISHED, 0.1)
+    started = time.monotonic()
+    with pytest.raises(BackendTimeout):
+        backend.complete("role", "hello")
+    assert time.monotonic() - started < 0.5 + 0.15
+
+
+def test_a_connect_the_proxy_refuses_is_a_transport_error(tunnelled):
+    """Each attempt opens a tunnel, is refused it and spends an attempt."""
+    proxy, backend = tunnelled(0.5)
+    proxy.answer_connect = send(b"HTTP/1.1 407 Proxy Authentication Required\r\n"
+                                b"Proxy-Authenticate: Basic\r\nContent-Length: 0\r\n\r\n")
+    counted = CountingBackend(backend)
+    with pytest.raises(TransportError):
+        complete(AGENT, counted, "hello")
+    assert counted.calls == 3 and len(proxy.tunnels) == 3 and proxy.requests == []
+
+
+def trickled_handshake(conn):
+    """Open the tunnel after 0.3 s, then answer the TLS handshake inside it
+    16 bytes every 0.05 s."""
+    time.sleep(0.3)
+    conn.sendall(ESTABLISHED)
+    incoming, outgoing = ssl.MemoryBIO(), ssl.MemoryBIO()
+    tls = tls_server_context().wrap_bio(incoming, outgoing, server_side=True)
+    while piece := conn.recv(1 << 16):
+        incoming.write(piece)
+        with contextlib.suppress(ssl.SSLWantReadError):
+            tls.do_handshake()
+        data = outgoing.read()
+        for at in range(0, len(data), 16):
+            time.sleep(0.05)
+            conn.sendall(data[at:at + 16])
+    return False
+
+
+def test_the_tls_handshake_gets_the_time_the_tunnel_left(tunnelled):
+    """The tunnel takes 0.3 s of the 0.5 s timeout, and the trickled
+    handshake would take seconds: the call ends at 0.5 s, not 0.3 + 0.5."""
+    proxy, backend = tunnelled(0.5)
+    proxy.answer_connect = trickled_handshake
+    started = time.monotonic()
+    with pytest.raises(BackendTimeout):
+        backend.complete("role", "hello")
+    assert time.monotonic() - started < 0.5 + 0.15
 
 
 @pytest.mark.parametrize("api_key", ["sk-\n", "sk-\r", "\u20ac"])

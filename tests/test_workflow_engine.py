@@ -46,7 +46,7 @@ from agwf.workflow_engine import (
     validate,
 )
 
-from conftest import CountingBackend, chain_spec, joined_prompt, make_log, plain_task, spec_of
+from conftest import CountingBackend, InterruptedBackend, chain_spec, joined_prompt, make_log, plain_task, spec_of
 
 
 def fig2_like_spec():
@@ -503,6 +503,17 @@ def test_execute_aborts_with_partial_record():
     partial = err.value.record
     assert partial.task_sequence == ("T1",)
     assert len(partial.states) == 2
+
+
+def test_execute_turns_an_interrupt_into_an_abort_with_the_partial_record():
+    with pytest.raises(ExecutionAborted) as err:
+        try:
+            execute(chain_spec("T1", "T2", "T3"), "Q", InterruptedBackend())
+        except KeyboardInterrupt:  # caught here, so that it does not end the session
+            pytest.fail("the KeyboardInterrupt escaped execute")
+    assert isinstance(err.value.__cause__, KeyboardInterrupt)
+    assert str(err.value) == "task 'T3' aborted the execution: KeyboardInterrupt"
+    assert err.value.record.task_sequence == ("T1", "T2")
 
 
 def test_execute_callback_failure_aborts():
