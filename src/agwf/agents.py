@@ -3,15 +3,16 @@
 A task runs by sending its role prompt (system message) and a built user
 prompt to a CompletionBackend.  The ScriptedBackend is the deterministic
 test double; HttpChatBackend talks to any OpenAI-compatible chat
-completions endpoint.  The HTTP stack (http.client, ssl, urllib.request)
-is imported when the first HttpChatBackend is built, so a scripted run
-never loads it.
+completions endpoint.  Building one imports what its endpoint needs:
+socket, ssl for https, urllib.request when a *_proxy variable is set.  A
+scripted run loads none of them.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import re
 import time
 from dataclasses import dataclass
@@ -219,17 +220,17 @@ class HttpChatBackend(CompletionBackend):
     break; anything else raises ValueError before a request is made, its
     message opening with "endpoint", "api_key" or the proxy's variable.
     The proxy comes from the http_proxy/https_proxy/no_proxy environment
-    variables, read here, once.  The backend keeps one connection and
-    reuses it for every complete(), so it serves one run at a time;
-    close() releases it.  http.client opens the connection (TLS, a
-    proxy's CONNECT tunnel); the backend sends each request in one write,
-    its head as http.client writes it, built here up to the Content-Length
-    value, and reads the reply itself (see _read_reply).  ``timeout``
-    bounds the whole exchange, from the connect to the last byte of the
-    reply.  A kept connection that one read finds hung up (see _hung_up)
-    is replaced before the request.  complete() connects, sends and reads
-    in one loop, which closes the connection on a failure and, when a
-    reused one resets before any byte of the reply, sends once more.
+    variables, read here, once.  The backend keeps one connection, which
+    it opens itself (see _open), and reuses it for every complete(), so it
+    serves one run at a time; close() releases it.  It sends each request
+    in one write, its head as http.client writes it, built here up to the
+    Content-Length value, and reads the reply itself (see _read_reply).
+    ``timeout`` bounds the whole exchange: one deadline from the connect to
+    the last byte of the reply.  complete() opens, sends and reads in one
+    loop, which closes the connection on any exception.  A reused
+    connection that resets before any byte of the reply, or answers 408 and
+    closes, as a server may on an idle one (RFC 9110 section 15.5.9), costs
+    no attempt: the loop sends once more on a new connection.
 
     The backend keeps the state of the last prompt it sent (a plain str's
     is empty) and that state's JSON escape.  A request escapes only the
@@ -240,54 +241,75 @@ class HttpChatBackend(CompletionBackend):
     """
 
     def __init__(self, endpoint_url: str, api_key: str = "", timeout: float = 60.0):
-        import http.client
-        import ssl
-        from urllib.request import getproxies, proxy_bypass
+        import socket  # noqa: F401  (loaded with the backend, not at its first connect)
 
         parts, port = _http_address(endpoint_url, ("http", "https"), "endpoint")
         if "\r" in api_key or "\n" in api_key or max(api_key, default="") > "\xff":
             raise ValueError("api_key must be latin-1 text with no line break")
-        self.endpoint_url = endpoint_url
-        self.timeout = timeout
+        self.endpoint_url, self.timeout = endpoint_url, timeout
         target = parts.path or "/"
         if parts.query:
             target += "?" + parts.query
         target = quote(target, safe=_URL_SAFE).encode("ascii")
-        host = parts.hostname
-        proxy = getproxies().get(parts.scheme)
-        if proxy and proxy_bypass(host):
-            proxy = None
+        host, https = parts.hostname, parts.scheme == "https"
+        proxy, self._address = None, (host, port)
+        # getproxies reads only the variables whose names end in _proxy, in any case
+        if any(name.lower().endswith("_proxy") for name in os.environ):
+            from urllib.request import getproxies, proxy_bypass
+
+            proxy = None if proxy_bypass(host) else getproxies().get(parts.scheme)
         if proxy:
             proxy_parts, proxy_port = _http_address(
                 proxy if "://" in proxy else "http://" + proxy, ("http",),
                 f"{parts.scheme}_proxy (or {parts.scheme.upper()}_PROXY)")
-            address = (proxy_parts.hostname, proxy_port)
-        else:
-            address = (host, port)
-        if parts.scheme == "https":
-            self._connection = http.client.HTTPSConnection(
-                *address, timeout=timeout, context=ssl.create_default_context())
+            self._address = (proxy_parts.hostname, proxy_port)
+        # an IPv6 address in brackets and without its zone
+        name = (f"[{host.partition('%')[0]}]" if ":" in host else host).encode("idna")
+        self._host, self._context, self._tunnel = host, None, b""
+        if https:
+            import ssl
+
+            self._context = ssl.create_default_context()
             if proxy:
-                self._connection.set_tunnel(host, port)
-        else:
-            self._connection = http.client.HTTPConnection(*address, timeout=timeout)
-        if proxy and parts.scheme == "http":
+                self._tunnel = b"CONNECT %s:%d HTTP/1.1\r\nHost: %s:%d\r\n\r\n" % ((name, port) * 2)
+        if proxy and not https:
             # a proxy takes the absolute URI, and Host is its authority
             authority = parts.netloc.rpartition("@")[2].encode("idna")
             target = b"http://" + authority + target
-        else:  # an IPv6 address in brackets and without its zone
-            authority = (f"[{host.partition('%')[0]}]" if ":" in host else host).encode("idna")
-            if port != self._connection.default_port:
-                authority += b":%d" % port
+        else:
+            authority = name if port == (443 if https else 80) else name + b":%d" % port
         self._head = (b"POST %s HTTP/1.1\r\nHost: %s\r\nAccept-Encoding: identity\r\n"
                       b"Content-Length: " % (target, authority))
         self._head_end = b"\r\nContent-Type: application/json\r\n%s\r\n" % (
             b"Authorization: Bearer %s\r\n" % api_key.encode("latin-1") if api_key else b"")
+        self._sock = None
         self.close()
 
     def close(self) -> None:
-        self._connection.close()
+        self._drop()
         self._state, self._escaped_state = "", bytearray()
+
+    def _drop(self) -> None:  # close the connection, if one is open
+        if self._sock is not None:
+            self._sock.close()
+            self._sock = None
+
+    def _open(self, deadline: float) -> None:
+        """Open the connection by the deadline: TCP to the proxy or else the
+        endpoint, then for https the proxy's CONNECT tunnel, if any, and TLS."""
+        import socket
+
+        self._sock = socket.create_connection(self._address, _remaining(deadline))
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if self._tunnel:
+            self._sock.sendall(self._tunnel)
+            if not 200 <= (status := _read_reply(self._sock, deadline, connect=True)[0]) < 300:
+                raise TransportError(f"HTTP {status} from the proxy to {self.endpoint_url}")
+        if self._context:  # the handshake gets the time the tunnel left
+            self._sock = self._context.wrap_socket(self._sock, server_hostname=self._host,
+                                                   do_handshake_on_connect=False)
+            self._sock.settimeout(_remaining(deadline))
+            self._sock.do_handshake()
 
     def _escape_state(self, state: str) -> bytearray:
         """The state's JSON escape, made from the kept one and kept in its
@@ -306,8 +328,6 @@ class HttpChatBackend(CompletionBackend):
 
     def complete(self, role_prompt: str, user_prompt: Prompt | str, *,
                  model: str = "", temperature: float = 0.0) -> str:
-        import http.client
-
         state, text = _parts(user_prompt)
         # the temperature is encoded each time: 0, 0.0, -0.0 and False are
         # equal, but json.dumps writes each its own way
@@ -317,35 +337,30 @@ class HttpChatBackend(CompletionBackend):
                 b'"}], "temperature": ', json.dumps(temperature).encode(), b"}")
         request = b"".join((self._head, b"%d" % sum(map(len, body)), self._head_end, *body))
         deadline = time.monotonic() + self.timeout
-        connection = self._connection
-        if connection.sock is not None and _hung_up(connection.sock):
-            connection.close()
         while True:
-            fresh = connection.sock is None
+            fresh = self._sock is None
             try:
                 if fresh:
-                    connection.timeout = _remaining(deadline)
-                    connection.connect()
-                sock = connection.sock
-                sock.settimeout(_remaining(deadline))
-                sock.sendall(request)
-                status, data, reusable = _read_reply(sock, deadline)
-                break
-            # HTTPException: a proxy's malformed reply to CONNECT; AgentError:
-            # a reply framed wrong, cut short or too long
-            except (OSError, http.client.HTTPException, AgentError) as exc:
+                    self._open(deadline)
+                self._sock.settimeout(_remaining(deadline))
+                self._sock.sendall(request)
+                status, data, reusable = _read_reply(self._sock, deadline)
+            except BaseException as exc:
                 # closed so that a late reply is never read as the next one
-                connection.close()
+                self._drop()
                 if not fresh and isinstance(exc, (ConnectionResetError, BrokenPipeError)):
-                    continue  # a hang-up the idle check missed: send once more
+                    continue  # the server hung up the reused connection: send once more
                 if isinstance(exc, TimeoutError):
                     raise BackendTimeout(f"no response from {self.endpoint_url} "
                                          f"within {self.timeout}s") from exc
-                if isinstance(exc, AgentError):
-                    raise
-                raise TransportError(f"request to {self.endpoint_url} failed: {exc}") from exc
-        if not reusable:
-            connection.close()
+                if isinstance(exc, OSError):
+                    raise TransportError(f"request to {self.endpoint_url} failed: {exc}") from exc
+                raise  # an AgentError: a reply framed wrong, cut short or too long
+            if not reusable:
+                self._drop()
+                if status == 408 and not fresh:
+                    continue  # the server timed out the reused connection: send once more
+            break
         if status == 429 or status >= 500:
             raise TransportError(f"HTTP {status} from {self.endpoint_url}")
         if not 200 <= status < 300:
@@ -357,9 +372,7 @@ class HttpChatBackend(CompletionBackend):
         try:
             content = payload["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
-            raise MalformedResponse(
-                "response has no choices[0].message.content field"
-            ) from exc
+            raise MalformedResponse("response has no choices[0].message.content field") from exc
         if not isinstance(content, str):
             raise MalformedResponse("message content is not text")
         return content
@@ -398,26 +411,11 @@ def _remaining(deadline: float) -> float:
     return left
 
 
-def _hung_up(sock) -> bool:
-    """Whether the server hung up the idle connection: a read at timeout 0
-    finds nothing (BlockingIOError, or SSLWantReadError on an SSLSocket)
-    unless a byte (a 408, say), the end of the stream or a reset is there."""
-    import ssl
-
-    sock.settimeout(0)
-    try:
-        sock.recv(1)
-    except (BlockingIOError, ssl.SSLWantReadError):
-        return False
-    except OSError:
-        pass
-    return True
-
-
-def _read_reply(sock, deadline: float) -> tuple[int, bytearray, bool]:
+def _read_reply(sock, deadline: float, connect: bool = False) -> tuple[int, bytearray, bool]:
     """Read one reply, skipping 1xx ones, into one bytearray by the
-    deadline: its status, its body, framed as RFC 9112 section 6.3 says,
-    and whether the connection may carry another request.  A close before
+    deadline: its status, its body, framed as RFC 9112 section 6.3 says
+    (a 2xx reply to CONNECT, if ``connect``, ends at its head), and
+    whether the connection may carry another request.  A close before
     any byte of it is a ConnectionResetError; a reply cut short or framed
     wrong, or a head over _MAX_HEAD_BYTES, a TransportError; a body over
     MAX_REPLY_BYTES a MalformedResponse."""
@@ -459,7 +457,7 @@ def _read_reply(sock, deadline: float) -> tuple[int, bytearray, bool]:
         fields.setdefault(name.lower(), []).extend(v.strip().lower() for v in value.split(b","))
     codings, lengths = fields.get(b"transfer-encoding"), set(fields.get(b"content-length", ()))
     reusable = status_line[1] == b"HTTP/1.1" and b"close" not in fields.get(b"connection", ())
-    if status in (204, 304):
+    if status in (204, 304) or connect and status < 300:
         body_end = end = start
     elif codings and codings[-1] == b"chunked":
         body_end = at = start
@@ -503,7 +501,7 @@ def _http_address(url: str, schemes: tuple[str, ...], what: str) -> tuple[SplitR
     try:
         parts = urlsplit(url)
         host = parts.hostname
-        # http.client refuses a space or control character; IDNA a bad label
+        # a space or control character would break the request; IDNA a bad label
         valid = (parts.scheme in schemes and bool(host) and host.isprintable()
                  and " " not in host and bool(host.encode("idna")))
     except ValueError:  # e.g. an unclosed [ around an IPv6 host

@@ -479,8 +479,8 @@ def execute(spec: WorkflowSpec, inquiry: str, backend: CompletionBackend) -> Exe
     plus tool output — only the agent response is appended.  Evaluator
     tasks may wrap execution back to the state and entity memory before
     their target task, at most max_retries times.  Any backend,
-    tool-selection, score or callback failure raises ExecutionAborted
-    carrying the partial record.
+    tool-selection, score or callback failure, and a KeyboardInterrupt,
+    raises ExecutionAborted carrying the partial record.
     """
     order = linearize(spec)
     position = {task_id: i for i, task_id in enumerate(order)}
@@ -564,9 +564,10 @@ def execute(spec: WorkflowSpec, inquiry: str, backend: CompletionBackend) -> Exe
             ends.append(len(sigma))
             if not detail.skipped:
                 run_callbacks(task, response)
-        except Exception as exc:
+        except (Exception, KeyboardInterrupt) as exc:  # a Ctrl-C keeps what the run did
             raise ExecutionAborted(
-                f"task {task.id!r} aborted the execution: {exc}", partial()
+                f"task {task.id!r} aborted the execution: {str(exc) or type(exc).__name__}",
+                partial()
             ) from exc
 
     return partial()

@@ -69,12 +69,11 @@ def connects(monkeypatch):
     finds one open, so an empty list means no request was sent."""
     tried = []
 
-    def refuse(connection):
-        tried.append((connection.host, connection.port))
+    def refuse(address, *args, **kwargs):
+        tried.append(address)
         raise ConnectionRefusedError("refused")
 
-    # HTTPSConnection.connect calls this one first
-    monkeypatch.setattr("http.client.HTTPConnection.connect", refuse)
+    monkeypatch.setattr("socket.create_connection", refuse)
     return tried
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import dataclasses
 import json
 import os
@@ -12,6 +13,7 @@ import threading
 import time
 import weakref
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -609,28 +611,36 @@ def test_http_backend_survives_a_server_that_hangs_up_after_each_reply(keepalive
     backend = CountingBackend(open_backend(stub.url))
     assert [complete(AGENT, backend, "hello") for _ in range(10)] == [f"r{i}" for i in range(10)]
     assert len(stub.seen) == 10
-    # a hang-up costs no attempt, whether the idle check or the send notices it
+    # a hang-up costs no attempt
     assert backend.calls == 10
 
 
-def test_http_backend_resends_once_when_the_idle_check_misses_a_hang_up(
+def test_http_backend_resends_once_on_a_connection_the_server_hung_up(
         keepalive, open_backend, monkeypatch):
+    """Each request after the first goes out on the connection the server
+    closed after its last reply, finds it hung up, and is sent once more on
+    one new connection."""
     stub = keepalive()
     stub.hang_up = True
     stub.script = [(200, ok_payload(f"r{i}"), 0) for i in range(10)]
-    # the idle check never sees the hang-up, as when its FIN is still in flight
-    monkeypatch.setattr(agents, "_hung_up", lambda sock: False)
+    connect, opened = socket.create_connection, []
+
+    def counted(address, *args, **kwargs):
+        opened.append(address)
+        return connect(address, *args, **kwargs)
+
+    monkeypatch.setattr(socket, "create_connection", counted)
     backend = CountingBackend(open_backend(stub.url))
     assert [complete(AGENT, backend, "hello") for _ in range(10)] == [f"r{i}" for i in range(10)]
-    assert len(stub.seen) == 10
+    assert len(stub.seen) == 10 and stub.connections == 10 and len(opened) == 10
     assert backend.calls == 10
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd to list")
 def test_no_file_descriptor_outlives_the_backend(keepalive):
-    """Three hang-ups, each found by the idle check and followed by a new
-    connection, and close(): the process holds the file descriptors it
-    held before the backend was built."""
+    """Three hang-ups, each followed by a resend on a new connection, and
+    close(): the process holds the file descriptors it held before the
+    backend was built."""
     stub = keepalive()
     stub.hang_up = True
     before = set(os.listdir("/proc/self/fd"))
@@ -986,6 +996,20 @@ def test_execute_keeps_no_prompt_from_one_task_to_the_next():
     assert record.details["t1"].selected_tool == "beta"
     assert backend.alive == [0] * 8
     assert all(ref() is None for ref in backend.sent)
+
+
+def test_no_module_of_agwf_imports_http_client():
+    """The HTTP backend opens its connections and reads its replies itself."""
+    src = Path(agents.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
+            else:
+                continue
+            assert not [name for name in names if f"{name}.".startswith("http.client.")], path
 
 
 def test_agwf_needs_no_requests():

@@ -887,33 +887,65 @@ def test_demo_runs_depend_on_no_hash_seed_time_zone_or_locale(tmp_path):
     assert all(run == runs[0] for run in runs[1:])
 
 
-#: a scripted run in a fresh interpreter: the HTTP modules it loaded, then
-#: whether building an HTTP backend loads http.client
-SCRIPTED_RUN_IMPORTS = """
+#: in a fresh interpreter, the transport's modules each step loaded: a
+#: scripted run, building an http backend, then building an https one
+RUN_IMPORTS = """
 import sys
 before = set(sys.modules)
+def loaded():
+    return [m for m in ("socket", "ssl", "http.client", "email", "urllib.request")
+            if m in sys.modules and m not in before]
 import contextlib, io, json
 from agwf import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(["demo", "anomaly", "--output", sys.argv[1]])
-loaded = [m for m in ("http.client", "ssl", "email", "urllib.request")
-          if m in sys.modules and m not in before]
+steps = [loaded()]
 from agwf.agents import HttpChatBackend
-HttpChatBackend("http://127.0.0.1:9/v1").close()
-print(json.dumps([code, loaded, "http.client" in sys.modules]))
+for url in ("http://127.0.0.1:9/v1", "https://127.0.0.1:9/v1"):
+    HttpChatBackend(url).close()
+    steps.append(loaded())
+print(json.dumps([code, steps]))
+"""
+
+#: in a fresh interpreter, whether building an http backend loaded
+#: urllib.request, and the address its request tried to connect to
+PROXY_IMPORTS = """
+import json, socket, sys
+from agwf.agents import HttpChatBackend, TransportError
+tried = []
+def refuse(address, *args, **kwargs):
+    tried.append(address)
+    raise ConnectionRefusedError("refused")
+socket.create_connection = refuse
+backend = HttpChatBackend("http://example.com/v1")
+loaded = "urllib.request" in sys.modules
+try:
+    backend.complete("role", "hello")
+except TransportError:
+    pass
+print(json.dumps([loaded, tried]))
 """
 
 
 def test_a_scripted_run_does_not_load_the_http_stack(tmp_path):
-    # a subprocess, because this process has imported http.client already
-    env = {**os.environ, "PYTHONPATH": str(README.parent / "src")}
-    done = subprocess.run([sys.executable, "-c", SCRIPTED_RUN_IMPORTS, str(tmp_path / "t.json")],
+    """Nor does an http backend load ssl, nor either kind http.client or,
+    with no *_proxy variable set, urllib.request."""
+    # subprocesses, because this process has imported them all already
+    env = {name: value for name, value in os.environ.items()
+           if not name.lower().endswith("_proxy")}
+    env["PYTHONPATH"] = str(README.parent / "src")
+    done = subprocess.run([sys.executable, "-c", RUN_IMPORTS, str(tmp_path / "t.json")],
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    code, loaded, http_after_backend = json.loads(done.stdout)
+    code, steps = json.loads(done.stdout)
     assert code == 0 and (tmp_path / "t.json").is_file()
-    assert loaded == []
-    assert http_after_backend
+    assert steps == [[], ["socket"], ["socket", "ssl"]]
+    # no_proxy alone loads urllib.request, which reads it, and goes direct
+    done = subprocess.run([sys.executable, "-c", PROXY_IMPORTS],
+                          env={**env, "no_proxy": "example.com"},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [True, [["example.com", 80]]]
 
 
 def test_demo_http_backend_via_env(monkeypatch, tmp_path):
