@@ -243,7 +243,7 @@ class HttpChatBackend(CompletionBackend):
     def __init__(self, endpoint_url: str, api_key: str = "", timeout: float = 60.0):
         import socket  # noqa: F401  (loaded with the backend, not at its first connect)
 
-        parts, port = _http_address(endpoint_url, ("http", "https"), "endpoint")
+        parts, port, name = _http_address(endpoint_url, ("http", "https"), "endpoint")
         if "\r" in api_key or "\n" in api_key or max(api_key, default="") > "\xff":
             raise ValueError("api_key must be latin-1 text with no line break")
         self.endpoint_url, self.timeout = endpoint_url, timeout
@@ -259,12 +259,12 @@ class HttpChatBackend(CompletionBackend):
 
             proxy = None if proxy_bypass(host) else getproxies().get(parts.scheme)
         if proxy:
-            proxy_parts, proxy_port = _http_address(
+            proxy_parts, proxy_port, _ = _http_address(
                 proxy if "://" in proxy else "http://" + proxy, ("http",),
                 f"{parts.scheme}_proxy (or {parts.scheme.upper()}_PROXY)")
             self._address = (proxy_parts.hostname, proxy_port)
-        # an IPv6 address in brackets and without its zone
-        name = (f"[{host.partition('%')[0]}]" if ":" in host else host).encode("idna")
+        if ":" in host:  # an IPv6 address in brackets and without its zone
+            name = _idna(f"[{host.partition('%')[0]}]")
         self._host, self._context, self._tunnel = host, None, b""
         if https:
             import ssl
@@ -274,7 +274,7 @@ class HttpChatBackend(CompletionBackend):
                 self._tunnel = b"CONNECT %s:%d HTTP/1.1\r\nHost: %s:%d\r\n\r\n" % ((name, port) * 2)
         if proxy and not https:
             # a proxy takes the absolute URI, and Host is its authority
-            authority = parts.netloc.rpartition("@")[2].encode("idna")
+            authority = _idna(parts.netloc.rpartition("@")[2])
             target = b"http://" + authority + target
         else:
             authority = name if port == (443 if https else 80) else name + b":%d" % port
@@ -496,14 +496,28 @@ def _read_reply(sock, deadline: float, connect: bool = False) -> tuple[int, byte
     return status, data, reusable
 
 
-def _http_address(url: str, schemes: tuple[str, ...], what: str) -> tuple[SplitResult, int]:
-    """The split URL and its port; ValueError unless it can be connected to."""
+def _idna(name: str) -> bytes:
+    """name.encode("idna"), without loading that codec for an ASCII name,
+    which it takes as it is but for a UnicodeError on an empty label, or on
+    a label of 64 characters or more (the last label may be empty)."""
+    if not name.isascii():
+        return name.encode("idna")
+    *labels, last = name.split(".")
+    if len(last) > 63 or not all(0 < len(label) < 64 for label in labels):
+        raise UnicodeError("label empty or too long")
+    return name.encode("ascii")
+
+
+def _http_address(url: str, schemes: tuple[str, ...],
+                  what: str) -> tuple[SplitResult, int, bytes]:
+    """The split URL, its port and its host encoded by IDNA; ValueError
+    unless it can be connected to."""
     try:
         parts = urlsplit(url)
         host = parts.hostname
         # a space or control character would break the request; IDNA a bad label
         valid = (parts.scheme in schemes and bool(host) and host.isprintable()
-                 and " " not in host and bool(host.encode("idna")))
+                 and " " not in host and bool(name := _idna(host)))
     except ValueError:  # e.g. an unclosed [ around an IPv6 host
         valid = False
     if not valid:
@@ -514,7 +528,7 @@ def _http_address(url: str, schemes: tuple[str, ...], what: str) -> tuple[SplitR
         port = 0
     if port == 0:
         raise ValueError(f"{what} port must be a number from 1 to 65535; got {url!r}")
-    return parts, port or (443 if parts.scheme == "https" else 80)
+    return parts, port or (443 if parts.scheme == "https" else 80), name
 
 
 def http_chat_backend(endpoint_url: str, api_key: str = "",

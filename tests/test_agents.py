@@ -1012,6 +1012,20 @@ def test_no_module_of_agwf_imports_http_client():
             assert not [name for name in names if f"{name}.".startswith("http.client.")], path
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(["", "a", "Ab-9", "[::1%eth0]:80", "x" * 63, "x" * 64, "é"]),
+                min_size=1, max_size=4).map(".".join))
+def test_a_host_is_encoded_as_the_idna_codec_encodes_it(name):
+    """An ASCII name, checked without the codec, or any name through it."""
+    try:
+        expected = name.encode("idna")
+    except UnicodeError:
+        with pytest.raises(UnicodeError):
+            agents._idna(name)
+    else:
+        assert agents._idna(name) == expected
+
+
 def test_agwf_needs_no_requests():
     code = ("import sys\n"
             "sys.modules['requests'] = None  # any import of requests now fails\n"

@@ -893,7 +893,8 @@ RUN_IMPORTS = """
 import sys
 before = set(sys.modules)
 def loaded():
-    return [m for m in ("socket", "ssl", "http.client", "email", "urllib.request")
+    return [m for m in ("socket", "ssl", "http.client", "email", "urllib.request",
+                        "encodings.idna")
             if m in sys.modules and m not in before]
 import contextlib, io, json
 from agwf import cli
@@ -929,7 +930,8 @@ print(json.dumps([loaded, tried]))
 
 def test_a_scripted_run_does_not_load_the_http_stack(tmp_path):
     """Nor does an http backend load ssl, nor either kind http.client or,
-    with no *_proxy variable set, urllib.request."""
+    with no *_proxy variable set, urllib.request, nor, for an ASCII host,
+    the IDNA codec."""
     # subprocesses, because this process has imported them all already
     env = {name: value for name, value in os.environ.items()
            if not name.lower().endswith("_proxy")}

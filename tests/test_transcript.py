@@ -16,8 +16,11 @@ import io
 import json
 import os
 import re
+import signal
 import stat
 import tempfile
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -519,3 +522,111 @@ def test_rewrites_of_one_path_leave_exactly_the_last_transcript(values):
                 cli._write_transcript(output, None, None)
             expected = {"value": value, "aborted": False, "error": None}
             assert output.read_bytes() == json.dumps(expected, indent=2).encode() + b"\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(VALUES, st.integers(1, 8))
+def test_batches_of_any_size_end_at_any_depth(pair, batch):
+    """Nested values, written in batches of 1 to 8 pieces, so that a batch
+    ends at every depth and inside every kind of item."""
+    value, plain = pair
+    batches = []
+    real_writev = os.writev
+
+    def writev(fd, buffers):
+        batches.append(len(buffers))
+        return real_writev(fd, buffers)
+
+    with tempfile.TemporaryDirectory() as work:
+        output = Path(work) / "t.json"
+        with mock.patch.object(cli, "record_to_dict", lambda _: {"value": value}), \
+                mock.patch.object(cli, "_BATCH", batch), mock.patch.object(os, "writev", writev):
+            cli._write_transcript(output, None, None)
+        expected = {"value": plain, "aborted": False, "error": None}
+        assert output.read_bytes() == json.dumps(expected, indent=2).encode() + b"\n"
+    assert batches and max(batches) <= batch
+
+
+# ---------------------------------------------------------------------------
+# Short writes, and a system without os.writev
+# ---------------------------------------------------------------------------
+
+def test_writev_calls_that_write_7_bytes_each_give_the_whole_transcript(tmp_path):
+    """Each os.writev call writes at most 7 bytes of at most _BATCH pieces,
+    over a longer file that is then cut."""
+    output = tmp_path / "t.json"
+    output.write_bytes(b"x" * 40_000)
+    batches = []
+    real_writev = os.writev
+
+    def at_most_7(fd, buffers):
+        batches.append(len(buffers))
+        return real_writev(fd, [b"".join(bytes(memoryview(b)[:7]) for b in buffers)[:7]])
+
+    with mock.patch.object(os, "writev", at_most_7):
+        assert_transcript_matches(["demo", "anomaly"], output)
+    assert len(batches) > output.stat().st_size // 7 and max(batches) <= cli._BATCH
+
+
+def test_a_transcript_to_a_pipe_finishes_its_short_writes(tmp_path):
+    """--output to a FIFO that a thread reads slowly, signalling the main
+    thread after each read, so that a writev blocked on the full pipe
+    returns having written part of its batch; a FIFO is not cut."""
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received, writes = [], []
+    main = threading.get_ident()
+
+    def read():
+        with open(fifo, "rb", buffering=0) as pipe:
+            while chunk := pipe.read(16_384):
+                received.append(chunk)
+                time.sleep(0.001)
+                signal.pthread_kill(main, signal.SIGUSR1)
+
+    real_writev = os.writev
+
+    def writev(fd, buffers):
+        written = real_writev(fd, buffers)
+        writes.append(written < sum(map(len, buffers)))
+        return written
+
+    spec = chain_spec(*(f"t{j}" for j in range(10)))
+    backend = ScriptedBackend([], fallback="r" * 10_000)
+    reader = threading.Thread(target=read)
+    handler = signal.signal(signal.SIGUSR1, lambda *_: None)
+    reader.start()
+    try:
+        with mock.patch.object(cli, "load_workflow", lambda _: spec), \
+                mock.patch.object(cli, "load_scripted_rules", lambda _: backend), \
+                mock.patch.object(os, "writev", writev):
+            code, record, error = run_and_capture(
+                ["run", "workflow.json", "--inquiry=Q", "--scripted", "rules.json",
+                 "--output", str(fifo)])
+    finally:
+        if reader.is_alive():  # a run that never opened the FIFO: end the reader's open
+            with contextlib.suppress(OSError):
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        reader.join()
+        signal.signal(signal.SIGUSR1, handler)
+    assert code == 0 and any(writes)
+    assert b"".join(received) == (json.dumps(mirror(record, error), indent=2) + "\n").encode()
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+
+def test_without_writev_each_piece_is_written_in_full(tmp_path, monkeypatch):
+    """Where os has no writev (Windows), one os.write a piece, here of at
+    most 7 bytes a call, over a longer file that is then cut."""
+    output = tmp_path / "t.json"
+    output.write_bytes(b"x" * 40_000)
+    writes = []
+    real_write = os.write
+
+    def at_most_7(fd, data):
+        writes.append(fd)
+        return real_write(fd, memoryview(data)[:7])
+
+    monkeypatch.delattr(os, "writev")
+    monkeypatch.setattr(os, "write", at_most_7)
+    assert_transcript_matches(["demo", "anomaly"], output)
+    assert len(writes) > output.stat().st_size // 7
