@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import json
+import math
 import os
 import re
 import resource
@@ -318,6 +319,15 @@ def test_http_backend_refused_connection_is_retried_then_raised():
 def test_http_backend_rejects_a_url_it_cannot_post_to(url, connects):
     with pytest.raises(ValueError, match="http"):
         complete(AGENT, HttpChatBackend(url), "hello")
+    assert connects == []
+
+
+@pytest.mark.parametrize("timeout", [math.inf, math.nan, 0, -1])
+def test_http_backend_refuses_a_timeout_that_is_not_finite_and_above_0(timeout, connects):
+    """Before: inf raised OverflowError and NaN ValueError from complete(),
+    outside the AgentError contract, and 0 or -1 failed every call."""
+    with pytest.raises(ValueError, match="timeout"):
+        HttpChatBackend("http://127.0.0.1:9/v1", timeout=timeout)
     assert connects == []
 
 
