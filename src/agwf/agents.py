@@ -216,9 +216,10 @@ class HttpChatBackend(CompletionBackend):
     """OpenAI-compatible chat completions over HTTP/1.1 with bearer auth.
 
     The endpoint must be an http(s) URL with a host and, if it names a
-    port, one from 1 to 65535, and the api_key latin-1 text with no line
-    break; anything else raises ValueError before a request is made, its
-    message opening with "endpoint", "api_key" or the proxy's variable.
+    port, one from 1 to 65535, the api_key latin-1 text with no line break,
+    and the timeout a finite number of seconds above 0; anything else
+    raises ValueError before a request is made, its message opening with
+    "endpoint", "api_key", "timeout" or the proxy's variable.
     The proxy comes from the http_proxy/https_proxy/no_proxy environment
     variables, read here, once.  The backend keeps one connection, which
     it opens itself (see _open), and reuses it for every complete(), so it
@@ -246,6 +247,8 @@ class HttpChatBackend(CompletionBackend):
         parts, port, name = _http_address(endpoint_url, ("http", "https"), "endpoint")
         if "\r" in api_key or "\n" in api_key or max(api_key, default="") > "\xff":
             raise ValueError("api_key must be latin-1 text with no line break")
+        if not 0 < timeout < math.inf:  # false for NaN too
+            raise ValueError(f"timeout must be a finite number > 0; got {timeout!r}")
         self.endpoint_url, self.timeout = endpoint_url, timeout
         target = parts.path or "/"
         if parts.query:

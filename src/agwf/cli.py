@@ -76,13 +76,15 @@ def _escaped_states(record: ExecutionRecord) -> list[memoryview]:
     JSON escaping maps each code point on its own, so escaping the final
     state one appended segment at a time, into one growing buffer, gives
     its escaped text, and at each segment's end the escaped end of a state.
+    BytesIO.getvalue() hands over that buffer trimmed in place to its
+    length, so the copy holds no growth slack.
     """
-    escaped, escaped_ends = bytearray(), []
+    escaped, escaped_ends = io.BytesIO(), []
     ends = record.state_ends
     for start, end in zip((0, *ends), ends):
-        escaped += json_escape(record.final_state[start:end])
-        escaped_ends.append(len(escaped))
-    text = memoryview(escaped)
+        escaped.write(json_escape(record.final_state[start:end]))
+        escaped_ends.append(escaped.tell())
+    text = memoryview(escaped.getvalue())
     return [text[:end] for end in escaped_ends]
 
 

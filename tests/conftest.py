@@ -1,12 +1,19 @@
 from __future__ import annotations
 
+import json
+import re
+import socket
+import socketserver
+import threading
+import time
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
+from http import HTTPStatus
 from pathlib import Path
 
 import pytest
 
-from agwf.agents import AgentProfile, CompletionBackend
+from agwf.agents import AgentProfile, CompletionBackend, HttpChatBackend
 from agwf.event_log import Event, EventLog, Trace
 from agwf.pm_tools import ToolRegistry, builtin_registry
 from agwf.workflow_engine import TaskSpec, WorkflowSpec
@@ -60,6 +67,205 @@ def tls_server_context():
     context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
     context.load_cert_chain(DATA_DIR / "tls_cert.pem", DATA_DIR / "tls_key.pem")
     return context
+
+
+# ---------------------------------------------------------------------------
+# The HTTP stub: a server on raw sockets, which writes its replies byte for
+# byte as scripted: trickled, cut short or framed wrong
+# ---------------------------------------------------------------------------
+
+#: a reply body of 46 bytes
+BODY = json.dumps({"choices": [{"message": {"content": "oka"}}]}).encode()
+#: the head of a keep-alive reply carrying BODY
+HEAD = b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 46\r\n\r\n"
+OK = HEAD + BODY
+#: a proxy's reply to CONNECT that opens the tunnel
+ESTABLISHED = b"HTTP/1.1 200 Connection established\r\n\r\n"
+
+
+def ok_payload(content):
+    return {"choices": [{"message": {"role": "assistant", "content": content}}]}
+
+
+def send(data, keep=True):
+    """A scripted reply: data in one write, then the connection kept open or closed."""
+    def write(conn):
+        conn.sendall(data)
+        return keep
+    return write
+
+
+def trickle(head, body, pause):
+    """A scripted reply: the head in one write, then the body a byte at a
+    time with ``pause`` seconds before each."""
+    def write(conn):
+        conn.sendall(head)
+        for byte in body:
+            time.sleep(pause)
+            conn.sendall(bytes([byte]))
+        return True
+    return write
+
+
+def reply(status, payload, *, delay=0, chunked=False, missing=0, keep=True):
+    """A scripted reply, ``delay`` seconds after the request: the head in
+    one write, then the payload (bytes, or the JSON of any other value) as
+    the body, in one write after a Content-Length that counts ``missing``
+    bytes never sent, or if ``chunked`` in chunks of 64 KiB, a write each.
+    The connection is then closed if not ``keep`` or bytes are missing,
+    with no Connection: close field, so the client learns of it only from
+    the socket."""
+    data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
+    framing = (b"Transfer-Encoding: chunked" if chunked
+               else b"Content-Length: %d" % (len(data) + missing))
+    head = b"HTTP/1.1 %d %s\r\nContent-Type: application/json\r\n%s\r\n\r\n" % (
+        status, HTTPStatus(status).phrase.encode(), framing)
+
+    def write(conn):
+        time.sleep(delay)
+        conn.sendall(head)
+        if not chunked:
+            conn.sendall(data)
+            return keep and not missing
+        for at in range(0, len(data), 1 << 16):
+            piece = data[at:at + (1 << 16)]
+            conn.sendall(b"%x\r\n%s\r\n" % (len(piece), piece))
+        conn.sendall(b"0\r\n\r\n")
+        return keep
+    return write
+
+
+def answering(scripted, **options):
+    """A RawServer answer mode: a 200 reply, built by reply() with the
+    options, carrying the scripted backend's answer to the user prompt."""
+    return lambda user_prompt: reply(200, ok_payload(scripted.complete("", user_prompt)),
+                                     **options)
+
+
+def parsed(request):
+    """A recorded request's path, its Host and Authorization fields (None
+    when absent) and its body."""
+    head, _, body = request.partition(b"\r\n\r\n")
+    line, *lines = head.decode("latin-1").split("\r\n")
+    fields = {name.lower(): value.strip() for name, _, value in
+              (field.partition(":") for field in lines)}
+    return {"path": line.split(" ")[1], "host": fields.get("host"),
+            "auth": fields.get("authorization"), "body": body}
+
+
+class RawHandler(socketserver.BaseRequestHandler):
+    """Reads each request whole, keeps its bytes and sends the next
+    scripted reply; when the script is empty, the server's answer to the
+    user prompt, if it has an answer mode, or else OK."""
+
+    def handle(self):
+        server, conn, data = self.server, self.request, b""
+        # a reply may go out in several writes, none held back for an ACK
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        with server.lock:
+            server.connections += 1
+        try:
+            while True:
+                while b"\r\n\r\n" not in data:
+                    if not (piece := conn.recv(1 << 16)):
+                        return
+                    data += piece
+                head, _, data = data.partition(b"\r\n\r\n")
+                length = int(re.search(rb"(?i)\r\ncontent-length: *(\d+)", head).group(1))
+                while len(data) < length:
+                    if not (piece := conn.recv(1 << 16)):
+                        return
+                    data += piece
+                body, data = data[:length], data[length:]
+                with server.lock:
+                    server.requests.append(head + b"\r\n\r\n" + body)
+                    if server.script:
+                        write = server.script.pop(0)
+                    elif server.answer:
+                        write = server.answer(json.loads(body)["messages"][1]["content"])
+                    else:
+                        write = send(OK)
+                if not write(conn):
+                    return
+        except OSError:  # the client gave up on the reply
+            pass
+
+
+class TunnelHandler(RawHandler):
+    """A proxy that answers a CONNECT request with the server's
+    ``answer_connect`` and, if that says so, is then the server inside the
+    tunnel, over TLS."""
+
+    def handle(self):
+        data = b""
+        try:
+            while b"\r\n\r\n" not in data:
+                if not (piece := self.request.recv(1 << 16)):
+                    return
+                data += piece
+            with self.server.lock:
+                self.server.tunnels.append(data)
+            if not self.server.answer_connect(self.request):
+                return
+            self.request = tls_server_context().wrap_socket(self.request, server_side=True)
+        except OSError:  # the client gave up on the tunnel
+            return
+        with self.request:
+            super().handle()
+
+
+class RawServer(socketserver.ThreadingTCPServer):
+    daemon_threads = True
+
+    def __init__(self, tls=False, tunnel=False):
+        super().__init__(("127.0.0.1", 0), TunnelHandler if tunnel else RawHandler)
+        if tls:  # each connection's handshake is made as it is accepted
+            self.socket = tls_server_context().wrap_socket(self.socket, server_side=True)
+        self.lock = threading.Lock()
+        self.connections = 0
+        self.tunnels = []  # the bytes of each CONNECT request received
+        self.requests = []  # the bytes of each request received
+        self.script = []  # replies: each sends to a connection and says whether to keep it
+        self.answer = None  # if set, the reply to a user prompt when the script is empty
+        # the answer to a CONNECT request: sends it and says whether to open the tunnel
+        self.answer_connect = send(ESTABLISHED)
+        self.port = self.server_address[1]
+        self.url = f"{'https' if tls else 'http'}://127.0.0.1:{self.port}/v1/chat/completions"
+
+
+@pytest.fixture
+def raw_stub(monkeypatch):
+    """Starts raw stubs, reached directly whatever the proxy settings."""
+    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    servers = []
+
+    def start(tls=False, tunnel=False):
+        server = RawServer(tls, tunnel)
+        threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
+                         daemon=True).start()
+        servers.append(server)
+        return server
+
+    yield start
+    for server in servers:
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.fixture
+def open_backend():
+    """HttpChatBackend, closed when the test ends."""
+    backends = []
+
+    def build(*args, **kwargs):
+        backends.append(HttpChatBackend(*args, **kwargs))
+        return backends[-1]
+
+    yield build
+    for backend in backends:
+        backend.close()
 
 
 @pytest.fixture

@@ -13,7 +13,6 @@ import sys
 import threading
 import time
 import weakref
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -43,7 +42,8 @@ from agwf.agents import (
 from agwf.pm_tools import Tool
 from agwf.workflow_engine import ExecutionAborted, execute
 
-from conftest import AGENT, DATA_DIR, CountingBackend, tls_server_context
+from conftest import (AGENT, DATA_DIR, HEAD, CountingBackend, answering, ok_payload, parsed,
+                      reply, send)
 from test_transcript import ESCAPES, SPECIAL, tool_chain
 
 
@@ -324,140 +324,24 @@ def test_http_backend_rejects_a_url_it_cannot_post_to(url, connects):
 
 @pytest.mark.parametrize("timeout", [math.inf, math.nan, 0, -1])
 def test_http_backend_refuses_a_timeout_that_is_not_finite_and_above_0(timeout, connects):
-    """Before: inf raised OverflowError and NaN ValueError from complete(),
-    outside the AgentError contract, and 0 or -1 failed every call."""
+    """Unchecked, inf makes complete() raise OverflowError and NaN
+    ValueError, outside the AgentError contract, and 0 or -1 fail every call."""
     with pytest.raises(ValueError, match="timeout"):
         HttpChatBackend("http://127.0.0.1:9/v1", timeout=timeout)
     assert connects == []
 
 
 # ---------------------------------------------------------------------------
-# HTTP backend against a local keep-alive stub server
+# HTTP backend against the raw-socket stub of conftest.py
 # ---------------------------------------------------------------------------
 
-def ok_payload(content):
-    return {"choices": [{"message": {"role": "assistant", "content": content}}]}
-
-
-class KeepAliveHandler(BaseHTTPRequestHandler):
-    """HTTP/1.1 with keep-alive; the server object carries the script."""
-
-    protocol_version = "HTTP/1.1"
-    # the headers and the body go out in two writes: without this, the body
-    # waits for the client's delayed ACK of the headers
-    disable_nagle_algorithm = True
-
-    def setup(self):
-        super().setup()
-        with self.server.lock:
-            self.server.connections += 1
-
-    def do_POST(self):
-        server = self.server
-        body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
-        with server.lock:
-            server.seen.append({"path": self.path, "host": self.headers.get("Host"),
-                                "auth": self.headers.get("Authorization"), "body": body})
-            if server.answer is not None:
-                user_prompt = json.loads(body)["messages"][1]["content"]
-                status, payload, delay = 200, ok_payload(server.answer(user_prompt)), 0
-            elif server.script:
-                status, payload, delay = server.script.pop(0)
-            else:
-                status, payload, delay = 200, ok_payload("ok"), 0
-        time.sleep(delay)
-        data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        if server.chunked:
-            self.send_header("Transfer-Encoding", "chunked")
-            self.end_headers()
-            for start in range(0, len(data), 1 << 16):
-                piece = data[start:start + (1 << 16)]
-                self.wfile.write(b"%x\r\n%s\r\n" % (len(piece), piece))
-            self.wfile.write(b"0\r\n\r\n")
-        else:
-            self.send_header("Content-Length", str(len(data) + server.missing_bytes))
-            self.end_headers()
-            self.wfile.write(data)
-        # close without a "Connection: close" header: the client learns of it
-        # only from the socket
-        self.close_connection = server.hang_up or server.missing_bytes > 0
-
-    def do_CONNECT(self):
-        # a proxy that opens no tunnel
-        with self.server.lock:
-            self.server.seen.append({"path": self.path, "host": self.headers.get("Host")})
-        self.send_error(501)
-
-    def log_message(self, *args):
-        pass
-
-
-class KeepAliveServer(ThreadingHTTPServer):
-    daemon_threads = True
-
-    def __init__(self, tls=False):
-        super().__init__(("127.0.0.1", 0), KeepAliveHandler)
-        if tls:  # each connection's handshake is made as it is accepted
-            self.socket = tls_server_context().wrap_socket(self.socket, server_side=True)
-        self.lock = threading.Lock()
-        self.connections = 0
-        self.seen = []
-        self.script = []  # (status, payload or raw body bytes, seconds to wait before replying)
-        self.answer = None  # if set, the reply to a user prompt, in place of the script
-        self.missing_bytes = 0  # announced in Content-Length but never sent
-        self.hang_up = False  # close the connection after each reply
-        self.chunked = False  # send bodies chunked, with no Content-Length
-        scheme = "https" if tls else "http"
-        self.url = f"{scheme}://127.0.0.1:{self.server_port}/v1/chat/completions"
-
-    def handle_error(self, request, client_address):
-        pass  # a late reply to a client that gave up is expected here
-
-
-@pytest.fixture
-def keepalive(monkeypatch):
-    """Starts keep-alive stubs, reached directly whatever the proxy settings."""
-    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
-        monkeypatch.delenv(name, raising=False)
-        monkeypatch.delenv(name.upper(), raising=False)
-    servers = []
-
-    def start(tls=False):
-        server = KeepAliveServer(tls)
-        threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
-                         daemon=True).start()
-        servers.append(server)
-        return server
-
-    yield start
-    for server in servers:
-        server.shutdown()
-        server.server_close()
-
-
-@pytest.fixture
-def open_backend():
-    """http_chat_backend, closed when the test ends."""
-    backends = []
-
-    def build(*args, **kwargs):
-        backends.append(http_chat_backend(*args, **kwargs))
-        return backends[-1]
-
-    yield build
-    for backend in backends:
-        backend.close()
-
-
-def test_http_backend_reads_first_choice(keepalive, open_backend):
-    stub = keepalive()
-    stub.script = [(200, ok_payload("ok"), 0)]
+def test_http_backend_reads_first_choice(raw_stub, open_backend):
+    stub = raw_stub()
+    stub.script = [reply(200, ok_payload("ok"))]
     backend = open_backend(stub.url, "secret")
     profile = AgentProfile(id="a", role_prompt="role", model_ref="m2")
     assert complete(profile, backend, "hello") == "ok"
-    sent = stub.seen[0]
+    sent = parsed(stub.requests[0])
     assert sent["auth"] == "Bearer secret"
     body = json.loads(sent["body"])
     assert body["model"] == "m2"  # the model comes from the profile
@@ -465,94 +349,95 @@ def test_http_backend_reads_first_choice(keepalive, open_backend):
     assert body["messages"][1] == {"role": "user", "content": "hello"}
 
 
-def test_http_backend_retry_exhaustion(keepalive, open_backend):
-    stub = keepalive()
-    stub.script = [(500, {}, 0), (500, {}, 0), (500, {}, 0)]
+def test_http_backend_retry_exhaustion(raw_stub, open_backend):
+    stub = raw_stub()
+    stub.script = [reply(500, {}), reply(500, {}), reply(500, {})]
     backend = open_backend(stub.url)
     with pytest.raises(TransportError):
         complete(AGENT, backend, "hello")
-    assert len(stub.seen) == 3
+    assert len(stub.requests) == 3
 
 
-def test_http_backend_malformed_response(keepalive, open_backend):
-    stub = keepalive()
+def test_http_backend_malformed_response(raw_stub, open_backend):
+    stub = raw_stub()
     backend = open_backend(stub.url)
     for payload, message in [({"unexpected": True}, "response has no choices"),
                              (ok_payload(None), "message content is not text"),
                              (ok_payload(7), "message content is not text")]:
-        stub.script = [(200, payload, 0)]
+        stub.script = [reply(200, payload)]
         with pytest.raises(MalformedResponse, match=message):
             complete(AGENT, backend, "hello")
 
 
-def test_http_backend_non_json_response(keepalive, open_backend):
-    stub = keepalive()
-    stub.script = [(200, b"this is not json", 0)]
+def test_http_backend_non_json_response(raw_stub, open_backend):
+    stub = raw_stub()
+    stub.script = [reply(200, b"this is not json")]
     backend = open_backend(stub.url)
     with pytest.raises(MalformedResponse):
         complete(AGENT, backend, "hello")
 
 
 @pytest.mark.parametrize("status", [400, 401, 403, 404, 422])
-def test_http_backend_rejected_request_is_not_retried(keepalive, open_backend, status):
-    stub = keepalive()
-    stub.script = [(status, {}, 0), (200, ok_payload("unreached"), 0)]
+def test_http_backend_rejected_request_is_not_retried(raw_stub, open_backend, status):
+    stub = raw_stub()
+    stub.script = [reply(status, {}), reply(200, ok_payload("unreached"))]
     with pytest.raises(RequestRejected, match=f"HTTP {status}"):
         complete(AGENT, open_backend(stub.url), "hello")
-    assert len(stub.seen) == 1
+    assert len(stub.requests) == 1
 
 
 @pytest.mark.parametrize("status", [429, 500, 502, 503])
-def test_http_backend_transient_status_is_retried(keepalive, open_backend, status):
-    stub = keepalive()
-    stub.script = [(status, {}, 0), (200, ok_payload("second"), 0)]
+def test_http_backend_transient_status_is_retried(raw_stub, open_backend, status):
+    stub = raw_stub()
+    stub.script = [reply(status, {}), reply(200, ok_payload("second"))]
     assert complete(AGENT, open_backend(stub.url), "hello") == "second"
-    assert len(stub.seen) == 2
+    assert len(stub.requests) == 2
 
 
-def test_http_backend_reuses_one_connection(keepalive, open_backend):
-    stub = keepalive()
-    stub.script = [(200, ok_payload(f"r{i}"), 0) for i in range(3)]
+def test_http_backend_reuses_one_connection(raw_stub, open_backend):
+    stub = raw_stub()
+    stub.script = [reply(200, ok_payload(f"r{i}")) for i in range(3)]
     backend = open_backend(stub.url)
     assert [complete(AGENT, backend, "hello") for _ in range(3)] == ["r0", "r1", "r2"]
     assert stub.connections == 1
 
 
-def test_http_backend_uses_the_proxy_from_the_environment(keepalive, open_backend, monkeypatch):
-    proxy = keepalive()
-    monkeypatch.setenv("HTTP_PROXY", f"http://127.0.0.1:{proxy.server_port}")
-    proxy.script = [(200, ok_payload("via proxy"), 0)]
+def test_http_backend_uses_the_proxy_from_the_environment(raw_stub, open_backend, monkeypatch):
+    proxy = raw_stub()
+    monkeypatch.setenv("HTTP_PROXY", f"http://127.0.0.1:{proxy.port}")
+    proxy.script = [reply(200, ok_payload("via proxy"))]
     assert complete(AGENT, open_backend("http://endpoint.invalid/v1/chat/completions"),
                     "hello") == "via proxy"
-    assert [(s["path"], s["host"]) for s in proxy.seen] == [
+    assert [(s["path"], s["host"]) for s in map(parsed, proxy.requests)] == [
         ("http://endpoint.invalid/v1/chat/completions", "endpoint.invalid")]
 
-    direct = keepalive()
+    direct = raw_stub()
     monkeypatch.setenv("NO_PROXY", "127.0.0.1")
-    direct.script = [(200, ok_payload("direct"), 0)]
+    direct.script = [reply(200, ok_payload("direct"))]
     assert complete(AGENT, open_backend(direct.url), "hello") == "direct"
-    assert [s["path"] for s in direct.seen] == ["/v1/chat/completions"]
-    assert len(proxy.seen) == 1
+    assert [parsed(request)["path"] for request in direct.requests] == ["/v1/chat/completions"]
+    assert len(proxy.requests) == 1
 
 
-def test_an_https_endpoint_tunnels_through_the_proxy(keepalive, open_backend, monkeypatch):
-    proxy = keepalive()
-    monkeypatch.setenv("HTTPS_PROXY", f"http://127.0.0.1:{proxy.server_port}")
-    with pytest.raises(TransportError):
+def test_an_https_endpoint_tunnels_through_the_proxy(raw_stub, open_backend, monkeypatch):
+    proxy = raw_stub(tunnel=True)
+    proxy.answer_connect = reply(501, b"", keep=False)  # a proxy that opens no tunnel
+    monkeypatch.setenv("HTTPS_PROXY", f"http://127.0.0.1:{proxy.port}")
+    with pytest.raises(TransportError, match="HTTP 501 from the proxy"):
         open_backend("https://endpoint.invalid/v1/chat/completions").complete("role", "hello")
-    assert [s["path"] for s in proxy.seen] == ["endpoint.invalid:443"]
+    assert [parsed(tunnel)["path"] for tunnel in proxy.tunnels] == ["endpoint.invalid:443"]
 
 
-def test_http_backend_short_body_is_a_transport_error(keepalive, open_backend):
-    stub = keepalive()
-    stub.missing_bytes = 10
+def test_http_backend_short_body_is_a_transport_error(raw_stub, open_backend):
+    stub = raw_stub()
+    stub.script = [reply(200, ok_payload("ok"), missing=10)]
     with pytest.raises(TransportError):
         open_backend(stub.url).complete("role", "hello")
 
 
-def test_http_backend_deeply_nested_reply_is_malformed(keepalive, open_backend):
-    stub = keepalive()
-    stub.script = [(200, b"[" * 100_000, 0), (200, ok_payload("fine"), 0)]
+def test_http_backend_deeply_nested_reply_is_malformed(raw_stub, open_backend):
+    stub = raw_stub()
+    stub.script = [reply(200, b"[" * 100_000), reply(200, ok_payload("fine"))]
     backend = open_backend(stub.url)
     with pytest.raises(MalformedResponse, match="not JSON"):
         complete(AGENT, backend, "hello")
@@ -566,12 +451,11 @@ def padded_reply(content, size):
 
 
 @pytest.mark.parametrize("chunked", [False, True])
-def test_http_backend_reply_over_the_cap_is_malformed(keepalive, open_backend, chunked):
+def test_http_backend_reply_over_the_cap_is_malformed(raw_stub, open_backend, chunked):
     cap = MAX_REPLY_BYTES
-    stub = keepalive()
-    stub.chunked = chunked
-    stub.script = [(200, padded_reply("over", cap + 1), 0),
-                   (200, padded_reply("at the cap", cap), 0)]
+    stub = raw_stub()
+    stub.script = [reply(200, padded_reply("over", cap + 1), chunked=chunked),
+                   reply(200, padded_reply("at the cap", cap), chunked=chunked)]
     backend = open_backend(stub.url)
     with pytest.raises(MalformedResponse, match=f"longer than {cap} bytes"):
         complete(AGENT, backend, "hello")
@@ -579,60 +463,95 @@ def test_http_backend_reply_over_the_cap_is_malformed(keepalive, open_backend, c
     assert stub.connections == 2  # the longer reply's connection was closed
 
 
-def test_http_backend_speaks_tls_on_one_connection(keepalive, open_backend, monkeypatch):
+def test_a_reply_the_close_ends_is_capped_too(raw_stub, open_backend, monkeypatch):
+    """A reply with neither Content-Length nor chunked framing is read to
+    the close, but not past the read that crosses the cap, here 4 KiB; the
+    body, 256 KiB, takes several reads.  The next call opens a new
+    connection."""
+    monkeypatch.setattr(agents, "MAX_REPLY_BYTES", 4096)
+    stub = raw_stub()
+    stub.script = [send(HEAD.replace(b"Content-Length: 46\r\n", b"")
+                        + padded_reply("over", 1 << 18), keep=False)]
+    backend = open_backend(stub.url)
+    with pytest.raises(MalformedResponse, match="longer than"):
+        complete(AGENT, backend, "hello")
+    assert complete(AGENT, backend, "hello") == "oka"
+    assert stub.connections == 2
+
+
+def test_http_backend_speaks_tls_on_one_connection(raw_stub, open_backend, monkeypatch):
     """The stub's certificate, for 127.0.0.1, is the only one trusted."""
     monkeypatch.setenv("SSL_CERT_FILE", str(DATA_DIR / "tls_cert.pem"))
-    stub = keepalive(tls=True)
-    stub.script = [(200, ok_payload("r0"), 0), (200, ok_payload("r1"), 0),
-                   (200, padded_reply("over", MAX_REPLY_BYTES + 1), 0),
-                   (200, ok_payload("after"), 0)]
+    stub = raw_stub(tls=True)
+    # chunked, so that the reply over the cap is read up to it
+    stub.script = [reply(200, ok_payload("r0")), reply(200, ok_payload("r1")),
+                   reply(200, padded_reply("over", MAX_REPLY_BYTES + 1), chunked=True),
+                   reply(200, ok_payload("after"), chunked=True)]
     backend = open_backend(stub.url)
     assert [complete(AGENT, backend, "hello") for _ in range(2)] == ["r0", "r1"]
     assert stub.connections == 1
-    stub.chunked = True  # so that the reply over the cap is read up to it
     with pytest.raises(MalformedResponse, match=f"longer than {MAX_REPLY_BYTES} bytes"):
         complete(AGENT, backend, "hello")
     assert complete(AGENT, backend, "hello") == "after"
     assert stub.connections == 2
 
 
-def test_http_backend_late_reply_is_not_read_as_the_next(keepalive, open_backend):
-    stub = keepalive()
-    stub.script = [(200, ok_payload("late"), 0.6), (200, ok_payload("second"), 0)]
+def test_http_backend_late_reply_is_not_read_as_the_next(raw_stub, open_backend):
+    stub = raw_stub()
+    stub.script = [reply(200, ok_payload("late"), delay=0.6), reply(200, ok_payload("second"))]
     backend = open_backend(stub.url, "", timeout=0.15)
     with pytest.raises(BackendTimeout):
         complete(AGENT, backend, "first")
     assert complete(AGENT, backend, "second") == "second"
 
 
-def test_http_backend_works_after_a_rejected_request(keepalive, open_backend):
-    stub = keepalive()
-    stub.script = [(404, {"error": "no such model"}, 0), (200, ok_payload("fine"), 0)]
+def test_a_connect_past_the_deadline_is_a_timeout_and_closes_its_socket(
+        raw_stub, open_backend, monkeypatch):
+    """The connect takes longer than the timeout and then succeeds: the
+    call ends as BackendTimeout before it sends, and the socket is closed
+    (a leak would fail the test as a ResourceWarning)."""
+    stub = raw_stub()
+    connect, opened = socket.create_connection, []
+
+    def slow(*args, **kwargs):
+        time.sleep(0.2)
+        opened.append(connect(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(socket, "create_connection", slow)
+    with pytest.raises(BackendTimeout) as error:
+        open_backend(stub.url, timeout=0.1).complete("role", "hello")
+    assert str(error.value.__cause__) == "the deadline passed"
+    assert len(opened) == 1 and opened[0].fileno() == -1
+    assert stub.requests == []
+
+
+def test_http_backend_works_after_a_rejected_request(raw_stub, open_backend):
+    stub = raw_stub()
+    stub.script = [reply(404, {"error": "no such model"}), reply(200, ok_payload("fine"))]
     backend = open_backend(stub.url)
     with pytest.raises(RequestRejected):
         complete(AGENT, backend, "hello")
     assert complete(AGENT, backend, "hello") == "fine"
 
 
-def test_http_backend_survives_a_server_that_hangs_up_after_each_reply(keepalive, open_backend):
-    stub = keepalive()
-    stub.hang_up = True
-    stub.script = [(200, ok_payload(f"r{i}"), 0) for i in range(10)]
+def test_http_backend_survives_a_server_that_hangs_up_after_each_reply(raw_stub, open_backend):
+    stub = raw_stub()
+    stub.script = [reply(200, ok_payload(f"r{i}"), keep=False) for i in range(10)]
     backend = CountingBackend(open_backend(stub.url))
     assert [complete(AGENT, backend, "hello") for _ in range(10)] == [f"r{i}" for i in range(10)]
-    assert len(stub.seen) == 10
+    assert len(stub.requests) == 10
     # a hang-up costs no attempt
     assert backend.calls == 10
 
 
 def test_http_backend_resends_once_on_a_connection_the_server_hung_up(
-        keepalive, open_backend, monkeypatch):
+        raw_stub, open_backend, monkeypatch):
     """Each request after the first goes out on the connection the server
     closed after its last reply, finds it hung up, and is sent once more on
     one new connection."""
-    stub = keepalive()
-    stub.hang_up = True
-    stub.script = [(200, ok_payload(f"r{i}"), 0) for i in range(10)]
+    stub = raw_stub()
+    stub.script = [reply(200, ok_payload(f"r{i}"), keep=False) for i in range(10)]
     connect, opened = socket.create_connection, []
 
     def counted(address, *args, **kwargs):
@@ -642,17 +561,17 @@ def test_http_backend_resends_once_on_a_connection_the_server_hung_up(
     monkeypatch.setattr(socket, "create_connection", counted)
     backend = CountingBackend(open_backend(stub.url))
     assert [complete(AGENT, backend, "hello") for _ in range(10)] == [f"r{i}" for i in range(10)]
-    assert len(stub.seen) == 10 and stub.connections == 10 and len(opened) == 10
+    assert len(stub.requests) == 10 and stub.connections == 10 and len(opened) == 10
     assert backend.calls == 10
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd to list")
-def test_no_file_descriptor_outlives_the_backend(keepalive):
+def test_no_file_descriptor_outlives_the_backend(raw_stub):
     """Three hang-ups, each followed by a resend on a new connection, and
     close(): the process holds the file descriptors it held before the
     backend was built."""
-    stub = keepalive()
-    stub.hang_up = True
+    stub = raw_stub()
+    stub.script = [reply(200, ok_payload("ok"), keep=False) for _ in range(4)]
     before = set(os.listdir("/proc/self/fd"))
     backend = CountingBackend(http_chat_backend(stub.url))
     assert [complete(AGENT, backend, "hello") for _ in range(4)] == ["ok"] * 4
@@ -671,7 +590,7 @@ HIGH_FD = 1500  # above FD_SETSIZE (1024), which select.select cannot watch
 @pytest.mark.skipif(resource.getrlimit(resource.RLIMIT_NOFILE)[0] <= HIGH_FD,
                     reason=f"the soft RLIMIT_NOFILE allows no fd {HIGH_FD}")
 def test_http_backend_reuses_a_connection_whose_fd_is_past_fd_setsize(
-        keepalive, open_backend, monkeypatch):
+        raw_stub, open_backend, monkeypatch):
     try:
         os.fstat(HIGH_FD)
         pytest.skip(f"fd {HIGH_FD} is in use")
@@ -687,48 +606,32 @@ def test_http_backend_reuses_a_connection_whose_fd_is_past_fd_setsize(
         return opened[-1]
 
     monkeypatch.setattr(socket, "create_connection", connect_at_a_high_fd)
-    stub = keepalive()
-    stub.script = [(200, ok_payload("r0"), 0), (200, ok_payload("r1"), 0)]
+    stub = raw_stub()
+    stub.script = [reply(200, ok_payload("r0")), reply(200, ok_payload("r1"))]
     backend = open_backend(stub.url)
     assert [complete(AGENT, backend, "hello") for _ in range(2)] == ["r0", "r1"]
     assert [sock.fileno() for sock in opened] == [HIGH_FD]
     assert stub.connections == 1
 
 
-def test_http_backend_does_not_resend_on_a_fresh_connection():
+def test_http_backend_does_not_resend_on_a_fresh_connection(raw_stub, open_backend):
     # a server that hangs up on every new connection: none was reused, so
     # each hang-up spends an attempt and opens one connection
-    accepted = []
-    with socket.socket() as listener:
-        listener.bind(("127.0.0.1", 0))
-        listener.listen()
-        listener.settimeout(0.5)
-
-        def hang_up():
-            try:
-                while True:
-                    conn = listener.accept()[0]
-                    accepted.append(conn)
-                    conn.close()
-            except OSError:  # the test is over
-                pass
-
-        thread = threading.Thread(target=hang_up, daemon=True)
-        thread.start()
-        backend = CountingBackend(http_chat_backend(
-            f"http://127.0.0.1:{listener.getsockname()[1]}/v1/chat/completions", timeout=5))
-        with pytest.raises(TransportError):
-            complete(AGENT, backend, "hello")
-        thread.join(5)
+    stub = raw_stub()
+    stub.script = [send(b"", keep=False)] * 3
+    backend = CountingBackend(open_backend(stub.url, timeout=5))
+    with pytest.raises(TransportError):
+        complete(AGENT, backend, "hello")
     assert backend.calls == 3
-    assert len(accepted) == 3
+    assert stub.connections == 3
 
 
-def test_http_backend_percent_encodes_the_request_target(keepalive, open_backend):
-    stub = keepalive()
-    url = f"http://127.0.0.1:{stub.server_port}/v1/caf\u00e9 x?model=a b&k=%41"
-    assert complete(AGENT, open_backend(url), "hello") == "ok"
-    assert [s["path"] for s in stub.seen] == ["/v1/caf%C3%A9%20x?model=a%20b&k=%41"]
+def test_http_backend_percent_encodes_the_request_target(raw_stub, open_backend):
+    stub = raw_stub()
+    url = f"http://127.0.0.1:{stub.port}/v1/caf\u00e9 x?model=a b&k=%41"
+    assert complete(AGENT, open_backend(url), "hello") == "oka"
+    assert [parsed(request)["path"] for request in stub.requests] == [
+        "/v1/caf%C3%A9%20x?model=a%20b&k=%41"]
 
 
 # ---------------------------------------------------------------------------
@@ -750,7 +653,7 @@ class CallRecorder(CompletionBackend):
 
 def assert_plain_bodies(stub, recorder):
     """Each body the stub got is json.dumps(...).encode() of its call."""
-    assert [seen["body"] for seen in stub.seen] == [
+    assert [parsed(request)["body"] for request in stub.requests] == [
         json.dumps({
             "model": model,
             "messages": [
@@ -767,12 +670,12 @@ def assert_plain_bodies(stub, recorder):
 ESCAPED = [*SPECIAL, "\udcff"]
 
 
-def test_request_bodies_of_runs_are_the_plain_encoding(keepalive, open_backend):
+def test_request_bodies_of_runs_are_the_plain_encoding(raw_stub, open_backend):
     """Three runs of a tool chain on one backend, the last after close(),
     with a plain prompt sent between the first two.  The first run picks
     alpha, is rewound by its evaluator, names no tool, is re-asked, picks
     beta and aborts on an empty reply; the others pick beta and pass."""
-    stub = keepalive()
+    stub = raw_stub()
     profile = AgentProfile(id="analyst", role_prompt=f"You analyze {ESCAPES}",
                            model_ref="m\u00e9\"1", temperature=0.35)
     spec = dataclasses.replace(tool_chain(graded=True), agents=(profile,))
@@ -780,7 +683,7 @@ def test_request_bodies_of_runs_are_the_plain_encoding(keepalive, open_backend):
 
     def run(inquiry, *rules):
         scripted = ScriptedBackend(rules, fallback=f"noted {ESCAPES}")
-        stub.answer = lambda user_prompt: scripted.complete("", user_prompt)
+        stub.answer = answering(scripted)
         return execute(spec, inquiry, backend)
 
     with pytest.raises(ExecutionAborted, match="empty text"):
@@ -792,18 +695,18 @@ def test_request_bodies_of_runs_are_the_plain_encoding(keepalive, open_backend):
     assert record.task_sequence == ("t0", "t1", "t2")
     backend.inner.close()
     run(ESCAPES, rule("Choose exactly one tool", "beta"), rule("carry out step t2", "SCORE: 9.0"))
-    assert len(stub.seen) == 8 + 1 + 4 + 4
+    assert len(stub.requests) == 8 + 1 + 4 + 4
     assert_plain_bodies(stub, backend)
 
 
-def test_a_reasked_selection_escapes_no_state_twice(keepalive, open_backend, monkeypatch):
+def test_a_reasked_selection_escapes_no_state_twice(raw_stub, open_backend, monkeypatch):
     """t0; t1's first selection reply names no tool, so it is re-asked and
     picks beta.  Over the run, the backend escapes each character of the
     last state it was sent once."""
-    stub = keepalive()
+    stub = raw_stub()
     scripted = ScriptedBackend([rule("Choose exactly one tool", "no tool", "beta")],
                                fallback=f"noted {ESCAPES}")
-    stub.answer = lambda user_prompt: scripted.complete("", user_prompt)
+    stub.answer = answering(scripted)
     escaped, states = [], []
     real = HttpChatBackend._escape_state
 
@@ -819,20 +722,20 @@ def test_a_reasked_selection_escapes_no_state_twice(keepalive, open_backend, mon
 
     monkeypatch.setattr(HttpChatBackend, "_escape_state", counting)
     record = execute(tool_chain(), ESCAPES, open_backend(stub.url))
-    assert record.details["t1"].selected_tool == "beta" and len(stub.seen) == 4
+    assert record.details["t1"].selected_tool == "beta" and len(stub.requests) == 4
     assert sum(escaped) == len(states[-1])
 
 
-def test_a_rewind_escapes_only_the_text_it_removed(keepalive, open_backend, monkeypatch):
+def test_a_rewind_escapes_only_the_text_it_removed(raw_stub, open_backend, monkeypatch):
     """t0; t1 picks alpha; t2 scores low and rewinds to t1, which picks
     beta; t2 passes.  The backend escapes each text added to the state
     once, the text the rewind cut off once more, to learn the length of its
     escape, and each own text."""
-    stub = keepalive()
+    stub = raw_stub()
     scripted = ScriptedBackend([rule("Choose exactly one tool", "alpha", "beta"),
                                 rule("carry out step t2", "SCORE: 2.0", "SCORE: 9.0")],
                                fallback=f"noted {ESCAPES}")
-    stub.answer = lambda user_prompt: scripted.complete("", user_prompt)
+    stub.answer = answering(scripted)
     escaped, real = [], agents.json_escape
     monkeypatch.setattr(agents, "json_escape", lambda text: escaped.append(len(text)) or real(text))
     prompts = []
@@ -845,7 +748,7 @@ def test_a_rewind_escapes_only_the_text_it_removed(keepalive, open_backend, monk
 
     # a long inquiry, so that escaping the rewound state afresh shows
     record = execute(tool_chain(graded=True), ESCAPES * 20, Keeping())
-    assert record.details["t1"].retries_used == 1 and len(stub.seen) == 7
+    assert record.details["t1"].retries_used == 1 and len(stub.requests) == 7
     states = [state for state, _ in prompts]
     removed = sum(len(before) - len(after) for before, after in zip(states, states[1:])
                   if len(after) < len(before))
@@ -855,9 +758,9 @@ def test_a_rewind_escapes_only_the_text_it_removed(keepalive, open_backend, monk
 
 
 @pytest.fixture
-def stub_and_backend(keepalive, open_backend):
-    """A keep-alive stub and a backend on it, shared by a property's examples."""
-    stub = keepalive()
+def stub_and_backend(raw_stub, open_backend):
+    """A stub and a backend on it, shared by a property's examples."""
+    stub = raw_stub()
     return stub, open_backend(stub.url)
 
 
@@ -879,7 +782,7 @@ def test_request_bodies_of_drawn_prompts_are_the_plain_encoding(
     and grew, or stayed, or a plain str, after which the next Prompt's state
     is escaped whole."""
     stub, http = stub_and_backend
-    stub.seen.clear()
+    stub.requests.clear()
     backend = CallRecorder(http)
     for index, (action, text, cut, own_text, temperature) in enumerate(calls):
         if action == "append":
@@ -931,10 +834,10 @@ def held_text(backend, text):
     return sorted(name for name, value in vars(backend).items() if holds(value))
 
 
-def test_a_closed_backend_holds_no_text_of_its_run(keepalive):
-    stub = keepalive()
+def test_a_closed_backend_holds_no_text_of_its_run(raw_stub):
+    stub = raw_stub()
     scripted = ScriptedBackend([rule("Choose exactly one tool", "beta")], fallback="noted")
-    stub.answer = lambda user_prompt: scripted.complete("", user_prompt)
+    stub.answer = answering(scripted)
     backend = http_chat_backend(stub.url)
     inquiry, role = f"inquiry 7f3a {ESCAPES}", f"role 5c1e {ESCAPES}"
     profile = AgentProfile(id="analyst", role_prompt=role, model_ref="m 5c1e")
@@ -956,12 +859,12 @@ def test_a_closed_scripted_backend_holds_no_text_of_its_run():
 
 
 def test_a_plain_prompt_leaves_the_backend_holding_no_text_of_the_run(
-        keepalive, open_backend, monkeypatch):
+        raw_stub, open_backend, monkeypatch):
     """The plain prompt's empty state shares no text with the kept state,
     so the backend escapes none of the kept state to drop it."""
-    stub = keepalive()
+    stub = raw_stub()
     scripted = ScriptedBackend([rule("Choose exactly one tool", "beta")], fallback="noted")
-    stub.answer = lambda user_prompt: scripted.complete("", user_prompt)
+    stub.answer = answering(scripted)
     backend = open_backend(stub.url)
     inquiry = f"inquiry 7f3a {ESCAPES}"
     execute(tool_chain(), inquiry, backend)

@@ -20,10 +20,11 @@ from agwf.agents import ScriptedBackend
 from agwf.demos import BUNDLE_NAMES, bundle
 from agwf.event_log import DEFAULT_CSV_MAPPING, discover_dfg, parse_csv, parse_xes
 from agwf.pm_tools import abstract_dfg
-from agwf.workflow_config import load_workflow
+from agwf.workflow_config import load_scripted_rules, load_workflow
 from agwf.workflow_engine import linearize
 
-from conftest import InterruptedBackend, csv_log_text, xes_log_text
+from conftest import (InterruptedBackend, answering, csv_log_text, ok_payload, reply,
+                      xes_log_text)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -950,42 +951,33 @@ def test_a_scripted_run_does_not_load_the_http_stack(tmp_path):
     assert json.loads(done.stdout) == [True, [["example.com", 80]]]
 
 
-def test_demo_http_backend_via_env(monkeypatch, tmp_path):
+def test_demo_http_backend_via_env(raw_stub, monkeypatch, tmp_path):
     # a stub endpoint that answers every prompt with a score-bearing reply,
     # good enough for all three rca tasks
-    import json as jsonlib
-    import threading
-    from http.server import BaseHTTPRequestHandler, HTTPServer
+    stub = raw_stub()
+    stub.answer = lambda user_prompt: reply(200, ok_payload("stub findings\nSCORE: 7.0"))
+    monkeypatch.setenv("AGWF_ENDPOINT", stub.url)
+    monkeypatch.setenv("AGWF_API_KEY", "test-key")
+    output = tmp_path / "rca_http.json"
+    assert run_cli("demo", "rca", "--http", "--output", str(output)) == 0
+    transcript = json.loads(output.read_text())
+    assert transcript["details"]["grade_causes"]["score"] == 7.0
 
-    class Handler(BaseHTTPRequestHandler):
-        def do_POST(self):
-            self.rfile.read(int(self.headers.get("Content-Length", 0)))
-            body = jsonlib.dumps(
-                {"choices": [{"message": {"content": "stub findings\nSCORE: 7.0"}}]}
-            ).encode()
-            self.send_response(200)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
 
-        def log_message(self, *args):
-            pass
-
-    server = HTTPServer(("127.0.0.1", 0), Handler)
-    threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
-                     daemon=True).start()
-    try:
-        monkeypatch.setenv(
-            "AGWF_ENDPOINT", f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
-        )
-        monkeypatch.setenv("AGWF_API_KEY", "test-key")
-        output = tmp_path / "rca_http.json"
-        assert run_cli("demo", "rca", "--http", "--output", str(output)) == 0
-        transcript = json.loads(output.read_text())
-        assert transcript["details"]["grade_causes"]["score"] == 7.0
-    finally:
-        server.shutdown()
-        server.server_close()
+@pytest.mark.parametrize("name", BUNDLE_NAMES)
+def test_a_demo_over_http_writes_the_scripted_transcript(name, raw_stub, tmp_path, capsys):
+    """The stub answers from the bundle's rules, each reply chunked and its
+    connection closed after it, so that every request after the first
+    finds the connection hung up and is sent again on a new one.  The
+    --http transcript is the --scripted one, byte for byte."""
+    rules = bundle(name).rules
+    stub = raw_stub()
+    stub.answer = answering(load_scripted_rules(rules), chunked=True, keep=False)
+    scripted, http = tmp_path / "scripted.json", tmp_path / "http.json"
+    assert run_cli("demo", name, "--scripted", str(rules), "--output", str(scripted)) == 0
+    assert run_cli("demo", name, "--http", stub.url, "--output", str(http)) == 0
+    assert http.read_bytes() == scripted.read_bytes()
+    assert len(stub.requests) == stub.connections > 1
 
 
 def test_text_stdout_cannot_encode_is_written_escaped(tmp_path):

@@ -1,14 +1,13 @@
-"""The HTTP backend against a server on raw sockets, which writes its
-replies byte for byte as scripted: trickled, cut short or framed wrong."""
+"""The HTTP backend against the raw-socket stub of conftest.py, which
+writes its replies byte for byte as scripted: trickled, cut short or
+framed wrong."""
 
 from __future__ import annotations
 
 import contextlib
 import http.client
 import json
-import re
 import socket
-import socketserver
 import ssl
 import sys
 import threading
@@ -18,149 +17,14 @@ import pytest
 
 from agwf.agents import BackendTimeout, HttpChatBackend, TransportError, complete
 
-from conftest import AGENT, DATA_DIR, CountingBackend, tls_server_context
+from conftest import (AGENT, BODY, DATA_DIR, ESTABLISHED, HEAD, OK, CountingBackend, send,
+                      tls_server_context, trickle)
 
-#: a reply body of 46 bytes
-BODY = json.dumps({"choices": [{"message": {"content": "oka"}}]}).encode()
-#: the head of a keep-alive reply carrying BODY
-HEAD = b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 46\r\n\r\n"
-OK = HEAD + BODY
-
-
-def send(data, keep=True):
-    """A scripted reply: data in one write, then the connection kept open or closed."""
-    def reply(conn):
-        conn.sendall(data)
-        return keep
-    return reply
-
-
-def trickle(head, body, pause):
-    """A scripted reply: the head in one write, then the body a byte at a
-    time with ``pause`` seconds before each."""
-    def reply(conn):
-        conn.sendall(head)
-        for byte in body:
-            time.sleep(pause)
-            conn.sendall(bytes([byte]))
-        return True
-    return reply
-
-
-class RawHandler(socketserver.BaseRequestHandler):
-    """Reads each request whole, keeps its bytes and sends the next
-    scripted reply, or OK when the script is empty."""
-
-    def handle(self):
-        server, conn, data = self.server, self.request, b""
-        with server.lock:
-            server.connections += 1
-        try:
-            while True:
-                while b"\r\n\r\n" not in data:
-                    if not (piece := conn.recv(1 << 16)):
-                        return
-                    data += piece
-                head, _, data = data.partition(b"\r\n\r\n")
-                length = int(re.search(rb"(?i)\r\ncontent-length: *(\d+)", head).group(1))
-                while len(data) < length:
-                    if not (piece := conn.recv(1 << 16)):
-                        return
-                    data += piece
-                with server.lock:
-                    server.requests.append(head + b"\r\n\r\n" + data[:length])
-                    reply = server.script.pop(0) if server.script else send(OK)
-                data = data[length:]
-                if not reply(conn):
-                    return
-        except OSError:  # the client gave up on the reply
-            pass
-
-
-#: a proxy's reply to CONNECT that opens the tunnel
-ESTABLISHED = b"HTTP/1.1 200 Connection established\r\n\r\n"
-
-
-class TunnelHandler(RawHandler):
-    """A proxy that answers a CONNECT request with the server's
-    ``answer_connect`` and, if that says so, is then the server inside the
-    tunnel, over TLS."""
-
-    def handle(self):
-        data = b""
-        try:
-            while b"\r\n\r\n" not in data:
-                if not (piece := self.request.recv(1 << 16)):
-                    return
-                data += piece
-            with self.server.lock:
-                self.server.tunnels.append(data)
-            if not self.server.answer_connect(self.request):
-                return
-            self.request = tls_server_context().wrap_socket(self.request, server_side=True)
-        except OSError:  # the client gave up on the tunnel
-            return
-        with self.request:
-            super().handle()
-
-
-class RawServer(socketserver.ThreadingTCPServer):
-    daemon_threads = True
-
-    def __init__(self, tls=False, tunnel=False):
-        super().__init__(("127.0.0.1", 0), TunnelHandler if tunnel else RawHandler)
-        if tls:
-            self.socket = tls_server_context().wrap_socket(self.socket, server_side=True)
-        self.lock = threading.Lock()
-        self.connections = 0
-        self.tunnels = []  # the bytes of each CONNECT request received
-        self.requests = []  # the bytes of each request received
-        self.script = []  # replies: each sends to a connection and says whether to keep it
-        # the answer to a CONNECT request: sends it and says whether to open the tunnel
-        self.answer_connect = send(ESTABLISHED)
-        self.url = f"http://127.0.0.1:{self.server_address[1]}/v1/chat/completions"
-
-
-@pytest.fixture
-def raw_stub(monkeypatch):
-    """Starts raw stubs, reached directly whatever the proxy settings."""
-    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
-        monkeypatch.delenv(name, raising=False)
-        monkeypatch.delenv(name.upper(), raising=False)
-    servers = []
-
-    def start(tls=False, tunnel=False):
-        server = RawServer(tls, tunnel)
-        threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
-                         daemon=True).start()
-        servers.append(server)
-        return server
-
-    yield start
-    for server in servers:
-        server.shutdown()
-        server.server_close()
-
-
-@pytest.fixture
-def backend_on(raw_stub):
-    """A backend on a new raw stub, with the given timeout; closed when the test ends."""
-    backends = []
-
-    def build(timeout):
-        stub = raw_stub()
-        backends.append(HttpChatBackend(stub.url, timeout=timeout))
-        return stub, backends[-1]
-
-    yield build
-    for backend in backends:
-        backend.close()
-
-
-def test_the_timeout_bounds_the_whole_exchange(backend_on):
+def test_the_timeout_bounds_the_whole_exchange(raw_stub, open_backend):
     """A body trickled a byte every 0.1 s would take 4.6 s; the call ends
     at its 0.5 s timeout, and the next call opens a new connection."""
-    stub, backend = backend_on(0.5)
+    stub = raw_stub()
+    backend = open_backend(stub.url, timeout=0.5)
     stub.script = [trickle(HEAD, BODY, 0.1)]
     started = time.monotonic()
     with pytest.raises(BackendTimeout):
@@ -169,12 +33,13 @@ def test_the_timeout_bounds_the_whole_exchange(backend_on):
     assert backend.complete("role", "hello") == "oka"
 
 
-def test_a_408_on_the_idle_connection_is_not_read_as_the_reply(backend_on):
+def test_a_408_on_the_idle_connection_is_not_read_as_the_reply(raw_stub, open_backend):
     """RFC 9110 section 15.5.9: a server may send 408 on an idle
     connection before it closes it.  The next request, sent on that
     connection, reads the 408 or a reset, and goes out again on a new
     connection."""
-    stub, backend = backend_on(0.5)
+    stub = raw_stub()
+    backend = open_backend(stub.url, timeout=0.5)
     timed_out = threading.Event()
 
     def reply_then_time_out(conn):
@@ -219,11 +84,12 @@ READ = {
 
 
 @pytest.mark.parametrize("case", READ)
-def test_replies_the_backend_reads(backend_on, case):
+def test_replies_the_backend_reads(raw_stub, open_backend, case):
     """Each reply is read, and the connection kept only when it may carry
     the next request."""
     reply, kept = READ[case]
-    stub, backend = backend_on(0.2)
+    stub = raw_stub()
+    backend = open_backend(stub.url, timeout=0.2)
     stub.script = [reply]
     assert backend.complete("role", "hello") == "oka"
     assert backend.complete("role", "hello") == "oka"
@@ -250,10 +116,11 @@ HOSTILE = {
 
 
 @pytest.mark.parametrize("case", HOSTILE)
-def test_a_reply_framed_wrong_is_a_transport_error(backend_on, case):
+def test_a_reply_framed_wrong_is_a_transport_error(raw_stub, open_backend, case):
     """Each ends at once, well within the timeout, in a TransportError, and
     the next call succeeds on a new connection."""
-    stub, backend = backend_on(0.2)
+    stub = raw_stub()
+    backend = open_backend(stub.url, timeout=0.2)
     stub.script = [HOSTILE[case]]
     started = time.monotonic()
     with pytest.raises(TransportError) as error:
@@ -291,7 +158,7 @@ ENDPOINTS = [
 
 @pytest.mark.parametrize("api_key", ["", "sk-0123"])
 @pytest.mark.parametrize("url, proxy, host, port, target", ENDPOINTS)
-def test_a_request_is_the_bytes_http_client_sends(raw_stub, monkeypatch,
+def test_a_request_is_the_bytes_http_client_sends(raw_stub, open_backend, monkeypatch,
                                                   url, proxy, host, port, target, api_key):
     """Every connection goes to the stub, whatever address it is for."""
     tls = url.startswith("https")
@@ -306,11 +173,8 @@ def test_a_request_is_the_bytes_http_client_sends(raw_stub, monkeypatch,
     monkeypatch.setattr(socket, "create_connection", to_the_stub)
     if proxy:
         monkeypatch.setenv("HTTP_PROXY", proxy)
-    backend = HttpChatBackend(url, api_key)
-    try:
-        assert backend.complete("role", "hello \u00e9", model="m", temperature=0.5) == "oka"
-    finally:
-        backend.close()
+    backend = open_backend(url, api_key)
+    assert backend.complete("role", "hello \u00e9", model="m", temperature=0.5) == "oka"
     body = json.dumps({"model": "m", "messages": [{"role": "system", "content": "role"},
                                                   {"role": "user", "content": "hello \u00e9"}],
                        "temperature": 0.5}).encode()
@@ -330,7 +194,8 @@ def test_a_request_is_the_bytes_http_client_sends(raw_stub, monkeypatch,
 
 @pytest.mark.parametrize("url, port", [("https://127.0.0.1/v1", 443),
                                        ("https://127.0.0.1:8443/v1", 8443)])
-def test_a_tunnelled_request_is_the_bytes_http_client_sends(raw_stub, monkeypatch, url, port):
+def test_a_tunnelled_request_is_the_bytes_http_client_sends(raw_stub, open_backend, monkeypatch,
+                                                            url, port):
     """An https endpoint behind a proxy: the request inside the tunnel is
     that of HTTPSConnection with set_tunnel, and two completions share one
     tunnel.  The CONNECT request is set_tunnel's from Python 3.12 on; that
@@ -338,12 +203,9 @@ def test_a_tunnelled_request_is_the_bytes_http_client_sends(raw_stub, monkeypatc
     bytes 3.12 sends."""
     proxy = raw_stub(tunnel=True)
     monkeypatch.setenv("SSL_CERT_FILE", str(DATA_DIR / "tls_cert.pem"))
-    monkeypatch.setenv("HTTPS_PROXY", f"http://127.0.0.1:{proxy.server_address[1]}")
-    backend = HttpChatBackend(url, "sk-0123")
-    try:
-        assert [backend.complete("role", "hello", model="m") for _ in range(2)] == ["oka"] * 2
-    finally:
-        backend.close()
+    monkeypatch.setenv("HTTPS_PROXY", f"http://127.0.0.1:{proxy.port}")
+    backend = open_backend(url, "sk-0123")
+    assert [backend.complete("role", "hello", model="m") for _ in range(2)] == ["oka"] * 2
     assert proxy.connections == 1
     body = json.dumps({"model": "m", "messages": [{"role": "system", "content": "role"},
                                                   {"role": "user", "content": "hello"}],
@@ -365,21 +227,16 @@ def test_a_tunnelled_request_is_the_bytes_http_client_sends(raw_stub, monkeypatc
 
 
 @pytest.fixture
-def tunnelled(raw_stub, monkeypatch):
+def tunnelled(raw_stub, open_backend, monkeypatch):
     """A proxy stub, and a backend for an https endpoint behind it with the
     given timeout; closed when the test ends."""
-    backends = []
-
     def build(timeout):
         proxy = raw_stub(tunnel=True)
         monkeypatch.setenv("SSL_CERT_FILE", str(DATA_DIR / "tls_cert.pem"))
-        monkeypatch.setenv("HTTPS_PROXY", f"http://127.0.0.1:{proxy.server_address[1]}")
-        backends.append(HttpChatBackend("https://127.0.0.1/v1", timeout=timeout))
-        return proxy, backends[-1]
+        monkeypatch.setenv("HTTPS_PROXY", f"http://127.0.0.1:{proxy.port}")
+        return proxy, open_backend("https://127.0.0.1/v1", timeout=timeout)
 
-    yield build
-    for backend in backends:
-        backend.close()
+    return build
 
 
 def test_the_timeout_bounds_a_trickled_reply_to_connect(tunnelled):
