@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import json
 import re
 import socket
@@ -19,6 +20,8 @@ from agwf.pm_tools import ToolRegistry, builtin_registry
 from agwf.workflow_engine import TaskSpec, WorkflowSpec
 
 DATA_DIR = Path(__file__).parent / "data"
+
+AGWF_SRC = Path(__file__).resolve().parents[1] / "src" / "agwf"
 
 T0 = datetime(2024, 3, 1, 9, 0, 0, tzinfo=timezone.utc)
 
@@ -281,6 +284,21 @@ def connects(monkeypatch):
 
     monkeypatch.setattr("socket.create_connection", refuse)
     return tried
+
+
+def agwf_imports(module_level=False):
+    """(file, statement, the module names it imports) for each absolute
+    import statement of src/agwf/*.py, ``from m import n`` importing m and
+    m.n.  With module_level, only the statements of a module's own body,
+    which run when it is imported."""
+    for path in sorted(AGWF_SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in tree.body if module_level else ast.walk(tree):
+            if isinstance(node, ast.Import):
+                yield path, node, [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                yield path, node, [node.module,
+                                   *(f"{node.module}.{alias.name}" for alias in node.names)]
 
 
 def joined_prompt(record, task_id, which="prompt"):

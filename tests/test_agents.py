@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import ast
 import dataclasses
 import json
 import math
@@ -13,7 +12,6 @@ import sys
 import threading
 import time
 import weakref
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -42,8 +40,8 @@ from agwf.agents import (
 from agwf.pm_tools import Tool
 from agwf.workflow_engine import ExecutionAborted, execute
 
-from conftest import (AGENT, DATA_DIR, HEAD, CountingBackend, answering, ok_payload, parsed,
-                      reply, send)
+from conftest import (AGENT, DATA_DIR, HEAD, CountingBackend, agwf_imports, answering,
+                      ok_payload, parsed, reply, send)
 from test_transcript import ESCAPES, SPECIAL, tool_chain
 
 
@@ -913,16 +911,8 @@ def test_execute_keeps_no_prompt_from_one_task_to_the_next():
 
 def test_no_module_of_agwf_imports_http_client():
     """The HTTP backend opens its connections and reads its replies itself."""
-    src = Path(agents.__file__).parent
-    for path in sorted(src.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and not node.level:
-                names = [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
-            else:
-                continue
-            assert not [name for name in names if f"{name}.".startswith("http.client.")], path
+    for path, _, names in agwf_imports():
+        assert not [name for name in names if f"{name}.".startswith("http.client.")], path
 
 
 @settings(max_examples=300, deadline=None)

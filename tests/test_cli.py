@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import contextlib
 import copy
 import io
@@ -23,8 +24,8 @@ from agwf.pm_tools import abstract_dfg
 from agwf.workflow_config import load_scripted_rules, load_workflow
 from agwf.workflow_engine import linearize
 
-from conftest import (InterruptedBackend, answering, csv_log_text, ok_payload, reply,
-                      xes_log_text)
+from conftest import (InterruptedBackend, agwf_imports, answering, csv_log_text, ok_payload,
+                      reply, xes_log_text)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -888,19 +889,23 @@ def test_demo_runs_depend_on_no_hash_seed_time_zone_or_locale(tmp_path):
     assert all(run == runs[0] for run in runs[1:])
 
 
-#: in a fresh interpreter, the transport's modules each step loaded: a
-#: scripted run, building an http backend, then building an https one
-RUN_IMPORTS = """
+#: what a scripted run should not load: the transport's modules, and the
+#: dataclass machinery
+WATCHED = ("socket", "ssl", "http.client", "email", "urllib.request", "encodings.idna",
+           "dataclasses", "inspect")
+
+#: in a fresh interpreter, the WATCHED modules each step loaded: a scripted
+#: `agwf run` with the arguments argv[1:], building an http backend, then
+#: building an https one
+RUN_IMPORTS = f"""
 import sys
 before = set(sys.modules)
 def loaded():
-    return [m for m in ("socket", "ssl", "http.client", "email", "urllib.request",
-                        "encodings.idna")
-            if m in sys.modules and m not in before]
+    return [m for m in {WATCHED!r} if m in sys.modules and m not in before]
 import contextlib, io, json
 from agwf import cli
 with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(["demo", "anomaly", "--output", sys.argv[1]])
+    code = cli.main(sys.argv[1:])
 steps = [loaded()]
 from agwf.agents import HttpChatBackend
 for url in ("http://127.0.0.1:9/v1", "https://127.0.0.1:9/v1"):
@@ -929,26 +934,74 @@ print(json.dumps([loaded, tried]))
 """
 
 
+#: in a fresh interpreter, which of the modules argv[2:] the statements
+#: argv[1] loaded
+LOADS = """
+import sys
+before = set(sys.modules)
+exec(sys.argv[1])
+print(" ".join(m for m in sys.argv[2:] if m in sys.modules and m not in before))
+"""
+
+
+def loads(statements, watched, *flags, env):
+    done = subprocess.run([sys.executable, *flags, "-c", LOADS, statements, *watched],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.split())
+
+
+def stdlib_loads(watched, *flags, env):
+    """Which watched modules the stdlib loads for agwf: those that agwf's
+    module-level import statements load, but for the statements that name
+    a watched module, which are what the caller checks for."""
+    statements = [ast.unparse(node) for _, node, names in agwf_imports(module_level=True)
+                  if names[0] != "__future__"
+                  and not any(f"{name}.".startswith(f"{module}.")
+                              for name in names for module in watched)]
+    return loads("\n".join(statements), watched, *flags, env=env)
+
+
 def test_a_scripted_run_does_not_load_the_http_stack(tmp_path):
-    """Nor does an http backend load ssl, nor either kind http.client or,
-    with no *_proxy variable set, urllib.request, nor, for an ASCII host,
-    the IDNA codec."""
+    """Nor the dataclass machinery; nor does an http backend load ssl, nor
+    either kind http.client or, with no *_proxy variable set,
+    urllib.request, nor, for an ASCII host, the IDNA codec."""
     # subprocesses, because this process has imported them all already
     env = {name: value for name, value in os.environ.items()
            if not name.lower().endswith("_proxy")}
     env["PYTHONPATH"] = str(README.parent / "src")
-    done = subprocess.run([sys.executable, "-c", RUN_IMPORTS, str(tmp_path / "t.json")],
+    workflow, rules, inquiry = bundle("anomaly")
+    argv = ["run", str(workflow), "--inquiry", inquiry, "--scripted", str(rules),
+            "--output", str(tmp_path / "t.json")]
+    done = subprocess.run([sys.executable, "-c", RUN_IMPORTS, *argv],
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     code, steps = json.loads(done.stdout)
     assert code == 0 and (tmp_path / "t.json").is_file()
-    assert steps == [[], ["socket"], ["socket", "ssl"]]
+    # a newer Python's stdlib may load some of them for agwf's own imports
+    theirs = stdlib_loads(WATCHED, env=env)
+    ours = [[m for m in step if m not in theirs] for step in steps]
+    assert ours == [[], ["socket"], ["socket", "ssl"]]
     # no_proxy alone loads urllib.request, which reads it, and goes direct
     done = subprocess.run([sys.executable, "-c", PROXY_IMPORTS],
                           env={**env, "no_proxy": "example.com"},
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == [True, [["example.com", 80]]]
+
+
+def test_no_module_of_agwf_imports_dataclasses():
+    """Its record types are plain slotted classes, which import nothing."""
+    for path, _, names in agwf_imports():
+        assert not [name for name in names if f"{name}.".startswith("dataclasses.")], path
+
+
+def test_importing_the_cli_loads_no_importlib_resources():
+    """Only `agwf demo` reads the bundled files through importlib.resources.
+    Under -S, because a site hook may load it before agwf is imported."""
+    env = {**os.environ, "PYTHONPATH": str(README.parent / "src")}
+    watched = ("importlib.resources",)
+    assert loads("import agwf.cli", watched, "-S", env=env) <= stdlib_loads(watched, "-S", env=env)
 
 
 def test_demo_http_backend_via_env(raw_stub, monkeypatch, tmp_path):
