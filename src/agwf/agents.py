@@ -15,11 +15,11 @@ import math
 import os
 import re
 import time
-from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Sequence
 from urllib.parse import SplitResult, quote, urlsplit
 
+from ._value import FrozenValue
 from .pm_tools import Tool
 from .task_kinds import last_line_match
 
@@ -53,22 +53,23 @@ class ToolSelectionFailed(AgentError):
     the last reply."""
 
 
-@dataclass(frozen=True)
-class AgentProfile:
+class AgentProfile(FrozenValue):
     """An LLM role: system prompt plus backend-specific model name."""
 
-    id: str
-    role_prompt: str
-    model_ref: str = ""
-    temperature: float = 0.0
+    __slots__ = ("id", "role_prompt", "model_ref", "temperature")
 
-    def __post_init__(self):
-        if not self.id:
+    def __init__(self, id: str, role_prompt: str, model_ref: str = "",
+                 temperature: float = 0.0):
+        if not id:
             raise ValueError("agent id must be non-empty")
-        if not self.role_prompt:
-            raise ValueError(f"agent {self.id!r}: role_prompt must be non-empty")
-        if not 0 <= self.temperature < math.inf:  # false for NaN too
-            raise ValueError(f"agent {self.id!r}: temperature must be a finite number >= 0")
+        if not role_prompt:
+            raise ValueError(f"agent {id!r}: role_prompt must be non-empty")
+        if not 0 <= temperature < math.inf:  # false for NaN too
+            raise ValueError(f"agent {id!r}: temperature must be a finite number >= 0")
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "role_prompt", role_prompt)
+        object.__setattr__(self, "model_ref", model_ref)
+        object.__setattr__(self, "temperature", temperature)
 
 
 def json_escape(text: str) -> bytes:
@@ -135,8 +136,7 @@ class CompletionBackend:
         """Release what the backend holds open; complete() may still follow."""
 
 
-@dataclass(frozen=True)
-class ScriptedRule:
+class ScriptedRule(FrozenValue):
     """First matching rule wins; each match consumes the next response.
 
     ``match`` is a plain substring over the user prompt, or a regular
@@ -144,13 +144,14 @@ class ScriptedRule:
     run out the last one repeats.
     """
 
-    match: str
-    responses: tuple[str, ...]
-    regex: bool = False
+    __slots__ = ("match", "responses", "regex")
 
-    def __post_init__(self):
-        if not self.responses:
+    def __init__(self, match: str, responses: tuple[str, ...], regex: bool = False):
+        if not responses:
             raise ValueError("'responses' must not be empty")
+        object.__setattr__(self, "match", match)
+        object.__setattr__(self, "responses", responses)
+        object.__setattr__(self, "regex", regex)
 
 
 def rule(match: str, *responses: str, regex: bool = False) -> ScriptedRule:

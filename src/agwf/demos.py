@@ -10,7 +10,6 @@ four-task shape also used by the acceptance suite.
 
 from __future__ import annotations
 
-from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
@@ -25,6 +24,8 @@ class Bundle(NamedTuple):
 
 
 def data_path(filename: str) -> Path:
+    from importlib import resources  # here, so that `agwf run` does not load it
+
     return Path(str(resources.files("agwf").joinpath("data", filename)))
 
 

@@ -18,16 +18,16 @@ Each parse keeps one string object per distinct activity name.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import operator
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from types import MappingProxyType
 from typing import Callable, Mapping, TextIO, Union
 from xml.parsers.expat import ErrorString
+
+from ._value import FrozenValue, Value
 
 Scalar = Union[str, int, float, bool, datetime]
 
@@ -93,79 +93,105 @@ class PredicateSyntaxError(EventLogError):
 NO_ATTRIBUTES: Mapping[str, Scalar] = MappingProxyType({})
 
 
-@dataclass(slots=True)
-class Event:
+class Event(Value):
     """One activity execution: non-empty label, tz-aware timestamp, extras."""
 
-    activity: str
-    timestamp: datetime
-    attributes: Mapping[str, Scalar] = field(default_factory=lambda: NO_ATTRIBUTES)
+    __slots__ = ("activity", "timestamp", "attributes")
+
+    def __init__(self, activity: str, timestamp: datetime,
+                 attributes: Mapping[str, Scalar] = NO_ATTRIBUTES):
+        self.activity = activity
+        self.timestamp = timestamp
+        self.attributes = attributes
 
 
-@dataclass(slots=True)
-class Trace:
+class Trace(Value):
     """One case: events sorted by timestamp (stable on ties)."""
 
-    case_id: str
-    case_attributes: Mapping[str, Scalar] = field(default_factory=lambda: NO_ATTRIBUTES)
-    events: tuple[Event, ...] = ()
+    __slots__ = ("case_id", "case_attributes", "events")
+
+    def __init__(self, case_id: str, case_attributes: Mapping[str, Scalar] = NO_ATTRIBUTES,
+                 events: tuple[Event, ...] = ()):
+        self.case_id = case_id
+        self.case_attributes = case_attributes
+        self.events = events
 
 
-@dataclass(frozen=True)
-class EventLog:
-    traces: tuple[Trace, ...] = ()
-    source_name: str = ""
+class EventLog(FrozenValue):
+    __slots__ = ("traces", "source_name")
+
+    def __init__(self, traces: tuple[Trace, ...] = (), source_name: str = ""):
+        object.__setattr__(self, "traces", traces)
+        object.__setattr__(self, "source_name", source_name)
 
 
-@dataclass(frozen=True)
-class DfgEdgeStats:
-    frequency: int
-    mean_duration_seconds: float
+class DfgEdgeStats(FrozenValue):
+    __slots__ = ("frequency", "mean_duration_seconds")
+
+    def __init__(self, frequency: int, mean_duration_seconds: float):
+        object.__setattr__(self, "frequency", frequency)
+        object.__setattr__(self, "mean_duration_seconds", mean_duration_seconds)
 
 
-@dataclass(frozen=True)
-class Dfg:
+class Dfg(FrozenValue):
     """Directly-follows graph: edge frequencies/durations plus endpoints.
 
     Its maps are not changed after it is built, so what is derived from
     them, such as ranked_edges, is computed once per DFG.
     """
 
-    edges: dict[tuple[str, str], DfgEdgeStats] = field(default_factory=dict)
-    start_activities: dict[str, int] = field(default_factory=dict)
-    end_activities: dict[str, int] = field(default_factory=dict)
+    __slots__ = ("edges", "start_activities", "end_activities", "_ranked_edges")
 
-    @functools.cached_property
+    def __init__(self, edges: dict[tuple[str, str], DfgEdgeStats] | None = None,
+                 start_activities: dict[str, int] | None = None,
+                 end_activities: dict[str, int] | None = None):
+        object.__setattr__(self, "edges", {} if edges is None else edges)
+        object.__setattr__(self, "start_activities",
+                           {} if start_activities is None else start_activities)
+        object.__setattr__(self, "end_activities",
+                           {} if end_activities is None else end_activities)
+        object.__setattr__(self, "_ranked_edges", None)
+
+    @property
     def ranked_edges(self) -> tuple[tuple[str, str], ...]:
         """The edge keys, strongest first: by (-frequency, edge)."""
-        edges = self.edges
-        return tuple(sorted(edges, key=lambda edge: (-edges[edge].frequency, edge)))
+        if self._ranked_edges is None:
+            edges = self.edges
+            object.__setattr__(self, "_ranked_edges", tuple(
+                sorted(edges, key=lambda edge: (-edges[edge].frequency, edge))))
+        return self._ranked_edges
 
 
-@dataclass(frozen=True)
-class Variant:
+class Variant(FrozenValue):
     """A distinct activity sequence and the number of traces that follow it."""
 
-    activity_sequence: tuple[str, ...]
-    count: int
+    __slots__ = ("activity_sequence", "count")
+
+    def __init__(self, activity_sequence: tuple[str, ...], count: int):
+        object.__setattr__(self, "activity_sequence", activity_sequence)
+        object.__setattr__(self, "count", count)
 
 
-@dataclass(frozen=True)
-class Comparison:
-    attribute: str
-    operator: str
-    literal: Scalar
+class Comparison(FrozenValue):
+    __slots__ = ("attribute", "operator", "literal")
+
+    def __init__(self, attribute: str, operator: str, literal: Scalar):
+        object.__setattr__(self, "attribute", attribute)
+        object.__setattr__(self, "operator", operator)
+        object.__setattr__(self, "literal", literal)
 
 
-@dataclass(frozen=True)
-class CasePredicate:
+class CasePredicate(FrozenValue):
     """Conjunction of attribute comparisons over case-level attributes.
 
     Evaluation is total: a missing attribute or an incomparable value
     pair makes the individual comparison false, never an error.
     """
 
-    comparisons: tuple[Comparison, ...]
+    __slots__ = ("comparisons",)
+
+    def __init__(self, comparisons: tuple[Comparison, ...]):
+        object.__setattr__(self, "comparisons", comparisons)
 
     def matches(self, trace: Trace) -> bool:
         return all(
@@ -179,8 +205,7 @@ FREQUENCY_SHIFT = "frequency_shift"
 DURATION_SHIFT = "duration_shift"
 
 
-@dataclass(frozen=True)
-class ComparisonFinding:
+class ComparisonFinding(FrozenValue):
     """One behavioral difference of an edge between graphs A and B.
 
     ``kind`` is one of ONLY_IN_A, ONLY_IN_B, FREQUENCY_SHIFT and
@@ -192,11 +217,15 @@ class ComparisonFinding:
     durations in seconds for DURATION_SHIFT.
     """
 
-    edge: tuple[str, str]
-    kind: str
-    relative_difference: float
-    a: float
-    b: float
+    __slots__ = ("edge", "kind", "relative_difference", "a", "b")
+
+    def __init__(self, edge: tuple[str, str], kind: str, relative_difference: float,
+                 a: float, b: float):
+        object.__setattr__(self, "edge", edge)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "relative_difference", relative_difference)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
 
 # ---------------------------------------------------------------------------
@@ -424,13 +453,15 @@ def parse_xes(document: str | TextIO, source_name: str = "") -> EventLog:
 # CSV parsing
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CsvMapping:
+class CsvMapping(FrozenValue):
     """Column mapping for CSV ingestion; timestamps are ISO-8601."""
 
-    case_column: str
-    activity_column: str
-    timestamp_column: str
+    __slots__ = ("case_column", "activity_column", "timestamp_column")
+
+    def __init__(self, case_column: str, activity_column: str, timestamp_column: str):
+        object.__setattr__(self, "case_column", case_column)
+        object.__setattr__(self, "activity_column", activity_column)
+        object.__setattr__(self, "timestamp_column", timestamp_column)
 
 
 #: convention used when a CSV file is referenced without an explicit mapping

@@ -20,9 +20,9 @@ from __future__ import annotations
 import codecs
 import os
 import re
-from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, BinaryIO, Callable, Sequence
 
+from ._value import FrozenValue
 from .event_log import (
     DEFAULT_CSV_MAPPING,
     DEFAULT_SHIFT_THRESHOLD,
@@ -64,8 +64,7 @@ class NoLogReference(Exception):
 _KEY = r"[A-Za-z_][A-Za-z0-9_]*"
 
 
-@dataclass(frozen=True)
-class Tool:
+class Tool(FrozenValue):
     """A deterministic partial string-to-string function with documentation.
 
     The documentation string is what agent-driven selection operates on,
@@ -73,20 +72,24 @@ class Tool:
     the shape of its output.
     """
 
-    name: str
-    documentation: str
-    function: Callable[[str, "EntityMemory"], str]
+    __slots__ = ("name", "documentation", "function")
 
-    def __post_init__(self):
-        if not re.fullmatch(_KEY, self.name):
-            raise ValueError(f"tool name must be identifier-shaped: {self.name!r}")
-        if not self.documentation.strip():
-            raise ValueError(f"tool {self.name!r} has no documentation")
+    def __init__(self, name: str, documentation: str,
+                 function: Callable[[str, "EntityMemory"], str]):
+        if not re.fullmatch(_KEY, name):
+            raise ValueError(f"tool name must be identifier-shaped: {name!r}")
+        if not documentation.strip():
+            raise ValueError(f"tool {name!r} has no documentation")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "documentation", documentation)
+        object.__setattr__(self, "function", function)
 
 
-@dataclass(frozen=True)
-class ToolRegistry:
-    tools: dict[str, Tool] = field(default_factory=dict)
+class ToolRegistry(FrozenValue):
+    __slots__ = ("tools",)
+
+    def __init__(self, tools: dict[str, Tool] | None = None):
+        object.__setattr__(self, "tools", {} if tools is None else tools)
 
     @classmethod
     def of(cls, *tools: Tool) -> "ToolRegistry":
@@ -190,7 +193,7 @@ def _read_log_once(path: str, memory: "EntityMemory") -> EventLog:
     log = _kept(memory, (os.path.realpath(path), info.st_mtime_ns, info.st_size),
                 lambda: read_log(path))
     # the same file under another spelling keeps the name it was given
-    return log if log.source_name == path else replace(log, source_name=path)
+    return log if log.source_name == path else EventLog(log.traces, path)
 
 
 def read_log(path: str) -> EventLog:

@@ -10,8 +10,9 @@ of the versioned contract.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
+
+from ._value import FrozenValue
 
 if TYPE_CHECKING:
     from .workflow_engine import EvaluatorConfig, TaskSpec
@@ -41,12 +42,14 @@ class ScoreOutOfRange(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class RouterGuard:
+class RouterGuard(FrozenValue):
     """Skip the guarded task unless the router's own reply routed to it."""
 
-    router_task_id: str
-    expected_route_token: str
+    __slots__ = ("router_task_id", "expected_route_token")
+
+    def __init__(self, router_task_id: str, expected_route_token: str):
+        object.__setattr__(self, "router_task_id", router_task_id)
+        object.__setattr__(self, "expected_route_token", expected_route_token)
 
 
 _KIND_FRAMING = {

@@ -12,12 +12,12 @@ per-task execution detail.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from . import task_kinds
+from ._value import FrozenValue, Value
 from .agents import (
     AgentProfile,
     CompletionBackend,
@@ -114,45 +114,55 @@ class EntityMemory:
 # Workflow types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EvaluatorConfig:
-    threshold: float
-    target_task_id: str
-    max_retries: int = 2
+class EvaluatorConfig(FrozenValue):
+    __slots__ = ("threshold", "target_task_id", "max_retries")
 
-    def __post_init__(self):
+    def __init__(self, threshold: float, target_task_id: str, max_retries: int = 2):
         low, high = task_kinds.SCORE_MIN, task_kinds.SCORE_MAX
-        if not low <= self.threshold <= high:
-            raise ValueError(f"threshold must be in [{low:g}, {high:g}], got {self.threshold}")
-        if self.max_retries < 0:
+        if not low <= threshold <= high:
+            raise ValueError(f"threshold must be in [{low:g}, {high:g}], got {threshold}")
+        if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
+        object.__setattr__(self, "threshold", threshold)
+        object.__setattr__(self, "target_task_id", target_task_id)
+        object.__setattr__(self, "max_retries", max_retries)
 
 
-@dataclass(frozen=True)
-class TaskSpec:
-    id: str
-    agent_id: str
-    instruction: str
-    kind: str = task_kinds.PLAIN
-    expected_output: str = ""
-    tool_names: tuple[str, ...] = ()
-    guard: RouterGuard | None = None
-    callback_names: tuple[str, ...] = ()
-    evaluator_config: EvaluatorConfig | None = None
-    prec: frozenset[str] = frozenset()
+class TaskSpec(FrozenValue):
+    __slots__ = ("id", "agent_id", "instruction", "kind", "expected_output", "tool_names",
+                 "guard", "callback_names", "evaluator_config", "prec")
+
+    def __init__(self, id: str, agent_id: str, instruction: str,
+                 kind: str = task_kinds.PLAIN, expected_output: str = "",
+                 tool_names: tuple[str, ...] = (), guard: RouterGuard | None = None,
+                 callback_names: tuple[str, ...] = (),
+                 evaluator_config: EvaluatorConfig | None = None,
+                 prec: frozenset[str] = frozenset()):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "agent_id", agent_id)
+        object.__setattr__(self, "instruction", instruction)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "expected_output", expected_output)
+        object.__setattr__(self, "tool_names", tool_names)
+        object.__setattr__(self, "guard", guard)
+        object.__setattr__(self, "callback_names", callback_names)
+        object.__setattr__(self, "evaluator_config", evaluator_config)
+        object.__setattr__(self, "prec", prec)
 
 
-@dataclass(frozen=True)
-class WorkflowSpec:
-    tasks: tuple[TaskSpec, ...]
-    initial_task: str
-    final_task: str
-    agents: tuple[AgentProfile, ...]
-    registry: ToolRegistry
+class WorkflowSpec(FrozenValue):
+    __slots__ = ("tasks", "initial_task", "final_task", "agents", "registry")
+
+    def __init__(self, tasks: tuple[TaskSpec, ...], initial_task: str, final_task: str,
+                 agents: tuple[AgentProfile, ...], registry: ToolRegistry):
+        object.__setattr__(self, "tasks", tasks)
+        object.__setattr__(self, "initial_task", initial_task)
+        object.__setattr__(self, "final_task", final_task)
+        object.__setattr__(self, "agents", agents)
+        object.__setattr__(self, "registry", registry)
 
 
-@dataclass
-class TaskDetail:
+class TaskDetail(Value):
     """What one task actually did during an execution.
 
     Each prompt the task sent is kept as its own text: a prompt is the
@@ -162,19 +172,25 @@ class TaskDetail:
     candidates; None means it was not sent.
     """
 
-    selected_tool: str | None = None
-    tool_output: str = ""
-    prompt: str | None = None
-    raw_response: str = ""
-    retries_used: int = 0
-    skipped: bool = False
-    score: float | None = None
-    low_quality: bool = False
-    selection: str | None = None
+    __slots__ = ("selected_tool", "tool_output", "prompt", "raw_response", "retries_used",
+                 "skipped", "score", "low_quality", "selection")
+
+    def __init__(self, selected_tool: str | None = None, tool_output: str = "",
+                 prompt: str | None = None, raw_response: str = "", retries_used: int = 0,
+                 skipped: bool = False, score: float | None = None,
+                 low_quality: bool = False, selection: str | None = None):
+        self.selected_tool = selected_tool
+        self.tool_output = tool_output
+        self.prompt = prompt
+        self.raw_response = raw_response
+        self.retries_used = retries_used
+        self.skipped = skipped
+        self.score = score
+        self.low_quality = low_quality
+        self.selection = selection
 
 
-@dataclass(frozen=True)
-class ExecutionRecord:
+class ExecutionRecord(FrozenValue):
     """The realized task sequence and state sequence of one run.
 
     states[0] is the initial inquiry and states[i+1] the state after
@@ -185,11 +201,16 @@ class ExecutionRecord:
     task_sequence[i] ran on states[i].
     """
 
-    task_sequence: tuple[str, ...]
-    final_state: str
-    state_ends: tuple[int, ...]
-    details: dict[str, TaskDetail]
-    memory_final: Mapping[str, EventLog]
+    __slots__ = ("task_sequence", "final_state", "state_ends", "details", "memory_final")
+
+    def __init__(self, task_sequence: tuple[str, ...], final_state: str,
+                 state_ends: tuple[int, ...], details: dict[str, TaskDetail],
+                 memory_final: Mapping[str, EventLog]):
+        object.__setattr__(self, "task_sequence", task_sequence)
+        object.__setattr__(self, "final_state", final_state)
+        object.__setattr__(self, "state_ends", state_ends)
+        object.__setattr__(self, "details", details)
+        object.__setattr__(self, "memory_final", memory_final)
 
     @property
     def states(self) -> tuple[str, ...]:
@@ -221,11 +242,13 @@ GUARD_INVALID = "GuardInvalid"
 UNKNOWN_CALLBACK = "UnknownCallback"
 
 
-@dataclass(frozen=True)
-class Violation:
-    code: str
-    subject: str
-    message: str
+class Violation(FrozenValue):
+    __slots__ = ("code", "subject", "message")
+
+    def __init__(self, code: str, subject: str, message: str):
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "subject", subject)
+        object.__setattr__(self, "message", message)
 
     def __str__(self):
         return f"{self.code}: {self.subject}: {self.message}"

@@ -7,7 +7,6 @@ import socket
 import socketserver
 import threading
 import time
-from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from http import HTTPStatus
 from pathlib import Path
@@ -284,6 +283,12 @@ def connects(monkeypatch):
 
     monkeypatch.setattr("socket.create_connection", refuse)
     return tried
+
+
+def replace(value, **changes):
+    """A copy of a record with the given fields changed, built from the
+    fields its slots hold."""
+    return type(value)(**{**{name: getattr(value, name) for name in value._fields}, **changes})
 
 
 def agwf_imports(module_level=False):

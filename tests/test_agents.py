@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import os
@@ -41,7 +40,7 @@ from agwf.pm_tools import Tool
 from agwf.workflow_engine import ExecutionAborted, execute
 
 from conftest import (AGENT, DATA_DIR, HEAD, CountingBackend, agwf_imports, answering,
-                      ok_payload, parsed, reply, send)
+                      ok_payload, parsed, replace, reply, send)
 from test_transcript import ESCAPES, SPECIAL, tool_chain
 
 
@@ -676,7 +675,7 @@ def test_request_bodies_of_runs_are_the_plain_encoding(raw_stub, open_backend):
     stub = raw_stub()
     profile = AgentProfile(id="analyst", role_prompt=f"You analyze {ESCAPES}",
                            model_ref="m\u00e9\"1", temperature=0.35)
-    spec = dataclasses.replace(tool_chain(graded=True), agents=(profile,))
+    spec = replace(tool_chain(graded=True), agents=(profile,))
     backend = CallRecorder(open_backend(stub.url))
 
     def run(inquiry, *rules):
@@ -839,7 +838,7 @@ def test_a_closed_backend_holds_no_text_of_its_run(raw_stub):
     backend = http_chat_backend(stub.url)
     inquiry, role = f"inquiry 7f3a {ESCAPES}", f"role 5c1e {ESCAPES}"
     profile = AgentProfile(id="analyst", role_prompt=role, model_ref="m 5c1e")
-    execute(dataclasses.replace(tool_chain(), agents=(profile,)), inquiry, backend)
+    execute(replace(tool_chain(), agents=(profile,)), inquiry, backend)
     assert held_text(backend, inquiry)  # the kept state, and its escape
     assert held_text(backend, role) == held_text(backend, "m 5c1e") == []
     backend.close()

@@ -9,7 +9,6 @@ plain encoder.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import functools
 import hashlib
 import io
@@ -36,7 +35,7 @@ from agwf.pm_tools import Tool, ToolRegistry
 from agwf.task_kinds import EVALUATOR
 from agwf.workflow_engine import EvaluatorConfig, ExecutionAborted, ExecutionRecord, execute
 
-from conftest import chain_spec, joined_prompt, plain_task, spec_of
+from conftest import chain_spec, joined_prompt, plain_task, replace, spec_of
 from test_workflow_engine import routed_workflows, scripted
 
 #: text that JSON escapes in every way it can: quotes, backslashes, control
@@ -275,12 +274,12 @@ def tool_workflows(draw):
     turn: each selection names a tool at once, after one re-ask, or never,
     which aborts the run."""
     spec, replies, routers = draw(routed_workflows())
-    tasks = tuple([dataclasses.replace(task, tool_names=("alpha", "beta"))
+    tasks = tuple([replace(task, tool_names=("alpha", "beta"))
                    if task.id not in routers and draw(st.booleans()) else task
                    for task in spec.tasks])
     selections = draw(st.lists(st.sampled_from((["beta"], ["no tool", "alpha"],
                                                 ["no tool", "no tool"])), min_size=1, max_size=4))
-    return (dataclasses.replace(spec, tasks=tasks, registry=TWO_TOOLS), replies,
+    return (replace(spec, tasks=tasks, registry=TWO_TOOLS), replies,
             [reply for selection in selections for reply in selection])
 
 
@@ -357,8 +356,8 @@ def test_a_long_run_holds_no_separate_states(tmp_path):
     """
     ids = [f"t{j:03d}" for j in range(200)]
     spec = chain_spec(*ids, registry=TWO_TOOLS)
-    spec = dataclasses.replace(spec, tasks=tuple(
-        dataclasses.replace(task, tool_names=("alpha", "beta")) if task.id == "t100" else task
+    spec = replace(spec, tasks=tuple(
+        replace(task, tool_names=("alpha", "beta")) if task.id == "t100" else task
         for task in spec.tasks))
     backend = ScriptedBackend([rule("Choose exactly one tool", "beta")], fallback="r" * 1000)
     tracemalloc.start()
