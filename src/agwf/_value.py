@@ -1,5 +1,7 @@
-"""Value semantics for agwf's record types, without the dataclass machinery.
+"""Equality, repr, hash and read-only fields for agwf's record types.
 
+Plain classes, so that importing agwf generates no code for its record
+types, as ``dataclasses`` would, and loads neither it nor ``inspect``.
 A record type lists its fields in ``__slots__``, in the order its own
 ``__init__`` takes them.  A slot whose name starts with ``_`` is not a
 field: it holds something computed from the fields.
