@@ -232,6 +232,12 @@ def test_equal_by_type_and_fields(cls, frozen, hashable, fields):
         assert value != changed and not value == changed
 
 
+def test_records_of_two_types_with_equal_fields_are_unequal():
+    assert Comparison("a", "==", "b") != Violation("a", "==", "b")
+    assert CsvMapping("a", "b", "c") != Violation("a", "b", "c")
+    assert DfgEdgeStats(("a",), 1) != Variant(("a",), 1)
+
+
 @pytest.mark.parametrize("cls, frozen, hashable, fields", ROWS, ids=IDS)
 def test_repr_names_the_class_and_its_fields(cls, frozen, hashable, fields):
     shown = ", ".join(f"{name}={value!r}" for name, value, _, _ in fields)
